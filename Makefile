@@ -5,7 +5,7 @@ STORE ?= data/minilm_store.jsonl
 RUNS ?= runs/paper
 SEEDS ?= 0 1 2 3 4 5 6 7 8 9
 
-.PHONY: test acceptance demos paper-run
+.PHONY: test acceptance demos bench-smoke paper-run
 
 test:
 	$(PY) -m pytest
@@ -15,6 +15,10 @@ acceptance:
 
 demos:
 	set -e; for d in demos/*.py; do echo "== $$d"; $(PY) $$d; done
+
+# Benchmark smoke test: both workloads, traced and untraced, at a tiny size.
+bench-smoke:
+	$(PY) -m pytest -q perfbench/test_smoke.py
 
 # Full-scale experiment, NOT a CI gate: needs the real DailyDialog
 # download under $(DATA) and a 384-dim sentence-embedding export at

@@ -43,21 +43,22 @@ seq = build_dialog_sequence(d1, store, params)
 print(f"dialog of {len(d1)} utterances -> sequence of {seq.tokens.shape[0]} rows "
       f"(separators at {seq.sep_positions})")
 
-ctx_good = encode_dialog(d1, store, params).contextual
-ctx_bad = encode_dialog(d2, store, params).contextual
+stack = [params]  # the encoder is a stack of layers; the published model has one
+ctx_good = encode_dialog(d1, store, stack).contextual
+ctx_bad = encode_dialog(d2, store, stack).contextual
 drift = float(np.linalg.norm(ctx_good[1] - ctx_bad[1]))
 print(f"same utterance, two dialogs: contextual vectors differ by L2 {drift:.3f}")
 print("(the frozen input vectors were identical; the context did that)")
 
 # Every backward pass in this package is hand-written; verify one here.
 coeffs = rng.standard_normal(ctx_good.shape)
-encoding = encode_dialog(d1, store, params)
-analytic = encode_dialog_backward(coeffs, encoding, params)
+encoding = encode_dialog(d1, store, stack)
+analytic = encode_dialog_backward(coeffs, encoding, stack)  # keyed "<layer>.<name>"
 
 def loss():
-    return float((coeffs * encode_dialog(d1, store, params).contextual).sum())
+    return float((coeffs * encode_dialog(d1, store, stack).contextual).sum())
 
-numeric = fd_gradients(loss, {"w_q": params.w_q, "sep": params.sep}, eps=1e-4)
-for name in ("w_q", "sep"):
+numeric = fd_gradients(loss, {"0.w_q": params.w_q, "0.sep": params.sep}, eps=1e-4)
+for name in ("0.w_q", "0.sep"):
     err = group_relative_error(analytic[name], numeric[name])
     print(f"gradient check {name:4s}: relative error {err:.2e}")

@@ -45,7 +45,6 @@ from .encoder import (
     build_dialog_sequence,
     encode_dialog,
     encoder_forward,
-    encoder_layer_forward,
     init_encoder,
     init_encoder_stack,
     sinusoidal_positions,
@@ -67,7 +66,6 @@ from .triplets import (
 from .classifier import (
     ClassifierParams,
     batch_class_weights,
-    classify,
     init_classifier,
     predicted_label,
     pretrain_classifier,

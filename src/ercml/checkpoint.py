@@ -3,7 +3,9 @@
 A checkpoint is an .npz archive holding named float64 tensors plus one
 JSON metadata entry carrying the format version, the checkpoint kind,
 the seed, and a verbatim config echo. Tensors are namespaced with dots
-("encoder.w_q", "head.w") so composite models flatten cleanly.
+("encoder.0.w_q", "classifier.head.w") so composite models flatten
+cleanly. Version 2 dropped the emotion head's query/key/separator
+tensors; files of any other version are rejected, not converted.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import CheckpointError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _META_KEY = "__meta__"
 
 
@@ -60,9 +62,31 @@ def load_checkpoint(path: str | Path, expect_kind: str | None = None):
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if meta.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
-            f"{path}: format version {meta.get('format_version')} != {FORMAT_VERSION}"
+            f"{path}: format version {meta.get('format_version')} != {FORMAT_VERSION}; "
+            "retrain to write the current format"
         )
     kind = meta.get("kind", "")
     if expect_kind is not None and kind != expect_kind:
         raise CheckpointError(f"{path}: checkpoint kind {kind!r}, expected {expect_kind!r}")
     return kind, tensors, meta
+
+
+def checked_tensor(tensors: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A copy of `tensors[name]`.
+
+    Raises:
+        CheckpointError: the tensor is absent or not of `shape`.
+    """
+    arr = tensors.get(name)
+    if arr is None:
+        raise CheckpointError(f"checkpoint lacks tensor {name!r}")
+    if arr.shape != shape:
+        raise CheckpointError(f"checkpoint tensor {name!r} has shape {arr.shape}, expected {shape}")
+    return arr.copy()
+
+
+def reject_unknown_tensors(tensors: dict[str, np.ndarray], known: dict[str, np.ndarray]) -> None:
+    """Raises CheckpointError if `tensors` holds a name outside `known`."""
+    unknown = sorted(set(tensors) - set(known))
+    if unknown:
+        raise CheckpointError(f"checkpoint holds unexpected tensors {unknown}")

@@ -1,10 +1,10 @@
 """Utterance-level emotion head.
 
 One attention-encoder layer applied to the utterance vector as a
-length-1 sequence, followed by a linear map to label logits. Trained
-with imbalance-weighted cross-entropy; pretrainable standalone on
-frozen sentence embeddings and left unfrozen for the contextual
-trainer.
+length-1 sequence (so it holds only the tensors such a sequence uses),
+followed by a linear map to label logits. Trained with
+imbalance-weighted cross-entropy; pretrainable standalone on frozen
+sentence embeddings and left unfrozen for the contextual trainer.
 """
 
 from __future__ import annotations
@@ -14,12 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import checked_tensor, reject_unknown_tensors
 from .corpus import ALL_LABEL_IDS, Corpus, label_weights
 from .embeddings import SentenceEmbeddingStore
 from .encoder import (
-    EncoderLayerParams,
-    SingletonCache,
+    RowwiseCache,
+    SingletonLayerParams,
     init_encoder,
+    layer_from_tensors,
+    layer_meta,
     singleton_backward,
     singleton_forward,
 )
@@ -33,7 +36,7 @@ logger = logging.getLogger(__name__)
 class ClassifierParams:
     """Encoder-layer-plus-linear emotion head over an ordered label space."""
 
-    encoder: EncoderLayerParams
+    encoder: SingletonLayerParams
     w_out: np.ndarray  # (d, K)
     b_out: np.ndarray  # (K,)
     label_space: tuple[int, ...]
@@ -55,17 +58,6 @@ class ClassifierParams:
         out["head.b"] = self.b_out
         return out
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(arr) for name, arr in self.tensors().items()}
-
-    def copy(self) -> "ClassifierParams":
-        return ClassifierParams(
-            encoder=self.encoder.copy(),
-            w_out=self.w_out.copy(),
-            b_out=self.b_out.copy(),
-            label_space=self.label_space,
-        )
-
 
 def init_classifier(
     dim: int,
@@ -75,8 +67,13 @@ def init_classifier(
     seed: int = 0,
 ) -> ClassifierParams:
     """Deterministic classifier initialization (encoder seed offset to
-    decorrelate from the contextual encoder initialized at `seed`)."""
-    encoder = init_encoder(dim, heads=heads, ffn_dim=ffn_dim, seed=seed + 1)
+    decorrelate from the contextual encoder initialized at `seed`).
+
+    The layer takes its tensors from a full encoder layer drawn from the
+    same random stream, so every value matches that layer's.
+    """
+    full = init_encoder(dim, heads=heads, ffn_dim=ffn_dim, seed=seed + 1)
+    encoder = layer_from_tensors(SingletonLayerParams, full.tensors(), layer_meta(full))
     rng = np.random.default_rng(seed + 2)
     k = len(label_space)
     bound = np.sqrt(6.0 / (dim + k))
@@ -90,7 +87,7 @@ def init_classifier(
 
 @dataclass
 class ClassifierCache:
-    encoder_cache: SingletonCache
+    encoder_cache: RowwiseCache
     encoded: np.ndarray  # (m, d)
 
 
@@ -100,12 +97,6 @@ def classify_batch(reps: np.ndarray, params: ClassifierParams):
     encoded, cache = singleton_forward(reps, params.encoder)
     logits = encoded @ params.w_out + params.b_out
     return logits, ClassifierCache(encoder_cache=cache, encoded=encoded)
-
-
-def classify(representation: np.ndarray, params: ClassifierParams) -> np.ndarray:
-    """Logits for one utterance representation, shape (K,)."""
-    logits, _ = classify_batch(representation[None, :], params)
-    return logits[0]
 
 
 def classifier_backward(d_logits: np.ndarray, cache: ClassifierCache, params: ClassifierParams):
@@ -257,26 +248,23 @@ def pretrain_classifier(
 
 def classifier_to_tensors(params: ClassifierParams) -> tuple[dict[str, np.ndarray], dict]:
     """Flatten to (tensors, meta) for the checkpoint container."""
-    meta = {
-        "dim": params.encoder.dim,
-        "heads": params.encoder.heads,
-        "ffn_dim": params.encoder.ffn_dim,
-        "label_space": list(params.label_space),
-    }
-    return params.tensors(), meta
+    return params.tensors(), {**layer_meta(params.encoder), "label_space": list(params.label_space)}
 
 
 def classifier_from_tensors(tensors: dict[str, np.ndarray], meta: dict) -> ClassifierParams:
-    """Rebuild from a checkpoint's (tensors, meta)."""
-    encoder = EncoderLayerParams(
-        dim=int(meta["dim"]),
-        heads=int(meta["heads"]),
-        ffn_dim=int(meta["ffn_dim"]),
-        **{name: tensors[f"encoder.{name}"].copy() for name in EncoderLayerParams.TENSOR_NAMES},
+    """Rebuild from a checkpoint's (tensors, meta).
+
+    Raises:
+        CheckpointError: a tensor is missing, unexpected, or shaped
+            unlike `meta` says.
+    """
+    label_space = tuple(int(x) for x in meta["label_space"])
+    k = len(label_space)
+    params = ClassifierParams(
+        encoder=layer_from_tensors(SingletonLayerParams, tensors, meta, prefix="encoder."),
+        w_out=checked_tensor(tensors, "head.w", (int(meta["dim"]), k)),
+        b_out=checked_tensor(tensors, "head.b", (k,)),
+        label_space=label_space,
     )
-    return ClassifierParams(
-        encoder=encoder,
-        w_out=tensors["head.w"].copy(),
-        b_out=tensors["head.b"].copy(),
-        label_space=tuple(int(x) for x in meta["label_space"]),
-    )
+    reject_unknown_tensors(tensors, params.tensors())
+    return params

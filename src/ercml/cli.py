@@ -13,17 +13,13 @@ import configparser
 import json
 import logging
 import sys
-from dataclasses import fields
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .classifier import (
-    classifier_from_tensors,
-    classifier_to_tensors,
-    pretrain_classifier,
-)
+from .classifier import classifier_from_tensors, classifier_to_tensors
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import LABEL_NAMES, corpus_stats, format_stats, label_weights, load_split, utt_key
 from .embeddings import load_sentence_embeddings, load_word_table
@@ -31,10 +27,13 @@ from .errors import ConfigError, ErcmlError
 from .llm import HttpGenerationClient, ReplayClient, evaluate_llm, resolve_template, write_generation_log
 from .metrics import format_report
 from .training import (
+    LOSS_MODES,
+    SAMPLING_STRATEGIES,
     ContextualModel,
     TrainConfig,
     evaluate_model,
     predict,
+    pretrain_from_config,
     save_isolated,
     train_contextual,
     train_isolated,
@@ -43,32 +42,32 @@ from .triplets import corpus_pool, sample_triplets
 
 logger = logging.getLogger(__name__)
 
-_TRAIN_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
-_BOOL_FIELDS = ("weighted_sampler", "weighted_ce", "triplet_enabled")
-_INT_FIELDS = (
-    "epochs", "batch_size", "seed", "label_space_size", "pretrain_epochs",
-    "pretrain_steps", "pretrain_batch_size", "heads", "ffn_dim", "rep_dim",
-    "triplets_per_batch", "smooth_counts", "max_steps", "encoder_layers",
-)
-_FLOAT_FIELDS = ("learning_rate", "margin", "summed_lambda", "grad_clip")
-_STR_FIELDS = ("distance", "sampling_strategy", "loss_mode", "subnetwork")
+# TrainConfig field -> int, float, bool or str, read off its type hint
+# with any `| None` dropped; the flags and the config-file parser follow it.
+_TRAIN_FIELDS = {
+    name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in typing.get_type_hints(TrainConfig).items()
+}
+_CHOICES = {
+    "distance": ("euclidean", "cosine"),
+    "sampling_strategy": SAMPLING_STRATEGIES,
+    "loss_mode": LOSS_MODES,
+    "subnetwork": ("linear", "lstm"),
+}
 
 
 def _parse_config_value(key: str, raw: str):
     raw = raw.strip()
     if raw.lower() in ("none", ""):
         return None
-    if key in _BOOL_FIELDS:
+    kind = _TRAIN_FIELDS[key]
+    if kind is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"config key {key}: cannot parse boolean from {raw!r}")
-    if key in _INT_FIELDS:
-        return int(raw)
-    if key in _FLOAT_FIELDS:
-        return float(raw)
-    return raw
+    return kind(raw)
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -115,25 +114,14 @@ def _resolve_path_option(args: argparse.Namespace, file_options: dict, key: str,
 
 def _add_train_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("training options (override the config file)")
-    for name in _INT_FIELDS:
+    for name, kind in _TRAIN_FIELDS.items():
         flags = [f"--{name.replace('_', '-')}"]
         if name == "label_space_size":
             flags.append("--label-space")
-        group.add_argument(*flags, type=int, default=None, dest=name)
-    for name in _FLOAT_FIELDS:
-        group.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name)
-    group.add_argument("--distance", choices=("euclidean", "cosine"), default=None)
-    group.add_argument(
-        "--sampling-strategy", choices=("weighted-random", "batch-all", "batch-hard"),
-        default=None, dest="sampling_strategy",
-    )
-    group.add_argument("--loss-mode", choices=("alternating", "summed"), default=None, dest="loss_mode")
-    group.add_argument("--subnetwork", choices=("linear", "lstm"), default=None)
-    for name in _BOOL_FIELDS:
-        group.add_argument(
-            f"--{name.replace('_', '-')}", action=argparse.BooleanOptionalAction,
-            default=None, dest=name,
-        )
+        if kind is bool:
+            group.add_argument(*flags, action=argparse.BooleanOptionalAction, default=None, dest=name)
+        else:
+            group.add_argument(*flags, type=kind, choices=_CHOICES.get(name), default=None, dest=name)
 
 
 def _config_echo(args: argparse.Namespace, train_config: TrainConfig | None = None) -> dict:
@@ -183,31 +171,16 @@ def cmd_pretrain(args) -> int:
     _resolve_path_option(args, file_options, "store", required=True)
     corpus = load_split(args.data, "train")
     store = load_sentence_embeddings(args.store)
-    steps = config.pretrain_steps
-    if steps is None:
-        n = sum(1 for _, u in corpus.iter_utterances() if u.label in config.label_space())
-        steps = config.pretrain_epochs * max(1, -(-n // config.pretrain_batch_size))
-    params = pretrain_classifier(
-        corpus, store,
-        label_space=config.label_space(),
-        steps=steps,
-        batch_size=config.pretrain_batch_size,
-        learning_rate=config.learning_rate,
-        seed=config.seed,
-        heads=config.heads,
-        ffn_dim=config.ffn_dim,
-        weighted_sampler=config.weighted_sampler,
-        weighted_ce=config.weighted_ce,
-        smooth_counts=config.smooth_counts,
-        grad_clip=config.grad_clip,
-    )
+    params = pretrain_from_config(corpus, store, config)
     out = _out_dir(args)
     tensors, meta = classifier_to_tensors(params)
     echo = _config_echo(args, config)
     meta["config_echo"] = echo
     meta["seed"] = config.seed
     save_checkpoint(out / "classifier.npz", "classifier", tensors, meta)
-    _write_json(out / "pretrain.json", {"steps": steps, "config_echo": echo, "seed": config.seed})
+    _write_json(out / "pretrain.json", {
+        "steps": config.resolved_pretrain_steps(corpus), "config_echo": echo, "seed": config.seed,
+    })
     print(f"classifier checkpoint written to {out / 'classifier.npz'}")
     return 0
 
@@ -250,6 +223,8 @@ def cmd_train(args) -> int:
             return 0
 
         store = load_sentence_embeddings(args.store)
+        eval_corpus = load_split(args.data, args.eval_split)
+        store.check_covers(eval_corpus)
         classifier = None
         if args.classifier:
             _, tensors, meta = load_checkpoint(args.classifier, expect_kind="classifier")
@@ -257,7 +232,6 @@ def cmd_train(args) -> int:
         model = train_contextual(train_corpus, store, config, classifier=classifier)
         model.config_echo = echo
         model.save(out / "model.npz")
-        eval_corpus = load_split(args.data, args.eval_split)
         report = evaluate_model(model, eval_corpus, store, neutral_policy=args.neutral_policy)
         doc = report.to_dict(config_echo=echo)
         doc["seed"] = config.seed
@@ -276,6 +250,7 @@ def cmd_eval(args) -> int:
     model = ContextualModel.load(args.model)
     corpus = load_split(args.data, args.split)
     store = load_sentence_embeddings(args.store)
+    store.check_covers(corpus)
     echo = _config_echo(args)
     if args.include_neutral:
         from .metrics import confusion, report_from_confusion
@@ -303,6 +278,7 @@ def cmd_predict(args) -> int:
     model = ContextualModel.load(args.model)
     corpus = load_split(args.data, args.split)
     store = load_sentence_embeddings(args.store)
+    store.check_covers(corpus)
     lines = []
     for dialog in corpus.dialogs:
         for utt, pred in zip(dialog.utterances, predict(model, dialog, store)):

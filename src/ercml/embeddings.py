@@ -171,10 +171,20 @@ class SentenceEmbeddingStore:
             raise MissingEmbedding(f"store {self.provider_name!r} has no vector for {key!r}")
         return vec
 
-    def covers(self, corpus: Corpus) -> bool:
-        return all(
-            utt_key(d.id, u.index) in self.entries for d, u in corpus.iter_utterances()
-        )
+    def check_covers(self, corpus: Corpus) -> None:
+        """Fail before any work on a corpus the store does not cover.
+
+        Raises:
+            MissingEmbedding: naming the first missing utterance key and
+                how many are missing.
+        """
+        keys = (utt_key(d.id, u.index) for d, u in corpus.iter_utterances())
+        missing = [key for key in keys if key not in self.entries]
+        if missing:
+            raise MissingEmbedding(
+                f"store {self.provider_name!r} lacks {len(missing)} utterance vector(s) "
+                f"of the {corpus.split} split, first {missing[0]!r}"
+            )
 
     def content_digest(self) -> str:
         """Order-independent digest of all entries; used to assert frozen-ness."""

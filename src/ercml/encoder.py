@@ -13,13 +13,14 @@ differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
 
 from .corpus import Dialog
 from .embeddings import SentenceEmbeddingStore
+from .checkpoint import checked_tensor
 from .errors import BadHeadCount, InconsistentPositions, ShapeMismatch
 
 LN_EPS = 1e-5
@@ -28,20 +29,18 @@ LN_EPS = 1e-5
 # --- parameters -------------------------------------------------------------
 
 @dataclass
-class EncoderLayerParams:
-    """One encoder layer: multi-head self-attention + feed-forward block.
+class SingletonLayerParams:
+    """An encoder layer as it acts on length-1 sequences: the emotion head.
 
-    `sep` is the learned separator vector interleaved between utterance
-    embeddings when a dialog sequence is built.
+    Softmax over a single key is exactly 1, so attention reduces to the
+    value and output projections; the query/key projections and the
+    separator could never reach an output and are not held. Field names
+    match :class:`EncoderLayerParams`.
     """
 
     dim: int
     heads: int
     ffn_dim: int
-    w_q: np.ndarray
-    b_q: np.ndarray
-    w_k: np.ndarray
-    b_k: np.ndarray
     w_v: np.ndarray
     b_v: np.ndarray
     w_o: np.ndarray
@@ -54,6 +53,29 @@ class EncoderLayerParams:
     ln1_bias: np.ndarray
     ln2_gain: np.ndarray
     ln2_bias: np.ndarray
+
+    TENSOR_NAMES = (
+        "w_v", "b_v", "w_o", "b_o", "w_ff1", "b_ff1", "w_ff2", "b_ff2",
+        "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
+    )
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        """Live name -> array view; optimizers update these in place."""
+        return {name: getattr(self, name) for name in self.TENSOR_NAMES}
+
+
+@dataclass
+class EncoderLayerParams(SingletonLayerParams):
+    """One encoder layer: multi-head self-attention + feed-forward block.
+
+    `sep` is the learned separator vector interleaved between utterance
+    embeddings when a dialog sequence is built.
+    """
+
+    w_q: np.ndarray
+    b_q: np.ndarray
+    w_k: np.ndarray
+    b_k: np.ndarray
     sep: np.ndarray
 
     TENSOR_NAMES = (
@@ -61,20 +83,6 @@ class EncoderLayerParams:
         "w_ff1", "b_ff1", "w_ff2", "b_ff2",
         "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias", "sep",
     )
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        """Live name -> array view; optimizers update these in place."""
-        return {name: getattr(self, name) for name in self.TENSOR_NAMES}
-
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(getattr(self, name)) for name in self.TENSOR_NAMES}
-
-    def copy(self) -> "EncoderLayerParams":
-        kwargs = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kwargs[f.name] = value.copy() if isinstance(value, np.ndarray) else value
-        return EncoderLayerParams(**kwargs)
 
     def head_dim(self) -> int:
         return self.dim // self.heads
@@ -110,6 +118,34 @@ def init_encoder(dim: int, heads: int = 4, ffn_dim: int | None = None, seed: int
         ln2_gain=np.ones(dim), ln2_bias=np.zeros(dim),
         sep=rng.uniform(-1.0 / np.sqrt(dim), 1.0 / np.sqrt(dim), size=dim),
     )
+
+
+def layer_meta(layer: SingletonLayerParams) -> dict:
+    """The sizes a checkpoint records next to a layer's tensors."""
+    return {"dim": layer.dim, "heads": layer.heads, "ffn_dim": layer.ffn_dim}
+
+
+def layer_from_tensors(
+    layer_type: type, tensors: dict[str, np.ndarray], meta: dict, prefix: str = ""
+) -> SingletonLayerParams:
+    """A `layer_type` instance from copies of the tensors `prefix + name`.
+
+    Entries of `tensors` the layer does not use are left for the caller
+    to reject.
+
+    Raises:
+        CheckpointError: a tensor is missing or shaped unlike `meta` says.
+    """
+    dim, ffn_dim = int(meta["dim"]), int(meta["ffn_dim"])
+    wide = {"w_ff1": (dim, ffn_dim), "b_ff1": (ffn_dim,), "w_ff2": (ffn_dim, dim)}
+    arrays = {
+        name: checked_tensor(
+            tensors, prefix + name,
+            wide.get(name, (dim, dim) if name.startswith("w_") else (dim,)),
+        )
+        for name in layer_type.TENSOR_NAMES
+    }
+    return layer_type(dim=dim, heads=int(meta["heads"]), ffn_dim=ffn_dim, **arrays)
 
 
 # --- positional encodings ---------------------------------------------------
@@ -225,15 +261,18 @@ def _merge_heads(m: np.ndarray) -> np.ndarray:
 
 
 # --- encoder layer forward / backward ----------------------------------------
+#
+# A layer is two halves, each written once. The attention half mixes the
+# rows of a sequence; the row-wise half (output projection, residual,
+# layer norm, feed-forward, residual, layer norm) treats every row on its
+# own. The full layer is attention plus the row-wise half; on length-1
+# sequences attention is the value projection, which is the emotion
+# head's path.
 
 @dataclass
-class EncoderCache:
-    x: np.ndarray
-    qh: np.ndarray
-    kh: np.ndarray
-    vh: np.ndarray
-    attn: np.ndarray
-    hcat: np.ndarray
+class RowwiseCache:
+    x: np.ndarray      # layer input, the first residual branch
+    mixed: np.ndarray  # rows fed to the output projection
     xhat1: np.ndarray
     inv1: np.ndarray
     n1: np.ndarray
@@ -243,6 +282,55 @@ class EncoderCache:
     inv2: np.ndarray
 
 
+@dataclass
+class EncoderCache:
+    qh: np.ndarray
+    kh: np.ndarray
+    vh: np.ndarray
+    attn: np.ndarray
+    rowwise: RowwiseCache
+
+
+def _checked_input(x: np.ndarray, params: SingletonLayerParams) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != params.dim:
+        raise ShapeMismatch(f"input shape {x.shape} incompatible with dim {params.dim}")
+    return x
+
+
+def _rowwise_forward(x: np.ndarray, mixed: np.ndarray, p: SingletonLayerParams):
+    r1 = x + (mixed @ p.w_o + p.b_o)
+    n1, xhat1, inv1 = _layer_norm_forward(r1, p.ln1_gain, p.ln1_bias)
+    pre = n1 @ p.w_ff1 + p.b_ff1
+    act = _gelu(pre)
+    r2 = n1 + (act @ p.w_ff2 + p.b_ff2)
+    out, xhat2, inv2 = _layer_norm_forward(r2, p.ln2_gain, p.ln2_bias)
+    return out, RowwiseCache(
+        x=x, mixed=mixed, xhat1=xhat1, inv1=inv1, n1=n1, pre=pre, act=act,
+        xhat2=xhat2, inv2=inv2,
+    )
+
+
+def _rowwise_backward(d_out: np.ndarray, c: RowwiseCache, p: SingletonLayerParams, grads: dict):
+    """Fills the row-wise half's entries of `grads`; returns (d_x, d_mixed)."""
+    dr2, grads["ln2_gain"], grads["ln2_bias"] = _layer_norm_backward(
+        d_out, c.xhat2, c.inv2, p.ln2_gain
+    )
+    grads["w_ff2"] = c.act.T @ dr2
+    grads["b_ff2"] = dr2.sum(axis=0)
+    dpre = (dr2 @ p.w_ff2.T) * _gelu_grad(c.pre)
+    grads["w_ff1"] = c.n1.T @ dpre
+    grads["b_ff1"] = dpre.sum(axis=0)
+    dn1 = dr2 + dpre @ p.w_ff1.T
+
+    dr1, grads["ln1_gain"], grads["ln1_bias"] = _layer_norm_backward(
+        dn1, c.xhat1, c.inv1, p.ln1_gain
+    )
+    grads["w_o"] = c.mixed.T @ dr1
+    grads["b_o"] = dr1.sum(axis=0)
+    return dr1, dr1 @ p.w_o.T
+
+
 def encoder_forward(x: np.ndarray, params: EncoderLayerParams):
     """Full bidirectional self-attention block over one sequence.
 
@@ -250,9 +338,7 @@ def encoder_forward(x: np.ndarray, params: EncoderLayerParams):
     Post-norm layout: attention, residual, layer norm, feed-forward,
     residual, layer norm.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != params.dim:
-        raise ShapeMismatch(f"input shape {x.shape} incompatible with dim {params.dim}")
+    x = _checked_input(x, params)
     p = params
     q = x @ p.w_q + p.b_q
     k = x @ p.w_k + p.b_k
@@ -263,22 +349,8 @@ def encoder_forward(x: np.ndarray, params: EncoderLayerParams):
     scores -= scores.max(axis=2, keepdims=True)
     attn = np.exp(scores)
     attn /= attn.sum(axis=2, keepdims=True)
-    hcat = _merge_heads(attn @ vh)
-    attn_out = hcat @ p.w_o + p.b_o
-
-    r1 = x + attn_out
-    n1, xhat1, inv1 = _layer_norm_forward(r1, p.ln1_gain, p.ln1_bias)
-    pre = n1 @ p.w_ff1 + p.b_ff1
-    act = _gelu(pre)
-    ffn = act @ p.w_ff2 + p.b_ff2
-    r2 = n1 + ffn
-    out, xhat2, inv2 = _layer_norm_forward(r2, p.ln2_gain, p.ln2_bias)
-    cache = EncoderCache(
-        x=x, qh=qh, kh=kh, vh=vh, attn=attn, hcat=hcat,
-        xhat1=xhat1, inv1=inv1, n1=n1, pre=pre, act=act,
-        xhat2=xhat2, inv2=inv2,
-    )
-    return out, cache
+    out, rowwise = _rowwise_forward(x, _merge_heads(attn @ vh), p)
+    return out, EncoderCache(qh=qh, kh=kh, vh=vh, attn=attn, rowwise=rowwise)
 
 
 def encoder_backward(d_out: np.ndarray, cache: EncoderCache, params: EncoderLayerParams):
@@ -289,29 +361,8 @@ def encoder_backward(d_out: np.ndarray, cache: EncoderCache, params: EncoderLaye
     d_input rows by :func:`sep_gradient`.
     """
     p = params
-    grads = {name: None for name in p.TENSOR_NAMES}
-
-    dr2, grads["ln2_gain"], grads["ln2_bias"] = _layer_norm_backward(
-        d_out, cache.xhat2, cache.inv2, p.ln2_gain
-    )
-    dn1 = dr2.copy()
-    dffn = dr2
-    dact = dffn @ p.w_ff2.T
-    grads["w_ff2"] = cache.act.T @ dffn
-    grads["b_ff2"] = dffn.sum(axis=0)
-    dpre = dact * _gelu_grad(cache.pre)
-    grads["w_ff1"] = cache.n1.T @ dpre
-    grads["b_ff1"] = dpre.sum(axis=0)
-    dn1 += dpre @ p.w_ff1.T
-
-    dr1, grads["ln1_gain"], grads["ln1_bias"] = _layer_norm_backward(
-        dn1, cache.xhat1, cache.inv1, p.ln1_gain
-    )
-    dx = dr1.copy()
-    dattn_out = dr1
-    grads["w_o"] = cache.hcat.T @ dattn_out
-    grads["b_o"] = dattn_out.sum(axis=0)
-    dhcat = dattn_out @ p.w_o.T
+    grads = dict.fromkeys(p.TENSOR_NAMES)
+    dx, dhcat = _rowwise_backward(d_out, cache.rowwise, p, grads)
 
     dheads = _split_heads(dhcat, p.heads)
     dattn = dheads @ cache.vh.transpose(0, 2, 1)
@@ -321,12 +372,13 @@ def encoder_backward(d_out: np.ndarray, cache: EncoderCache, params: EncoderLaye
     dqh = (dscores @ cache.kh) * scale
     dkh = (dscores.transpose(0, 2, 1) @ cache.qh) * scale
 
+    x = cache.rowwise.x
     for name_w, name_b, dm, w in (
         ("w_q", "b_q", _merge_heads(dqh), p.w_q),
         ("w_k", "b_k", _merge_heads(dkh), p.w_k),
         ("w_v", "b_v", _merge_heads(dvh), p.w_v),
     ):
-        grads[name_w] = cache.x.T @ dm
+        grads[name_w] = x.T @ dm
         grads[name_b] = dm.sum(axis=0)
         dx += dm @ w.T
 
@@ -334,10 +386,25 @@ def encoder_backward(d_out: np.ndarray, cache: EncoderCache, params: EncoderLaye
     return dx, grads
 
 
-def encoder_layer_forward(seq: DialogSequence, params: EncoderLayerParams) -> np.ndarray:
-    """Encode a built dialog sequence; output shape equals input shape."""
-    out, _ = encoder_forward(seq.encoder_input(), params)
-    return out
+def singleton_forward(rows: np.ndarray, params: SingletonLayerParams):
+    """The layer applied to each row as an independent length-1 sequence.
+
+    Attention over one token passes its value through unchanged, so a
+    batch of m rows is one row-wise pass. Equivalent to calling
+    :func:`encoder_forward` on each (1, d) row; a test pins that.
+    """
+    rows = _checked_input(rows, params)
+    return _rowwise_forward(rows, rows @ params.w_v + params.b_v, params)
+
+
+def singleton_backward(d_out: np.ndarray, cache: RowwiseCache, params: SingletonLayerParams):
+    """Backward companion of :func:`singleton_forward`; returns (d_rows, grads)."""
+    grads = dict.fromkeys(params.TENSOR_NAMES)
+    dx, dv = _rowwise_backward(d_out, cache, params, grads)
+    grads["w_v"] = cache.x.T @ dv
+    grads["b_v"] = dv.sum(axis=0)
+    dx += dv @ params.w_v.T
+    return dx, grads
 
 
 def sep_gradient(d_input: np.ndarray, sep_positions: tuple[int, ...]) -> np.ndarray:
@@ -347,16 +414,12 @@ def sep_gradient(d_input: np.ndarray, sep_positions: tuple[int, ...]) -> np.ndar
 
 # --- encoder stacks -----------------------------------------------------------
 #
-# One layer is the default and the published configuration; deeper
-# stacks are supported as a plain sequence of layer parameters. The
-# separator vector of the FIRST layer is the one interleaved into
-# dialog sequences; `sep` tensors of deeper layers are unused.
+# The encoder is a list of layers. One layer is the default and the
+# published configuration. The separator vector of the FIRST layer is the
+# one interleaved into dialog sequences; `sep` tensors of deeper layers
+# are unused.
 
 EncoderStack = list[EncoderLayerParams]
-
-
-def as_stack(encoder: "EncoderLayerParams | list[EncoderLayerParams]") -> EncoderStack:
-    return encoder if isinstance(encoder, list) else [encoder]
 
 
 def init_encoder_stack(
@@ -416,117 +479,27 @@ class DialogEncoding:
     contextual: np.ndarray  # (U, d)
 
 
-def encode_dialog(
-    dialog: Dialog,
-    store: SentenceEmbeddingStore,
-    encoder: "EncoderLayerParams | list[EncoderLayerParams]",
-) -> DialogEncoding:
-    """build sequence -> encoder layer(s) -> split, with caches retained."""
-    stack = as_stack(encoder)
-    seq = build_dialog_sequence(dialog, store, stack[0])
-    out, caches = stack_forward(seq.encoder_input(), stack)
+def encode_dialog(dialog: Dialog, store: SentenceEmbeddingStore, encoder: EncoderStack) -> DialogEncoding:
+    """build sequence -> encoder layers -> split, with caches retained."""
+    seq = build_dialog_sequence(dialog, store, encoder[0])
+    out, caches = stack_forward(seq.encoder_input(), encoder)
     return DialogEncoding(
         sequence=seq, caches=caches, contextual=split_contextual(out, seq.sep_positions)
     )
 
 
 def encode_dialog_backward(
-    d_contextual: np.ndarray,
-    encoding: DialogEncoding,
-    encoder: "EncoderLayerParams | list[EncoderLayerParams]",
+    d_contextual: np.ndarray, encoding: DialogEncoding, encoder: EncoderStack
 ) -> dict[str, np.ndarray]:
     """Backward from per-utterance gradients to encoder parameter gradients.
 
     Frozen utterance embeddings receive no gradient; separator rows
-    accumulate into the first layer's `sep` entry. Given a single
-    EncoderLayerParams the grads are keyed by plain tensor name; given a
-    stack they are keyed "<layer>.<name>" like `stack_tensors`.
+    accumulate into the first layer's `sep` entry. Grads are keyed
+    "<layer>.<name>" like `stack_tensors`.
     """
-    stack = as_stack(encoder)
     n_rows = encoding.sequence.tokens.shape[0]
-    d_encoded = np.zeros((n_rows, stack[0].dim))
+    d_encoded = np.zeros((n_rows, encoder[0].dim))
     d_encoded[1::2] = d_contextual
-    d_input, grads = stack_backward(d_encoded, encoding.caches, stack)
+    d_input, grads = stack_backward(d_encoded, encoding.caches, encoder)
     grads["0.sep"] = sep_gradient(d_input, encoding.sequence.sep_positions)
-    if not isinstance(encoder, list):
-        return {name[len("0."):]: g for name, g in grads.items()}
     return grads
-
-
-# --- vectorized length-1 sequences (emotion-classifier path) -----------------
-
-@dataclass
-class SingletonCache:
-    x: np.ndarray
-    v: np.ndarray
-    xhat1: np.ndarray
-    inv1: np.ndarray
-    n1: np.ndarray
-    pre: np.ndarray
-    act: np.ndarray
-    xhat2: np.ndarray
-    inv2: np.ndarray
-
-
-def singleton_forward(rows: np.ndarray, params: EncoderLayerParams):
-    """Encoder layer applied to each row as an independent length-1 sequence.
-
-    For a one-token sequence the attention weights collapse to 1, so the
-    whole layer becomes row-wise and a batch of m rows is one matrix
-    pass. Equivalent to calling :func:`encoder_forward` on each (1, d)
-    row; a test pins that equivalence.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != params.dim:
-        raise ShapeMismatch(f"input shape {rows.shape} incompatible with dim {params.dim}")
-    p = params
-    v = rows @ p.w_v + p.b_v
-    attn_out = v @ p.w_o + p.b_o
-    r1 = rows + attn_out
-    n1, xhat1, inv1 = _layer_norm_forward(r1, p.ln1_gain, p.ln1_bias)
-    pre = n1 @ p.w_ff1 + p.b_ff1
-    act = _gelu(pre)
-    ffn = act @ p.w_ff2 + p.b_ff2
-    r2 = n1 + ffn
-    out, xhat2, inv2 = _layer_norm_forward(r2, p.ln2_gain, p.ln2_bias)
-    cache = SingletonCache(
-        x=rows, v=v, xhat1=xhat1, inv1=inv1, n1=n1, pre=pre, act=act,
-        xhat2=xhat2, inv2=inv2,
-    )
-    return out, cache
-
-
-def singleton_backward(d_out: np.ndarray, cache: SingletonCache, params: EncoderLayerParams):
-    """Backward companion of :func:`singleton_forward`.
-
-    Query/key projections never influence a length-1 sequence, so their
-    gradients are exactly zero.
-    """
-    p = params
-    grads = p.zero_grads()
-
-    dr2, grads["ln2_gain"], grads["ln2_bias"] = _layer_norm_backward(
-        d_out, cache.xhat2, cache.inv2, p.ln2_gain
-    )
-    dn1 = dr2.copy()
-    dffn = dr2
-    dact = dffn @ p.w_ff2.T
-    grads["w_ff2"] = cache.act.T @ dffn
-    grads["b_ff2"] = dffn.sum(axis=0)
-    dpre = dact * _gelu_grad(cache.pre)
-    grads["w_ff1"] = cache.n1.T @ dpre
-    grads["b_ff1"] = dpre.sum(axis=0)
-    dn1 += dpre @ p.w_ff1.T
-
-    dr1, grads["ln1_gain"], grads["ln1_bias"] = _layer_norm_backward(
-        dn1, cache.xhat1, cache.inv1, p.ln1_gain
-    )
-    dx = dr1.copy()
-    dattn_out = dr1
-    grads["w_o"] = cache.v.T @ dattn_out
-    grads["b_o"] = dattn_out.sum(axis=0)
-    dv = dattn_out @ p.w_o.T
-    grads["w_v"] = cache.x.T @ dv
-    grads["b_v"] = dv.sum(axis=0)
-    dx += dv @ p.w_v.T
-    return dx, grads

@@ -23,13 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, reject_unknown_tensors, save_checkpoint
 from .classifier import (
     ClassifierParams,
     batch_class_weights,
     ce_loss_and_grad,
     classifier_backward,
     classifier_from_tensors,
+    classifier_to_tensors,
     classify_batch,
     pretrain_classifier,
 )
@@ -41,10 +42,12 @@ from .encoder import (
     encode_dialog,
     encode_dialog_backward,
     init_encoder_stack,
+    layer_from_tensors,
+    layer_meta,
     stack_tensors,
     stack_zero_grads,
 )
-from .errors import ConfigError, DimMismatch, InsufficientDiversity
+from .errors import CheckpointError, ConfigError, DimMismatch, InsufficientDiversity
 from .isolated import IsolatedModel, init_linear_subnet, init_lstm
 from .metrics import MetricsReport, report_from_predictions
 from .optim import Adam, add_grads
@@ -116,6 +119,14 @@ class TrainConfig:
     def label_space(self) -> tuple[int, ...]:
         return ALL_LABEL_IDS if self.label_space_size == 7 else EMOTION_IDS
 
+    def resolved_pretrain_steps(self, corpus: Corpus) -> int:
+        """`pretrain_steps`, or else `pretrain_epochs` passes over the
+        corpus's in-space utterances in batches of `pretrain_batch_size`."""
+        if self.pretrain_steps is not None:
+            return self.pretrain_steps
+        n = sum(1 for _, u in corpus.iter_utterances() if u.label in self.label_space())
+        return self.pretrain_epochs * max(1, math.ceil(n / self.pretrain_batch_size))
+
     def triplet_cfg(self) -> TripletLossConfig:
         return TripletLossConfig(margin=self.margin, distance=self.distance)
 
@@ -136,55 +147,67 @@ class ContextualModel:
     def dim(self) -> int:
         return self.encoder[0].dim
 
+    def tensors(self) -> dict[str, np.ndarray]:
+        """Live checkpoint tensors: "encoder.<layer>.<name>" and "classifier.<name>"."""
+        out = {f"encoder.{n}": a for n, a in stack_tensors(self.encoder).items()}
+        out.update({f"classifier.{n}": a for n, a in self.classifier.tensors().items()})
+        return out
+
     def save(self, path: str | Path) -> Path:
-        tensors = {f"encoder.{n}": a for n, a in stack_tensors(self.encoder).items()}
-        tensors.update({f"classifier.{n}": a for n, a in self.classifier.tensors().items()})
         meta = {
-            "encoder": {
-                "dim": self.encoder[0].dim,
-                "heads": self.encoder[0].heads,
-                "ffn_dim": self.encoder[0].ffn_dim,
-                "layers": len(self.encoder),
-            },
-            "classifier": {
-                "dim": self.classifier.encoder.dim,
-                "heads": self.classifier.encoder.heads,
-                "ffn_dim": self.classifier.encoder.ffn_dim,
-                "label_space": list(self.classifier.label_space),
-            },
+            "encoder": {**layer_meta(self.encoder[0]), "layers": len(self.encoder)},
+            "classifier": classifier_to_tensors(self.classifier)[1],
             "provider": self.provider_name,
             "config_echo": self.config_echo,
         }
-        return save_checkpoint(path, "contextual", tensors, meta)
+        return save_checkpoint(path, "contextual", self.tensors(), meta)
 
     @classmethod
     def load(cls, path: str | Path) -> "ContextualModel":
+        """Raises CheckpointError on a file of another kind or format
+        version, or whose tensors do not match its metadata."""
         _, tensors, meta = load_checkpoint(path, expect_kind="contextual")
         enc_meta = meta["encoder"]
         encoder = [
-            EncoderLayerParams(
-                dim=int(enc_meta["dim"]),
-                heads=int(enc_meta["heads"]),
-                ffn_dim=int(enc_meta["ffn_dim"]),
-                **{
-                    name: tensors[f"encoder.{i}.{name}"].copy()
-                    for name in EncoderLayerParams.TENSOR_NAMES
-                },
-            )
-            for i in range(int(enc_meta.get("layers", 1)))
+            layer_from_tensors(EncoderLayerParams, tensors, enc_meta, prefix=f"encoder.{i}.")
+            for i in range(int(enc_meta["layers"]))
         ]
         clf_tensors = {
             name[len("classifier."):]: arr
             for name, arr in tensors.items()
             if name.startswith("classifier.")
         }
-        classifier = classifier_from_tensors(clf_tensors, meta["classifier"])
-        return cls(
+        try:
+            classifier = classifier_from_tensors(clf_tensors, meta["classifier"])
+        except CheckpointError as exc:
+            raise CheckpointError(f"{path}: classifier part: {exc}") from None
+        model = cls(
             encoder=encoder,
             classifier=classifier,
             config_echo=meta.get("config_echo", {}),
             provider_name=meta.get("provider", "unknown"),
         )
+        reject_unknown_tensors(tensors, model.tensors())
+        return model
+
+
+def pretrain_from_config(corpus: Corpus, store: SentenceEmbeddingStore, config: TrainConfig) -> ClassifierParams:
+    """:func:`pretrain_classifier` with every setting taken from `config`."""
+    return pretrain_classifier(
+        corpus,
+        store,
+        label_space=config.label_space(),
+        steps=config.resolved_pretrain_steps(corpus),
+        batch_size=config.pretrain_batch_size,
+        learning_rate=config.learning_rate,
+        seed=config.seed,
+        heads=config.heads,
+        ffn_dim=config.ffn_dim,
+        weighted_sampler=config.weighted_sampler,
+        weighted_ce=config.weighted_ce,
+        smooth_counts=config.smooth_counts,
+        grad_clip=config.grad_clip,
+    )
 
 
 def _chunks(seq, size):
@@ -324,33 +347,18 @@ def train_contextual(
     Batches without label diversity skip the triplet step and keep
     training. The classifier is pretrained standalone unless one is
     passed in, and stays unfrozen throughout.
+
+    Raises:
+        MissingEmbedding: the store lacks a vector for some utterance of
+            `corpus` (checked before any training).
     """
     label_space = config.label_space()
     include_neutral = 0 in label_space
     rng = np.random.default_rng(config.seed)
 
+    store.check_covers(corpus)
     if classifier is None:
-        steps = config.pretrain_steps
-        if steps is None:
-            n_included = sum(
-                1 for _, u in corpus.iter_utterances() if u.label in label_space
-            )
-            steps = config.pretrain_epochs * max(1, math.ceil(n_included / config.pretrain_batch_size))
-        classifier = pretrain_classifier(
-            corpus,
-            store,
-            label_space=label_space,
-            steps=steps,
-            batch_size=config.pretrain_batch_size,
-            learning_rate=config.learning_rate,
-            seed=config.seed,
-            heads=config.heads,
-            ffn_dim=config.ffn_dim,
-            weighted_sampler=config.weighted_sampler,
-            weighted_ce=config.weighted_ce,
-            smooth_counts=config.smooth_counts,
-            grad_clip=config.grad_clip,
-        )
+        classifier = pretrain_from_config(corpus, store, config)
     elif classifier.dim != store.dim:
         raise DimMismatch(f"classifier dim {classifier.dim} != store dim {store.dim}")
 

@@ -11,7 +11,6 @@ from ercml.classifier import (
     classifier_backward,
     classifier_from_tensors,
     classifier_to_tensors,
-    classify,
     classify_batch,
     init_classifier,
     predicted_label,
@@ -19,8 +18,15 @@ from ercml.classifier import (
     weighted_cross_entropy,
 )
 from ercml.corpus import EMOTION_IDS
-from ercml.errors import BadTarget, EmptyBatch
+from ercml.encoder import SingletonLayerParams, init_encoder
+from ercml.errors import BadTarget, CheckpointError, EmptyBatch
 from ercml.gradcheck import fd_gradients, group_relative_error
+
+
+def classify(representation: np.ndarray, params) -> np.ndarray:
+    """Logits for one utterance representation, shape (K,)."""
+    logits, _ = classify_batch(representation[None, :], params)
+    return logits[0]
 
 
 class TestClassify:
@@ -194,6 +200,24 @@ class TestPretrain:
         assert logits.shape == (6,)
 
 
+class TestInit:
+    @pytest.mark.parametrize("dim,heads,seed", [(8, 2, 0), (12, 3, 5), (16, 4, 41)])
+    def test_same_stream_as_full_encoder_layer(self, dim, heads, seed):
+        # the head's layer keeps every value the full layer drawn at
+        # seed + 1 would have, so dropping the query/key/separator
+        # tensors changed no initial parameter
+        encoder = init_classifier(dim, heads=heads, seed=seed).encoder
+        full = init_encoder(dim, heads=heads, seed=seed + 1)
+        assert type(encoder) is SingletonLayerParams
+        for name in SingletonLayerParams.TENSOR_NAMES:
+            np.testing.assert_array_equal(getattr(encoder, name), getattr(full, name))
+
+    def test_tensors_are_the_rowwise_half_plus_head(self):
+        names = set(init_classifier(8, seed=0).tensors())
+        expected = {f"encoder.{n}" for n in SingletonLayerParams.TENSOR_NAMES} | {"head.w", "head.b"}
+        assert names == expected  # 12 row-wise tensors plus the two head tensors
+
+
 class TestCheckpointRoundTrip:
     def test_to_from_tensors(self):
         params = init_classifier(8, seed=3)
@@ -202,3 +226,23 @@ class TestCheckpointRoundTrip:
         assert again.label_space == params.label_space
         for name, arr in params.tensors().items():
             np.testing.assert_array_equal(arr, again.tensors()[name])
+
+    def test_missing_tensor(self):
+        tensors, meta = classifier_to_tensors(init_classifier(8, seed=3))
+        del tensors["encoder.w_ff1"]
+        with pytest.raises(CheckpointError, match="encoder.w_ff1"):
+            classifier_from_tensors(tensors, meta)
+
+    def test_extra_tensor(self):
+        # a head written with the dead query projection is not silently accepted
+        tensors, meta = classifier_to_tensors(init_classifier(8, seed=3))
+        tensors["encoder.w_q"] = np.zeros((8, 8))
+        with pytest.raises(CheckpointError, match="encoder.w_q"):
+            classifier_from_tensors(tensors, meta)
+
+    @pytest.mark.parametrize("name", ["encoder.w_ff2", "encoder.ln1_gain", "head.w", "head.b"])
+    def test_misshaped_tensor(self, name):
+        tensors, meta = classifier_to_tensors(init_classifier(8, seed=3))
+        tensors[name] = tensors[name][..., :-1]
+        with pytest.raises(CheckpointError, match=name):
+            classifier_from_tensors(tensors, meta)

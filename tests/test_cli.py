@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import json
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from ercml.cli import main, read_config_file
+from ercml.checkpoint import load_checkpoint, save_checkpoint
+from ercml.cli import build_parser, main, read_config_file
 from ercml.corpus import Corpus, load_split
 from ercml.embeddings import hash_store_for_corpus, save_sentence_embeddings
 from ercml.errors import ConfigError
+from ercml.training import TrainConfig
 
 DATA = str(Path(__file__).parent / "data" / "mini")
 
@@ -113,6 +117,37 @@ class TestTrainEval:
             "--store", store_file,
         ])
         assert rc == 1
+
+    def test_eval_bad_checkpoint_exits_one(self, store_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["train", "--data", DATA, "--store", store_file, "--out", str(out), *FAST_TRAIN])
+        kind, tensors, meta = load_checkpoint(out / "model.npz")
+        del tensors["classifier.encoder.w_v"]
+        bad = save_checkpoint(tmp_path / "bad.npz", kind, tensors, meta)
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(bad), "--data", DATA, "--store", store_file])
+        assert rc == 1
+        assert "CheckpointError" in capsys.readouterr().err
+
+    def test_store_gap_exits_one_before_scoring(self, tmp_path, capsys):
+        # a store covering train but not test: training fails before its
+        # first step, eval and predict before scoring
+        store = hash_store_for_corpus(load_split(DATA, "train"), dim=16, seed=0)
+        store_path = save_sentence_embeddings(store, tmp_path / "train_only.jsonl")
+        out = tmp_path / "run"
+        rc = main(["train", "--data", DATA, "--store", str(store_path), "--out", str(out), *FAST_TRAIN])
+        assert rc == 1
+        assert not (out / "model.npz").exists()
+        main(["train", "--data", DATA, "--store", str(store_path), "--out", str(out),
+              "--eval-split", "train", *FAST_TRAIN])
+        capsys.readouterr()
+        for command in ("eval", "predict"):
+            rc = main([command, "--model", str(out / "model.npz"), "--data", DATA,
+                       "--store", str(store_path), "--split", "test"])
+            assert rc == 1
+            captured = capsys.readouterr()
+            assert "MissingEmbedding" in captured.err
+            assert captured.out == ""
 
     def test_isolated_training(self, tmp_path):
         table = tmp_path / "words.txt"
@@ -242,3 +277,26 @@ class TestConfigFile:
         cfg.write_text("[a]\nweighted_ce=maybe\n")
         with pytest.raises(ConfigError):
             read_config_file(cfg)
+
+    def test_every_train_field_has_a_flag_and_parses_to_its_type(self, tmp_path):
+        hints = typing.get_type_hints(TrainConfig)
+        declared = {  # int, float, bool or str, with `| None` dropped
+            name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+            for name, hint in hints.items()
+        }
+        defaults = {f.name: f.default for f in fields(TrainConfig)}
+        samples = {int: "3", float: "0.5", bool: "false"}
+        lines = []
+        for name, kind in declared.items():
+            raw = defaults[name] if kind is str else samples[kind]
+            flag = "--" + name.replace("_", "-")
+            argv = ["train", "--out", "x", flag] + ([] if kind is bool else [raw])
+            parsed = getattr(build_parser().parse_args(argv), name)
+            assert type(parsed) is kind, (flag, parsed)
+            lines.append(f"{name} = {raw}")
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("[train]\n" + "\n".join(lines) + "\n")
+        opts = read_config_file(cfg)
+        assert set(opts) == set(defaults)
+        for name, kind in declared.items():
+            assert type(opts[name]) is kind, (name, opts[name])

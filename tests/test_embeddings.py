@@ -221,6 +221,14 @@ class TestSentenceStore:
             store16.entries[key][0] = 99.0
 
     def test_covers(self, train_corpus, store16):
-        assert store16.covers(train_corpus)
+        store16.check_covers(train_corpus)  # no gap: returns quietly
         dialog = train_corpus.dialogs[0]
         assert utt_key(dialog.id, 0) in store16.entries
+
+    def test_gap_named(self, train_corpus, store16):
+        dialog = train_corpus.dialogs[3]
+        gap = utt_key(dialog.id, len(dialog) - 1)
+        entries = {k: v for k, v in store16.entries.items() if k != gap}
+        store = SentenceEmbeddingStore(entries=entries, dim=16)
+        with pytest.raises(MissingEmbedding, match=f"1 utterance vector.*{gap}"):
+            store.check_covers(train_corpus)

@@ -6,13 +6,15 @@ import pytest
 from ercml.corpus import Dialog, Utterance
 from ercml.embeddings import SentenceEmbeddingStore
 from ercml.encoder import (
+    SingletonLayerParams,
     build_dialog_sequence,
     encode_dialog,
     encode_dialog_backward,
     encoder_backward,
     encoder_forward,
-    encoder_layer_forward,
     init_encoder,
+    layer_from_tensors,
+    layer_meta,
     sep_gradient,
     singleton_backward,
     singleton_forward,
@@ -136,7 +138,7 @@ class TestEncoderForward:
         dialog = make_dialog(n_utts)
         params = init_encoder(8, heads=2)
         seq = build_dialog_sequence(dialog, make_store(dialog, 8), params)
-        out = encoder_layer_forward(seq, params)
+        out, _ = encoder_forward(seq.encoder_input(), params)
         assert out.shape == seq.tokens.shape
 
     def test_degenerate_path_is_double_layernorm(self):
@@ -164,7 +166,7 @@ class TestEncoderForward:
         dialog = make_dialog(3)
         store = make_store(dialog, 8, seed=2)
         params = init_encoder(8, heads=2, seed=1)
-        base = encode_dialog(dialog, store, params).contextual
+        base = encode_dialog(dialog, store, [params]).contextual
         permuted = Dialog(
             id="d",
             utterances=(
@@ -181,7 +183,7 @@ class TestEncoderForward:
             },
             dim=8,
         )
-        swapped = encode_dialog(permuted, store_perm, params).contextual
+        swapped = encode_dialog(permuted, store_perm, [params]).contextual
         # utterance originally at index 0 now sits at index 1; its
         # contextual vector must have changed by more than 1e-6 somewhere
         assert np.abs(swapped[1] - base[0]).max() > 1e-6
@@ -201,8 +203,8 @@ class TestEncoderForward:
             },
             dim=8,
         )
-        ctx1 = encode_dialog(d1, store, params).contextual
-        ctx2 = encode_dialog(d2, store, params).contextual
+        ctx1 = encode_dialog(d1, store, [params]).contextual
+        ctx2 = encode_dialog(d2, store, [params]).contextual
         assert np.abs(ctx1[0] - ctx2[0]).max() > 1e-6
 
 
@@ -238,14 +240,15 @@ class TestEncoderGradients:
         coeffs = rng.standard_normal((3, 8))
 
         def loss():
-            enc = encode_dialog(dialog, store, params)
+            enc = encode_dialog(dialog, store, [params])
             return float((coeffs * enc.contextual).sum())
 
-        encoding = encode_dialog(dialog, store, params)
-        grads = encode_dialog_backward(coeffs.copy(), encoding, params)
+        encoding = encode_dialog(dialog, store, [params])
+        grads = encode_dialog_backward(coeffs.copy(), encoding, [params])
+        assert set(grads) == {f"0.{name}" for name in params.TENSOR_NAMES}
         numeric = fd_gradients(loss, params.tensors(), eps=1e-4)
         for name in params.TENSOR_NAMES:
-            err = group_relative_error(grads[name], numeric[name])
+            err = group_relative_error(grads[f"0.{name}"], numeric[name])
             assert err < 1e-3, f"{name}: rel err {err:.3e}"
 
 
@@ -282,29 +285,53 @@ class TestEncoderStack:
         assert group_relative_error(dx, numeric_x) < 1e-3
 
 
+def singleton_layer(params) -> SingletonLayerParams:
+    """The length-1 view of a full layer, sharing none of its arrays."""
+    return layer_from_tensors(SingletonLayerParams, params.tensors(), layer_meta(params))
+
+
 class TestSingletonPath:
     def test_matches_general_encoder_on_length_one_sequences(self):
         params = init_encoder(8, heads=2, seed=4)
         rows = np.random.default_rng(5).standard_normal((6, 8))
-        fast, _ = singleton_forward(rows, params)
+        fast, _ = singleton_forward(rows, singleton_layer(params))
         for i in range(rows.shape[0]):
             slow, _ = encoder_forward(rows[i:i + 1], params)
             np.testing.assert_allclose(fast[i], slow[0], atol=1e-12)
 
     def test_backward_matches_finite_differences(self):
         params = init_encoder(6, heads=2, ffn_dim=12, seed=8)
+        single = singleton_layer(params)
         rows = np.random.default_rng(9).standard_normal((4, 6))
         coeffs = np.random.default_rng(10).standard_normal((4, 6))
 
         def loss():
-            out, _ = singleton_forward(rows, params)
+            out, _ = singleton_forward(rows, single)
             return float((coeffs * out).sum())
 
-        out, cache = singleton_forward(rows, params)
-        d_rows, grads = singleton_backward(coeffs.copy(), cache, params)
-        numeric = fd_gradients(loss, params.tensors(), eps=1e-4)
-        for name in params.TENSOR_NAMES:
+        out, cache = singleton_forward(rows, single)
+        d_rows, grads = singleton_backward(coeffs.copy(), cache, single)
+        assert set(grads) == set(SingletonLayerParams.TENSOR_NAMES)
+        numeric = fd_gradients(loss, single.tensors(), eps=1e-4)
+        for name in single.TENSOR_NAMES:
             err = group_relative_error(grads[name], numeric[name])
             assert err < 1e-3, f"{name}: rel err {err:.3e}"
         numeric_rows = fd_gradients(loss, {"rows": rows}, eps=1e-4)["rows"]
         assert group_relative_error(d_rows, numeric_rows) < 1e-3
+
+        # the tensors the singleton layer leaves out are dead on length-1
+        # sequences: the full layer's analytic and numeric gradients for
+        # them are exactly zero
+        def full_loss():
+            outs = [encoder_forward(rows[i:i + 1], params)[0] for i in range(len(rows))]
+            return float((coeffs * np.vstack(outs)).sum())
+
+        dead = {name: getattr(params, name) for name in ("w_q", "b_q", "w_k", "b_k", "sep")}
+        numeric_dead = fd_gradients(full_loss, dead, eps=1e-4)
+        for i in range(len(rows)):
+            _, cache_i = encoder_forward(rows[i:i + 1], params)
+            _, grads_i = encoder_backward(coeffs[i:i + 1].copy(), cache_i, params)
+            for name in dead:
+                assert not grads_i[name].any(), name
+        for name in dead:
+            assert not numeric_dead[name].any(), name

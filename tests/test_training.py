@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from ercml.corpus import Corpus, Dialog, EMOTION_IDS, Utterance
-from ercml.embeddings import WordEmbeddingTable, hash_store_for_corpus
-from ercml.errors import ConfigError
+from ercml import checkpoint
+from ercml.checkpoint import load_checkpoint, save_checkpoint
+from ercml.classifier import pretrain_classifier
+from ercml.embeddings import SentenceEmbeddingStore, WordEmbeddingTable, hash_store_for_corpus
+from ercml.errors import CheckpointError, ConfigError, MissingEmbedding
 from ercml.training import (
     ContextualModel,
     TrainConfig,
@@ -287,3 +290,71 @@ class TestContextualCheckpoint:
         assert again.provider_name == store16.provider_name
         for dialog in train_corpus.dialogs[:4]:
             assert predict(model, dialog, store16) == predict(again, dialog, store16)
+
+    @pytest.fixture(scope="class")
+    def saved(self, train_corpus, store16, tmp_path_factory):
+        cfg = TrainConfig(epochs=1, max_steps=1, pretrain_steps=2, seed=0)
+        path = tmp_path_factory.mktemp("ckpt") / "model.npz"
+        train_contextual(train_corpus, store16, cfg).save(path)
+        return path
+
+    def resave(self, saved, tmp_path, edit):
+        kind, tensors, meta = load_checkpoint(saved)
+        edit(tensors)
+        return save_checkpoint(tmp_path / "edited.npz", kind, tensors, meta)
+
+    def test_head_stores_no_dead_tensors(self, saved):
+        _, tensors, _ = load_checkpoint(saved)
+        for name in ("w_q", "b_q", "w_k", "b_k", "sep"):
+            assert f"encoder.0.{name}" in tensors
+            assert f"classifier.encoder.{name}" not in tensors
+
+    @pytest.mark.parametrize("name", ["encoder.0.w_k", "classifier.encoder.b_ff1", "classifier.head.b"])
+    def test_missing_tensor(self, saved, tmp_path, name):
+        path = self.resave(saved, tmp_path, lambda t: t.pop(name))
+        with pytest.raises(CheckpointError, match=name.split(".", 1)[-1]):
+            ContextualModel.load(path)
+
+    @pytest.mark.parametrize("name", ["encoder.1.w_q", "classifier.encoder.sep", "stray"])
+    def test_extra_tensor(self, saved, tmp_path, name):
+        path = self.resave(saved, tmp_path, lambda t: t.__setitem__(name, np.zeros(16)))
+        with pytest.raises(CheckpointError, match=name.split(".", 1)[-1]):
+            ContextualModel.load(path)
+
+    @pytest.mark.parametrize("name", ["encoder.0.w_ff1", "encoder.0.sep", "classifier.encoder.w_o"])
+    def test_misshaped_tensor(self, saved, tmp_path, name):
+        path = self.resave(saved, tmp_path, lambda t: t.__setitem__(name, t[name][:-1]))
+        with pytest.raises(CheckpointError, match=name.split(".", 1)[-1]):
+            ContextualModel.load(path)
+
+    def test_version_1_rejected(self, saved, tmp_path, monkeypatch):
+        # a version-1 file: the head still carries query/key/separator tensors
+        kind, tensors, meta = load_checkpoint(saved)
+        for name in ("w_q", "w_k"):
+            tensors[f"classifier.encoder.{name}"] = np.zeros((16, 16))
+        for name in ("b_q", "b_k", "sep"):
+            tensors[f"classifier.encoder.{name}"] = np.zeros(16)
+        monkeypatch.setattr(checkpoint, "FORMAT_VERSION", 1)
+        path = save_checkpoint(tmp_path / "v1.npz", kind, tensors, meta)
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match="format version 1 != 2"):
+            ContextualModel.load(path)
+
+
+class TestStoreCoverage:
+    def test_gap_fails_before_any_step(self, train_corpus, store16):
+        # the gap is the last utterance of the last dialog, which a
+        # weighted epoch order need not visit early
+        dialog = train_corpus.dialogs[-1]
+        gap = f"{dialog.id}#{len(dialog) - 1}"
+        store = SentenceEmbeddingStore(
+            entries={k: v for k, v in store16.entries.items() if k != gap}, dim=16
+        )
+        classifier = pretrain_classifier(train_corpus, store16, steps=2, seed=0)
+        records = []
+        with pytest.raises(MissingEmbedding, match=gap):
+            train_contextual(
+                train_corpus, store, TrainConfig(epochs=1, seed=0),
+                classifier=classifier, log_hook=records.append,
+            )
+        assert records == []
