@@ -205,9 +205,11 @@ def cmd_train(args) -> int:
     handler.setFormatter(logging.Formatter("%(message)s"))
     handler.setLevel(logging.INFO)
     training_logger = logging.getLogger("ercml.training")
-    previous_level = training_logger.level
+    previous_level, previous_propagate = training_logger.level, training_logger.propagate
     training_logger.addHandler(handler)
     training_logger.setLevel(logging.INFO)
+    # step lines go to train.log only, not also to the root handler's stderr
+    training_logger.propagate = False
     try:
         if args.model_kind == "isolated":
             table = load_word_table(args.word_table)
@@ -243,6 +245,7 @@ def cmd_train(args) -> int:
     finally:
         training_logger.removeHandler(handler)
         training_logger.setLevel(previous_level)
+        training_logger.propagate = previous_propagate
         handler.close()
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, reject_unknown_tensors, save_checkpoint
+from .checkpoint import checked_tensor, load_checkpoint, reject_unknown_tensors, save_checkpoint
 from .classifier import (
     ClassifierParams,
     batch_class_weights,
@@ -55,12 +55,18 @@ from .triplets import (
     Triplet,
     TripletLossConfig,
     UttRef,
-    batch_all_triplets,
-    batch_hard_triplets,
+    batch_all_indices,
+    batch_hard_indices,
+    batch_triplet_loss_grads,
     corpus_pool,
+    pairwise_distances,
+    sample_triplet_indices,
     sample_triplets,
     triplet_loss_grads,
 )
+# Unused here since the triplet pass mines index arrays, but perfbench's
+# traced run wraps the list-returning miners at these names.
+from .triplets import batch_all_triplets, batch_hard_triplets  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -272,52 +278,50 @@ def triplet_pass(
     class_w: dict[int, float],
     rng: np.random.Generator,
 ):
-    """Mine triplets over the batch's contextual vectors and compute the
-    mean triplet loss with its per-dialog representation gradients.
+    """Mine triplets over the batch's in-space contextual rows and compute
+    the mean triplet loss with its per-dialog representation gradients,
+    all from one pairwise-distance matrix over those rows.
 
     Returns (loss, active_count, d_ctx) or None when the batch lacks
     label diversity (the trainer then skips the triplet step).
     """
     label_space = config.label_space()
-    pool: list[tuple[UttRef, int]] = []
-    where: dict[UttRef, tuple[int, int]] = {}
-    for di, (dialog, enc) in enumerate(zip(dialogs, encodings)):
+    where: list[tuple[int, int]] = []  # (dialog position, utterance index) per row
+    labels: list[int] = []
+    for di, dialog in enumerate(dialogs):
         for utt in dialog.utterances:
             if utt.label in label_space:
-                ref = UttRef(dialog.id, utt.index)
-                pool.append((ref, utt.label))
-                where[ref] = (di, utt.index)
+                where.append((di, utt.index))
+                labels.append(utt.label)
+    if len(set(labels)) < 2:
+        return None
+    strategy = config.sampling_strategy
+    if strategy != "weighted-random":
+        # Rows in ref order, so a distance tie goes to the lowest ref; the
+        # sampler keeps batch order, which its draws index into.
+        order = sorted(range(len(where)), key=lambda r: (dialogs[where[r][0]].id, where[r][1]))
+        where = [where[r] for r in order]
+        labels = [labels[r] for r in order]
+    x = np.stack([encodings[di].contextual[ui] for di, ui in where])
     tri_cfg = config.triplet_cfg()
+    dist = pairwise_distances(x, tri_cfg.distance)
 
-    def vec(ref: UttRef) -> np.ndarray:
-        di, ui = where[ref]
-        return encodings[di].contextual[ui]
-
-    try:
-        if config.sampling_strategy == "weighted-random":
-            count = config.triplets_per_batch or len(pool)
-            triplets = sample_triplets(pool, count, class_w, rng)
-        elif config.sampling_strategy == "batch-all":
-            triplets = batch_all_triplets(pool)
-        else:
-            triplets = batch_hard_triplets([(r, lab, vec(r)) for r, lab in pool], tri_cfg)
-    except InsufficientDiversity:
+    if strategy == "weighted-random":
+        try:
+            triplets = sample_triplet_indices(labels, config.triplets_per_batch or len(labels), class_w, rng)
+        except InsufficientDiversity:
+            return None
+    elif strategy == "batch-all":
+        triplets = batch_all_indices(labels)
+    else:
+        triplets = batch_hard_indices(dist, labels)
+    if len(triplets[0]) == 0:
         return None
-    if not triplets:
-        return None
-
+    loss, active, dx = batch_triplet_loss_grads(x, dist, triplets, tri_cfg)
     d_ctx = [np.zeros_like(enc.contextual) for enc in encodings]
-    total = 0.0
-    active = 0
-    scale = 1.0 / len(triplets)
-    for t in triplets:
-        loss, da, dp, dn = triplet_loss_grads(vec(t.anchor), vec(t.positive), vec(t.negative), tri_cfg)
-        total += loss
-        active += loss > 0.0
-        for ref, grad in ((t.anchor, da), (t.positive, dp), (t.negative, dn)):
-            di, ui = where[ref]
-            d_ctx[di][ui] += scale * grad
-    return total * scale, active, d_ctx
+    for (di, ui), grad in zip(where, dx):
+        d_ctx[di][ui] = grad
+    return loss, active, d_ctx
 
 
 def _encoder_grads_from_ctx(
@@ -586,19 +590,32 @@ def save_isolated(model: IsolatedModel, path: str | Path) -> Path:
 
 
 def load_isolated(path: str | Path) -> IsolatedModel:
+    """Raises CheckpointError on a file of another kind or format version,
+    or whose tensors do not match its sub-network and `rep_dim`."""
     from .isolated import LinearSubnetParams, LstmParams
 
     _, tensors, meta = load_checkpoint(path, expect_kind="isolated")
-    if meta["subnetwork"] == "linear":
-        params = LinearSubnetParams(w=tensors["w"].copy(), b=tensors["b"].copy())
+    kind, rep = meta.get("subnetwork"), meta.get("rep_dim")
+    if kind not in ("linear", "lstm") or not isinstance(rep, int):
+        raise CheckpointError(f"{path}: bad metadata subnetwork={kind!r} rep_dim={rep!r}")
+    # The input width is the stored one: the first dim of the input weights.
+    lead = tensors.get("w" if kind == "linear" else "w_x")
+    d_in = lead.shape[0] if lead is not None and lead.ndim == 2 else 0
+    if kind == "linear":
+        params = LinearSubnetParams(
+            w=checked_tensor(tensors, "w", (d_in, rep)), b=checked_tensor(tensors, "b", (rep,))
+        )
     else:
         params = LstmParams(
-            w_x=tensors["w_x"].copy(), w_h=tensors["w_h"].copy(), b=tensors["b"].copy()
+            w_x=checked_tensor(tensors, "w_x", (d_in, 4 * rep)),
+            w_h=checked_tensor(tensors, "w_h", (rep, 4 * rep)),
+            b=checked_tensor(tensors, "b", (4 * rep,)),
         )
+    reject_unknown_tensors(tensors, params.tensors())
     return IsolatedModel(
-        kind=meta["subnetwork"],
+        kind=kind,
         params=params,
-        rep_dim=int(meta["rep_dim"]),
+        rep_dim=rep,
         config_echo=meta.get("config_echo", {}),
     )
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import typing
 from dataclasses import fields
 from pathlib import Path
@@ -148,6 +151,37 @@ class TestTrainEval:
             captured = capsys.readouterr()
             assert "MissingEmbedding" in captured.err
             assert captured.out == ""
+
+    def test_step_lines_go_to_train_log_only(self, store_file, tmp_path):
+        # A fresh interpreter, so the root handler is the CLI's own
+        # stderr one and not the test runner's capture.
+        out = tmp_path / "run"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ercml.cli", "train", "--data", DATA, "--store", store_file,
+             "--out", str(out), *FAST_TRAIN],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        steps = [line for line in (out / "train.log").read_text().splitlines() if line.startswith("step=")]
+        assert len(steps) == 2
+        assert "step=" not in proc.stderr
+
+    def test_bad_isolated_checkpoint_exits_one(self, tmp_path, capsys):
+        table = tmp_path / "words.txt"
+        table.write_text("the 0.1 0.2 0.3 0.4\nand 0.4 0.3 0.2 0.1\n")
+        out = tmp_path / "iso"
+        main(["train", "--data", DATA, "--model-kind", "isolated", "--word-table", str(table),
+              "--out", str(out), "--epochs", "1", "--max-steps", "1", "--rep-dim", "4", "--seed", "0"])
+        kind, tensors, meta = load_checkpoint(out / "model.npz")
+        del tensors["w"]
+        save_checkpoint(tmp_path / "bad.npz", kind, tensors, meta)
+        capsys.readouterr()
+        for command in ("eval", "predict"):
+            rc = main([command, "--model", str(tmp_path / "bad.npz"), "--data", DATA,
+                       "--store", str(table), "--split", "test"])
+            assert rc == 1
+            assert "CheckpointError" in capsys.readouterr().err
 
     def test_isolated_training(self, tmp_path):
         table = tmp_path / "words.txt"

@@ -280,6 +280,36 @@ class TestIsolatedTraining:
         utt = corpus.dialogs[0].utterances[0]
         np.testing.assert_allclose(model.represent(utt, table), again.represent(utt, table))
 
+    @pytest.fixture(scope="class", params=["linear", "lstm"])
+    def saved_isolated(self, request, tmp_path_factory):
+        corpus, table = separable_corpus_and_table()
+        cfg = TrainConfig(epochs=1, max_steps=1, seed=0, rep_dim=8, subnetwork=request.param, smooth_counts=1)
+        path = tmp_path_factory.mktemp("iso") / "iso.npz"
+        save_isolated(train_isolated(corpus, table, cfg), path)
+        return path
+
+    def resave(self, saved, tmp_path, edit):
+        kind, tensors, meta = load_checkpoint(saved)
+        edit(tensors)
+        return save_checkpoint(tmp_path / "edited.npz", kind, tensors, meta)
+
+    def test_missing_tensor(self, saved_isolated, tmp_path):
+        for name in load_checkpoint(saved_isolated)[1]:
+            path = self.resave(saved_isolated, tmp_path, lambda t: t.pop(name))
+            with pytest.raises(CheckpointError, match=f"lacks tensor '{name}'"):
+                load_isolated(path)
+
+    def test_extra_tensor(self, saved_isolated, tmp_path):
+        path = self.resave(saved_isolated, tmp_path, lambda t: t.__setitem__("stray", np.zeros(8)))
+        with pytest.raises(CheckpointError, match="unexpected tensors"):
+            load_isolated(path)
+
+    def test_misshaped_tensor(self, saved_isolated, tmp_path):
+        for name in load_checkpoint(saved_isolated)[1]:
+            path = self.resave(saved_isolated, tmp_path, lambda t: t.__setitem__(name, t[name][..., :-1]))
+            with pytest.raises(CheckpointError, match=f"'{name}' has shape"):
+                load_isolated(path)
+
 
 class TestContextualCheckpoint:
     def test_save_load_identical_predictions(self, train_corpus, store16, tmp_path):

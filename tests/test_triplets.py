@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from ercml import training
+from ercml.corpus import Dialog, Utterance
 from ercml.errors import DimMismatch, InsufficientDiversity, ZeroVector
-from ercml.gradcheck import fd_gradients, group_relative_error
+from ercml.gradcheck import fd_gradient, fd_gradients, group_relative_error
+from ercml.training import TrainConfig, triplet_pass
 from ercml.triplets import (
     Triplet,
     TripletLossConfig,
@@ -12,6 +17,7 @@ from ercml.triplets import (
     batch_all_triplets,
     batch_hard_triplets,
     distance,
+    pairwise_distances,
     sample_triplets,
     triplet_loss,
     triplet_loss_grads,
@@ -247,7 +253,7 @@ def brute_force_hard(points, kind="euclidean"):
         for o_ref, o_lab, o_vec in sorted(points, key=lambda x: x[0]):
             if o_ref == a_ref:
                 continue
-            d = float(np.linalg.norm(np.asarray(a_vec) - np.asarray(o_vec)))
+            d = distance(a_vec, o_vec, kind)
             if o_lab == a_lab and d > best_pd:
                 best_p, best_pd = o_ref, d
             if o_lab != a_lab and d < best_nd:
@@ -314,3 +320,309 @@ class TestBatchHard:
             ])
             out = [(t.anchor, t.positive, t.negative) for t in batch_hard_triplets(pts, TripletLossConfig())]
             assert out == brute_force_hard(pts)
+
+    def test_ties_break_toward_lowest_ref(self):
+        # Dialog ids sort opposite to batch order, and both the positives
+        # and the negatives of anchor m#0 are exact duplicates.
+        same, other = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        batch = [
+            (UttRef("z", 0), 1, same), (UttRef("z", 1), 2, other),
+            (UttRef("m", 0), 1, np.zeros(2)),
+            (UttRef("a", 0), 1, same.copy()), (UttRef("a", 1), 2, other.copy()),
+        ]
+        for kind in ("euclidean", "cosine"):
+            if kind == "cosine":
+                batch[2] = (UttRef("m", 0), 1, np.array([1.0, 1.0]))
+            out = batch_hard_triplets(batch, TripletLossConfig(distance=kind))
+            anchor = [t for t in out if t.anchor == UttRef("m", 0)][0]
+            assert anchor.positive == UttRef("a", 0)
+            assert anchor.negative == UttRef("a", 1)
+            assert [(t.anchor, t.positive, t.negative) for t in out] == brute_force_hard(batch, kind)
+
+
+def test_sample_triplets_draws_pinned():
+    # Pins the generator's consumption: these draws are the ones the
+    # list-building sampler made before it became an index-level one.
+    labels = [3, 1, 3, 0, 1, 1, 5, 3, 0, 0, 2, 1]
+    pool = [(UttRef(f"d{i % 3}", i), lab) for i, lab in enumerate(labels)]
+    rng = np.random.default_rng(5)
+    out = sample_triplets(pool, 12, {0: 0.1, 1: 0.3, 2: 0.2, 3: 0.25, 5: 0.15}, rng)
+    assert [(t.anchor.index, t.positive.index, t.negative.index) for t in out] == [
+        (2, 0, 5), (2, 0, 11), (5, 1, 2), (4, 11, 3), (8, 3, 6), (4, 11, 0),
+        (5, 11, 6), (8, 9, 5), (8, 3, 11), (7, 0, 10), (11, 4, 8), (1, 5, 3),
+    ]
+    assert rng.random() == 0.679181533021365
+
+
+class TestPairwiseDistances:
+    @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
+    def test_matches_distance(self, kind):
+        x = np.random.default_rng(4).standard_normal((9, 5))
+        dist = pairwise_distances(x, kind)
+        for i in range(9):
+            for j in range(9):
+                assert dist[i, j] == pytest.approx(distance(x[i], x[j], kind), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
+    def test_duplicate_rows_tie_exactly(self, kind):
+        x = np.random.default_rng(5).standard_normal((11, 7))
+        x[8] = x[3]
+        x[10] = x[3]
+        dist = pairwise_distances(x, kind)
+        assert (dist == dist.T).all()
+        assert (dist[:, 8] == dist[:, 3]).all() and (dist[:, 10] == dist[:, 3]).all()
+        if kind == "euclidean":
+            assert dist[3, 8] == 0.0 and (np.diag(dist) == 0.0).all()
+
+    def test_cosine_zero_row_raises(self):
+        x = np.ones((3, 2))
+        x[1] = 0.0
+        with pytest.raises(ZeroVector):
+            pairwise_distances(x, "cosine")
+
+
+# --- the triplet pass against the per-triplet loop it replaced -------------
+
+STRATEGIES = ("weighted-random", "batch-all", "batch-hard")
+PASS_TOL = 1e-12
+
+
+def reference_triplet_pass(dialogs, encodings, config, class_w, rng):
+    """The per-triplet triplet pass: list-built triplets, one
+    `triplet_loss_grads` call each. Batch-all and batch-hard mine with
+    the brute-force oracles. Returns (loss, active, d_ctx, mined)."""
+    label_space = config.label_space()
+    pool: list[tuple[UttRef, int]] = []
+    where: dict[UttRef, tuple[int, int]] = {}
+    for di, (dialog, enc) in enumerate(zip(dialogs, encodings)):
+        for utt in dialog.utterances:
+            if utt.label in label_space:
+                ref = UttRef(dialog.id, utt.index)
+                pool.append((ref, utt.label))
+                where[ref] = (di, utt.index)
+    tri_cfg = config.triplet_cfg()
+
+    def vec(ref: UttRef) -> np.ndarray:
+        di, ui = where[ref]
+        return encodings[di].contextual[ui]
+
+    try:
+        if config.sampling_strategy == "weighted-random":
+            count = config.triplets_per_batch or len(pool)
+            triplets = sample_triplets(pool, count, class_w, rng)
+        elif config.sampling_strategy == "batch-all":
+            triplets = [Triplet(*t) for t in sorted(brute_force_all(pool))]
+        else:
+            points = [(r, lab, vec(r)) for r, lab in pool]
+            triplets = [Triplet(*t) for t in brute_force_hard(points, tri_cfg.distance)]
+    except InsufficientDiversity:
+        return None
+    if not triplets:
+        return None
+
+    d_ctx = [np.zeros_like(enc.contextual) for enc in encodings]
+    total = 0.0
+    active = 0
+    scale = 1.0 / len(triplets)
+    for t in triplets:
+        loss, da, dp, dn = triplet_loss_grads(vec(t.anchor), vec(t.positive), vec(t.negative), tri_cfg)
+        total += loss
+        active += loss > 0.0
+        for ref, grad in ((t.anchor, da), (t.positive, dp), (t.negative, dn)):
+            di, ui = where[ref]
+            d_ctx[di][ui] += scale * grad
+    return total * scale, active, d_ctx, len(triplets)
+
+
+def random_batch(rng, dim=6, coincident=False):
+    """3-5 dialogs with DailyDialog-like label skew; dialog ids are
+    random, so batch order is not ref order."""
+    dialogs, encodings = [], []
+    for dialog_id in rng.choice(1000, size=int(rng.integers(3, 6)), replace=False):
+        n = int(rng.integers(1, 9))
+        labels = rng.choice(7, size=n, p=[0.6, 0.05, 0.05, 0.05, 0.15, 0.05, 0.05])
+        utts = tuple(Utterance(index=i, text="u", label=int(lab)) for i, lab in enumerate(labels))
+        dialogs.append(Dialog(id=f"d{dialog_id:03d}", utterances=utts))
+        encodings.append(SimpleNamespace(contextual=rng.standard_normal((n, dim))))
+    if coincident:
+        # copy rows onto rows of the same and of other dialogs
+        rows = [(d, u) for d, enc in enumerate(encodings) for u in range(len(enc.contextual))]
+        for _ in range(len(rows) // 3):
+            (sd, su), (td, tu) = (rows[i] for i in rng.choice(len(rows), size=2, replace=False))
+            encodings[td].contextual[tu] = encodings[sd].contextual[su]
+    return dialogs, encodings
+
+
+def mined_count(monkeypatch):
+    """Spy on the pass's loss routine; returns a list of mined counts."""
+    seen = []
+    original = training.batch_triplet_loss_grads
+
+    def spy(x, dist, triplets, cfg):
+        seen.append(len(triplets[0]))
+        return original(x, dist, triplets, cfg)
+
+    monkeypatch.setattr(training, "batch_triplet_loss_grads", spy)
+    return seen
+
+
+def assert_pass_matches(new, ref, seen):
+    assert (new is None) == (ref is None)
+    if ref is None:
+        return
+    loss, active, d_ctx = new
+    ref_loss, ref_active, ref_ctx, ref_mined = ref
+    assert seen[-1] == ref_mined
+    assert active == ref_active
+    assert loss == pytest.approx(ref_loss, rel=PASS_TOL, abs=1e-300)
+    # Rows are compared against the scale of the whole gradient, since a
+    # row where contributions cancel has no meaningful relative error.
+    scale = max(np.linalg.norm(g, axis=1).max() for g in ref_ctx)
+    for got, want in zip(d_ctx, ref_ctx, strict=True):
+        assert np.linalg.norm(got - want, axis=1).max() <= PASS_TOL * scale
+
+
+class TestTripletPassOracle:
+    @pytest.mark.parametrize("coincident", [False, True])
+    @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_matches_per_triplet_loop(self, strategy, kind, coincident, monkeypatch):
+        seen = mined_count(monkeypatch)
+        cfg = TrainConfig(sampling_strategy=strategy, distance=kind, margin=1.5)
+        class_w = {lab: 1.0 / (lab + 1) for lab in range(7)}
+        rng = np.random.default_rng([STRATEGIES.index(strategy), len(kind), coincident])
+        compared = 0
+        for seed in range(20):
+            dialogs, encodings = random_batch(rng, coincident=coincident)
+            new = triplet_pass(dialogs, encodings, cfg, class_w, np.random.default_rng(seed))
+            ref = reference_triplet_pass(dialogs, encodings, cfg, class_w, np.random.default_rng(seed))
+            assert_pass_matches(new, ref, seen)
+            compared += ref is not None
+        assert compared >= 15
+
+    @pytest.mark.parametrize("loss_mode", ["alternating", "summed"])
+    @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_training_matches_reference_pass(self, strategy, kind, loss_mode, train_corpus, store16,
+                                             monkeypatch):
+        from ercml.encoder import stack_tensors
+
+        cfg = TrainConfig(epochs=1, max_steps=3, pretrain_steps=3, seed=4, sampling_strategy=strategy,
+                          distance=kind, loss_mode=loss_mode)
+        def reference_pass(*args):
+            out = reference_triplet_pass(*args)
+            return None if out is None else out[:3]
+
+        runs = []
+        for pass_fn in (triplet_pass, reference_pass):
+            monkeypatch.setattr(training, "triplet_pass", pass_fn)
+            logs = []
+            model = training.train_contextual(train_corpus, store16, cfg, log_hook=logs.append)
+            runs.append((logs, stack_tensors(model.encoder)))
+        (logs, tensors), (ref_logs, ref_tensors) = runs
+        assert [r["active"] for r in logs] == [r["active"] for r in ref_logs]
+        for rec, ref in zip(logs, ref_logs, strict=True):
+            assert rec["triplet"] == pytest.approx(ref["triplet"], rel=1e-10)
+        for name, arr in tensors.items():
+            np.testing.assert_allclose(arr, ref_tensors[name], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_six_label_space_and_fixed_count(self, strategy, monkeypatch):
+        seen = mined_count(monkeypatch)
+        cfg = TrainConfig(sampling_strategy=strategy, label_space_size=6, triplets_per_batch=7)
+        rng = np.random.default_rng(8)
+        for seed in range(20):
+            dialogs, encodings = random_batch(rng)
+            new = triplet_pass(dialogs, encodings, cfg, {lab: 1.0 for lab in range(1, 7)},
+                               np.random.default_rng(seed))
+            ref = reference_triplet_pass(dialogs, encodings, cfg, {lab: 1.0 for lab in range(1, 7)},
+                                         np.random.default_rng(seed))
+            assert_pass_matches(new, ref, seen)
+
+    def test_tie_batch_picks_lowest_ref(self, monkeypatch):
+        # batch order z, m, a; ids sort a < m < z. Anchor m#0's positives
+        # z#0/a#0 and negatives z#1/a#1 are duplicates: a#0 and a#1 win.
+        same, other = [1.0, 0.0], [0.0, 1.0]
+        dialogs = [
+            Dialog("z", (Utterance(0, "u", 1), Utterance(1, "u", 2))),
+            Dialog("m", (Utterance(0, "u", 1),)),
+            Dialog("a", (Utterance(0, "u", 1), Utterance(1, "u", 2))),
+        ]
+        encodings = [
+            SimpleNamespace(contextual=np.array([same, other])),
+            SimpleNamespace(contextual=np.array([[0.0, 0.0]])),
+            SimpleNamespace(contextual=np.array([same, other])),
+        ]
+        seen = mined_count(monkeypatch)
+        cfg = TrainConfig(sampling_strategy="batch-hard")
+        new = triplet_pass(dialogs, encodings, cfg, {}, np.random.default_rng(0))
+        assert_pass_matches(new, reference_triplet_pass(dialogs, encodings, cfg, {}, None), seen)
+        # z#1 is nobody's nearest negative: its duplicate a#1 is picked
+        d_ctx = new[2]
+        assert not d_ctx[0][1].any() and d_ctx[2][1].any()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_cosine_zero_row_raises(self, strategy):
+        dialogs, encodings = random_batch(np.random.default_rng(3))
+        dialogs.append(Dialog("zz", (Utterance(0, "u", 1), Utterance(1, "u", 1), Utterance(2, "u", 2))))
+        encodings.append(SimpleNamespace(contextual=np.array([[0.0] * 6, [1.0] * 6, [2.0] * 6])))
+        cfg = TrainConfig(sampling_strategy=strategy, distance="cosine", triplets_per_batch=500)
+        with pytest.raises(ZeroVector):
+            triplet_pass(dialogs, encodings, cfg, {lab: 1.0 for lab in range(7)}, np.random.default_rng(0))
+        with pytest.raises(ZeroVector):
+            reference_triplet_pass(dialogs, encodings, cfg, {lab: 1.0 for lab in range(7)},
+                                   np.random.default_rng(0))
+
+    def test_single_label_batch_is_skipped(self):
+        dialogs = [Dialog("a", (Utterance(0, "u", 3), Utterance(1, "u", 3)))]
+        encodings = [SimpleNamespace(contextual=np.eye(2))]
+        for strategy in STRATEGIES:
+            cfg = TrainConfig(sampling_strategy=strategy)
+            assert triplet_pass(dialogs, encodings, cfg, {3: 1.0}, np.random.default_rng(0)) is None
+
+    @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_matches_finite_differences(self, strategy, kind):
+        cfg = TrainConfig(sampling_strategy=strategy, distance=kind, margin=2.0, triplets_per_batch=12)
+        class_w = {lab: 1.0 for lab in range(7)}
+        rng = np.random.default_rng(61)
+        checked = 0
+        while checked < 3:
+            dialogs, encodings = random_batch(rng, dim=3)
+            out = triplet_pass(dialogs, encodings, cfg, class_w, np.random.default_rng(checked))
+            if out is None or not self._away_from_kinks(dialogs, encodings, cfg, class_w, checked):
+                continue
+
+            def loss():
+                return triplet_pass(dialogs, encodings, cfg, class_w, np.random.default_rng(checked))[0]
+
+            for enc, d_c in zip(encodings, out[2]):
+                numeric = fd_gradient(loss, enc.contextual, eps=1e-6)
+                assert group_relative_error(d_c, numeric, floor=1e-8) < 1e-6
+            checked += 1
+
+    @staticmethod
+    def _away_from_kinks(dialogs, encodings, cfg, class_w, seed):
+        """Every mined hinge, and every batch-hard choice, is clear of a
+        switch under a 1e-6 perturbation."""
+        ref = reference_triplet_pass(dialogs, encodings, cfg, class_w, np.random.default_rng(seed))
+        rows = [enc.contextual[u.index] for d, enc in zip(dialogs, encodings) for u in d.utterances]
+        gaps = [abs(a - b) for i, a in enumerate(rows) for b in rows[i + 1:]]
+        if min(np.linalg.norm(g) for g in gaps) < 1e-3:
+            return False  # coincident rows: a kink of the euclidean distance
+        pool = [(UttRef(d.id, u.index), u.label, enc.contextual[u.index])
+                for d, enc in zip(dialogs, encodings) for u in d.utterances]
+        by_ref = {r: v for r, _, v in pool}
+        triplets = brute_force_hard(pool, cfg.distance) if cfg.sampling_strategy == "batch-hard" else (
+            sorted(brute_force_all([(r, lab) for r, lab, _ in pool])))
+        kind = cfg.distance
+        for a, p, n in triplets:
+            slack = distance(by_ref[a], by_ref[p], kind) - distance(by_ref[a], by_ref[n], kind) + cfg.margin
+            if abs(slack) < 1e-3:
+                return False
+        if cfg.sampling_strategy == "batch-hard":
+            for r, lab, v in pool:
+                ds = sorted(distance(v, o, kind) for o_r, _, o in pool if o_r != r)
+                if any(b - a < 1e-3 for a, b in zip(ds, ds[1:])):
+                    return False
+        return ref is not None
