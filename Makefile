@@ -7,14 +7,17 @@ SEEDS ?= 0 1 2 3 4 5 6 7 8 9
 
 .PHONY: test tier1 acceptance demos bench-smoke paper-run
 
+# The package is imported from src/, so no `pip install -e .` is needed.
+SRC_PATH = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
+
 test:
-	$(PY) -m pytest
+	$(SRC_PATH) $(PY) -m pytest
 
 acceptance:
-	$(PY) -m pytest tests/test_acceptance.py -v -s
+	$(SRC_PATH) $(PY) -m pytest tests/test_acceptance.py -v -s
 
 demos:
-	set -e; for d in demos/*.py; do echo "== $$d"; $(PY) $$d; done
+	set -e; for d in demos/*.py; do echo "== $$d"; $(SRC_PATH) $(PY) $$d; done
 
 # Benchmark smoke test: both workloads, traced and untraced, at a tiny size.
 bench-smoke:
@@ -37,4 +40,4 @@ paper-run:
 # The Tier-1 check named in ROADMAP.md: the whole suite, collection errors
 # reported per file instead of stopping the run.
 tier1:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
+	$(SRC_PATH) python -m pytest -q --continue-on-collection-errors

@@ -42,13 +42,13 @@ from .embeddings import (
 from .encoder import (
     DialogSequence,
     EncoderLayerParams,
+    build_batch_sequence,
     build_dialog_sequence,
     encode_dialog,
     encoder_forward,
     init_encoder,
     init_encoder_stack,
     sinusoidal_positions,
-    split_contextual,
     stack_forward,
 )
 from .triplets import (

@@ -27,8 +27,10 @@ from .errors import ConfigError, ErcmlError
 from .llm import HttpGenerationClient, ReplayClient, evaluate_llm, resolve_template, write_generation_log
 from .metrics import format_report
 from .training import (
+    DISTANCES,
     LOSS_MODES,
     SAMPLING_STRATEGIES,
+    SUBNETWORKS,
     ContextualModel,
     TrainConfig,
     evaluate_model,
@@ -49,10 +51,10 @@ _TRAIN_FIELDS = {
     for name, hint in typing.get_type_hints(TrainConfig).items()
 }
 _CHOICES = {
-    "distance": ("euclidean", "cosine"),
+    "distance": DISTANCES,
     "sampling_strategy": SAMPLING_STRATEGIES,
     "loss_mode": LOSS_MODES,
-    "subnetwork": ("linear", "lstm"),
+    "subnetwork": SUBNETWORKS,
 }
 
 

@@ -2,9 +2,10 @@
 
 A dialog's frozen sentence embeddings are interleaved with a learned
 separator vector (leading and trailing separator, 2U+1 rows for U
-utterances), sinusoidal positional encodings are added, one trainable
-attention-encoder layer runs over the whole sequence, and the result is
-split back at the separator rows into per-utterance contextual vectors.
+utterances) and sinusoidal positional encodings are added. A batch of
+dialogs is packed into one sequence whose attention mask keeps every
+dialog to itself, the trainable attention-encoder layers run over it
+once, and the utterance rows are the per-utterance contextual vectors.
 
 Forward and backward passes are written out explicitly in numpy; the
 test suite verifies every parameter gradient against central finite
@@ -21,7 +22,7 @@ from scipy.special import erf
 from .corpus import Dialog
 from .embeddings import SentenceEmbeddingStore
 from .checkpoint import checked_tensor
-from .errors import BadHeadCount, InconsistentPositions, ShapeMismatch
+from .errors import BadHeadCount, ShapeMismatch
 
 LN_EPS = 1e-5
 
@@ -166,24 +167,29 @@ def sinusoidal_positions(n: int, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DialogSequence:
-    """Interleaved (separator, utterance, ..., separator) token matrix."""
+    """A batch of dialogs packed into one token matrix.
 
-    tokens: np.ndarray          # (2U+1, d), before positional encodings
-    positions: np.ndarray       # (2U+1, d)
-    sep_positions: tuple[int, ...]
+    Each dialog contributes its (separator, utterance, ..., separator)
+    rows, 2U+1 for U utterances, in batch order; positions restart at 0
+    in every dialog. `mask` is the additive attention key mask, 0 within
+    a dialog and -inf across dialogs, or None for a single dialog.
+    """
 
-    @property
-    def n_utterances(self) -> int:
-        return (self.tokens.shape[0] - 1) // 2
+    tokens: np.ndarray              # (rows, d), before positional encodings
+    positions: np.ndarray           # (rows, d)
+    sep_positions: tuple[int, ...]  # separator rows
+    utterance_rows: np.ndarray      # rows of the utterances, in batch order
+    mask: np.ndarray | None         # (rows, rows)
 
     def encoder_input(self) -> np.ndarray:
         return self.tokens + self.positions
 
 
-def build_dialog_sequence(
-    dialog: Dialog, store: SentenceEmbeddingStore, params: EncoderLayerParams
+def build_batch_sequence(
+    dialogs: list[Dialog], store: SentenceEmbeddingStore, params: EncoderLayerParams
 ) -> DialogSequence:
-    """Interleave the learned separator with the dialog's frozen embeddings.
+    """Interleave the learned separator with each dialog's frozen
+    embeddings and pack the dialogs' rows into one sequence.
 
     Raises:
         MissingEmbedding: store lacks a vector for some utterance.
@@ -191,32 +197,33 @@ def build_dialog_sequence(
     """
     if store.dim != params.dim:
         raise ShapeMismatch(f"store dim {store.dim} != encoder dim {params.dim}")
-    n_rows = 2 * len(dialog) + 1
-    tokens = np.empty((n_rows, params.dim))
-    tokens[0::2] = params.sep
-    for utt in dialog.utterances:
-        tokens[2 * utt.index + 1] = store.get(dialog.id, utt.index)
+    lengths = [2 * len(d) + 1 for d in dialogs]
+    row_in_dialog = np.concatenate([np.arange(n) for n in lengths])
+    is_sep = row_in_dialog % 2 == 0
+    tokens = np.empty((len(row_in_dialog), params.dim))
+    tokens[is_sep] = params.sep
+    utterance_rows = np.flatnonzero(~is_sep)
+    vectors = (store.get(d.id, u.index) for d in dialogs for u in d.utterances)
+    for row, vec in zip(utterance_rows, vectors):
+        tokens[row] = vec
+    mask = None
+    if len(dialogs) > 1:
+        dialog_of_row = np.repeat(np.arange(len(dialogs)), lengths)
+        mask = np.where(dialog_of_row[:, None] == dialog_of_row[None, :], 0.0, -np.inf)
     return DialogSequence(
         tokens=tokens,
-        positions=sinusoidal_positions(n_rows, params.dim),
-        sep_positions=tuple(range(0, n_rows, 2)),
+        positions=sinusoidal_positions(max(lengths), params.dim)[row_in_dialog],
+        sep_positions=tuple(np.flatnonzero(is_sep).tolist()),
+        utterance_rows=utterance_rows,
+        mask=mask,
     )
 
 
-def split_contextual(encoded: np.ndarray, sep_positions: tuple[int, ...]) -> np.ndarray:
-    """Drop separator rows, keeping the U utterance rows in dialog order.
-
-    Raises:
-        InconsistentPositions: positions do not describe the strict
-            sep/utterance alternation of `build_dialog_sequence`.
-    """
-    n_rows = encoded.shape[0]
-    expected = tuple(range(0, n_rows, 2))
-    if n_rows % 2 == 0 or tuple(sorted(sep_positions)) != expected:
-        raise InconsistentPositions(
-            f"sep positions {sorted(sep_positions)} invalid for {n_rows} rows"
-        )
-    return encoded[1::2]
+def build_dialog_sequence(
+    dialog: Dialog, store: SentenceEmbeddingStore, params: EncoderLayerParams
+) -> DialogSequence:
+    """:func:`build_batch_sequence` of one dialog: no mask."""
+    return build_batch_sequence([dialog], store, params)
 
 
 # --- layer norm / gelu primitives --------------------------------------------
@@ -331,12 +338,14 @@ def _rowwise_backward(d_out: np.ndarray, c: RowwiseCache, p: SingletonLayerParam
     return dr1, dr1 @ p.w_o.T
 
 
-def encoder_forward(x: np.ndarray, params: EncoderLayerParams):
+def encoder_forward(x: np.ndarray, params: EncoderLayerParams, mask: np.ndarray | None = None):
     """Full bidirectional self-attention block over one sequence.
 
     x: (n, d) -> (output (n, d), cache for the backward pass).
     Post-norm layout: attention, residual, layer norm, feed-forward,
-    residual, layer norm.
+    residual, layer norm. `mask` (n, n) is added to the attention
+    scores; a -inf entry gives that key a weight of exactly 0, so
+    :func:`encoder_backward` needs no mask.
     """
     x = _checked_input(x, params)
     p = params
@@ -346,6 +355,8 @@ def encoder_forward(x: np.ndarray, params: EncoderLayerParams):
     qh, kh, vh = (_split_heads(m, p.heads) for m in (q, k, v))
     scale = 1.0 / np.sqrt(p.head_dim())
     scores = (qh @ kh.transpose(0, 2, 1)) * scale
+    if mask is not None:
+        scores += mask
     scores -= scores.max(axis=2, keepdims=True)
     attn = np.exp(scores)
     attn /= attn.sum(axis=2, keepdims=True)
@@ -443,16 +454,13 @@ def stack_tensors(stack: EncoderStack) -> dict[str, np.ndarray]:
     }
 
 
-def stack_zero_grads(stack: EncoderStack) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in stack_tensors(stack).items()}
-
-
-def stack_forward(x: np.ndarray, stack: EncoderStack):
-    """Layers applied in sequence; returns (out, per-layer caches)."""
+def stack_forward(x: np.ndarray, stack: EncoderStack, mask: np.ndarray | None = None):
+    """Layers applied in sequence, each under the same attention `mask`;
+    returns (out, per-layer caches)."""
     caches = []
     out = x
     for layer in stack:
-        out, cache = encoder_forward(out, layer)
+        out, cache = encoder_forward(out, layer, mask)
         caches.append(cache)
     return out, caches
 
@@ -468,38 +476,38 @@ def stack_backward(d_out: np.ndarray, caches: list[EncoderCache], stack: Encoder
     return d, grads
 
 
-# --- whole-dialog convenience used by the trainer -----------------------------
+# --- whole batches, as the trainer and the predictor use them -----------------
 
 @dataclass
 class DialogEncoding:
-    """Per-dialog forward state: contextual vectors plus backward caches."""
+    """Forward state of a batch of dialogs: contextual vectors plus
+    backward caches."""
 
     sequence: DialogSequence
     caches: list[EncoderCache]
-    contextual: np.ndarray  # (U, d)
+    contextual: np.ndarray  # (U, d): every utterance of the batch, in batch order
 
 
-def encode_dialog(dialog: Dialog, store: SentenceEmbeddingStore, encoder: EncoderStack) -> DialogEncoding:
-    """build sequence -> encoder layers -> split, with caches retained."""
-    seq = build_dialog_sequence(dialog, store, encoder[0])
-    out, caches = stack_forward(seq.encoder_input(), encoder)
-    return DialogEncoding(
-        sequence=seq, caches=caches, contextual=split_contextual(out, seq.sep_positions)
-    )
+def encode_dialog(dialogs: list[Dialog], store: SentenceEmbeddingStore, encoder: EncoderStack) -> DialogEncoding:
+    """Pack the dialogs -> one pass of the encoder layers -> utterance rows,
+    with caches retained."""
+    seq = build_batch_sequence(dialogs, store, encoder[0])
+    out, caches = stack_forward(seq.encoder_input(), encoder, seq.mask)
+    return DialogEncoding(sequence=seq, caches=caches, contextual=out[seq.utterance_rows])
 
 
 def encode_dialog_backward(
     d_contextual: np.ndarray, encoding: DialogEncoding, encoder: EncoderStack
 ) -> dict[str, np.ndarray]:
-    """Backward from per-utterance gradients to encoder parameter gradients.
+    """Backward from per-utterance gradients (U, d) to encoder parameter
+    gradients.
 
     Frozen utterance embeddings receive no gradient; separator rows
     accumulate into the first layer's `sep` entry. Grads are keyed
     "<layer>.<name>" like `stack_tensors`.
     """
-    n_rows = encoding.sequence.tokens.shape[0]
-    d_encoded = np.zeros((n_rows, encoder[0].dim))
-    d_encoded[1::2] = d_contextual
+    d_encoded = np.zeros_like(encoding.sequence.tokens)
+    d_encoded[encoding.sequence.utterance_rows] = d_contextual
     d_input, grads = stack_backward(d_encoded, encoding.caches, encoder)
     grads["0.sep"] = sep_gradient(d_input, encoding.sequence.sep_positions)
     return grads

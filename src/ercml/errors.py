@@ -66,10 +66,6 @@ class ShapeMismatch(ErcmlError):
     """Tensor shapes inconsistent with the layer parameters."""
 
 
-class InconsistentPositions(ErcmlError):
-    """Separator positions do not describe a valid interleaved sequence."""
-
-
 class BadHeadCount(ErcmlError):
     """Model dimension is not divisible by the head count."""
 
@@ -130,3 +126,9 @@ class CheckpointError(ErcmlError):
 
 class ConfigError(ErcmlError):
     """Run configuration file is malformed or inconsistent."""
+
+
+# --- optimization ---------------------------------------------------------
+
+class NonFinite(ErcmlError):
+    """A gradient holds a NaN or an infinity."""

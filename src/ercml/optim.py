@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .errors import NonFinite
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so their joint L2 norm is <= max_norm.
+
+def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float | None) -> float:
+    """Scale all gradients in place so their joint L2 norm is <= max_norm;
+    no scaling when `max_norm` is None or the norm is not finite.
 
     Returns the pre-clip global norm.
     """
     total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-    if total > max_norm and total > 0.0:
+    if max_norm is not None and max_norm < total < math.inf:
         scale = max_norm / total
         for g in grads.values():
             g *= scale
@@ -41,9 +46,16 @@ class Adam:
         self._v = {name: np.zeros_like(arr) for name, arr in tensors.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        """One update from a grads dict keyed like the tensors dict."""
-        if self.clip_norm is not None:
-            clip_global_norm(grads, self.clip_norm)
+        """One update from a grads dict keyed like the tensors dict.
+
+        Raises:
+            NonFinite: a gradient holds a NaN or an infinity; no
+                parameter has changed.
+        """
+        if not math.isfinite(clip_global_norm(grads, self.clip_norm)):
+            bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+            what = f"gradient {bad[0]!r} is not finite" if bad else "the gradient norm overflows"
+            raise NonFinite(f"optimizer step {self.t + 1}: {what}")
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t

@@ -37,7 +37,6 @@ from .classifier import (
 from .corpus import ALL_LABEL_IDS, EMOTION_IDS, LABEL_NAMES, Corpus, Dialog, label_weights
 from .embeddings import SentenceEmbeddingStore, WordEmbeddingTable
 from .encoder import (
-    DialogEncoding,
     EncoderLayerParams,
     encode_dialog,
     encode_dialog_backward,
@@ -45,13 +44,13 @@ from .encoder import (
     layer_from_tensors,
     layer_meta,
     stack_tensors,
-    stack_zero_grads,
 )
 from .errors import CheckpointError, ConfigError, DimMismatch, InsufficientDiversity
 from .isolated import IsolatedModel, init_linear_subnet, init_lstm
 from .metrics import MetricsReport, report_from_predictions
 from .optim import Adam, add_grads
 from .triplets import (
+    DISTANCES,
     Triplet,
     TripletLossConfig,
     UttRef,
@@ -72,6 +71,7 @@ logger = logging.getLogger(__name__)
 
 SAMPLING_STRATEGIES = ("weighted-random", "batch-all", "batch-hard")
 LOSS_MODES = ("alternating", "summed")
+SUBNETWORKS = ("linear", "lstm")
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,10 @@ class TrainConfig:
             raise ConfigError(f"loss_mode must be one of {LOSS_MODES}")
         if self.loss_mode == "summed" and self.summed_lambda <= 0:
             raise ConfigError(f"summed_lambda must be > 0, got {self.summed_lambda}")
-        if self.subnetwork not in ("linear", "lstm"):
-            raise ConfigError(f"subnetwork must be 'linear' or 'lstm', got {self.subnetwork!r}")
+        if self.subnetwork not in SUBNETWORKS:
+            raise ConfigError(f"subnetwork must be one of {SUBNETWORKS}, got {self.subnetwork!r}")
+        if self.distance not in DISTANCES:
+            raise ConfigError(f"distance must be one of {DISTANCES}, got {self.distance!r}")
         if self.margin <= 0:
             raise ConfigError(f"margin must be > 0, got {self.margin}")
         if self.encoder_layers < 1:
@@ -239,70 +241,59 @@ def _epoch_order(
 
 def ce_pass(
     dialogs: list[Dialog],
-    encodings: list[DialogEncoding],
+    contextual: np.ndarray,
     classifier: ClassifierParams,
     label_space: tuple[int, ...],
     weighted_ce: bool,
 ):
     """Cross-entropy loss over every in-space utterance of the batch.
 
-    Returns (loss, per-dialog contextual gradients, classifier grads),
-    or None when the batch has no in-space utterance (possible in
-    6-label mode on an all-neutral batch).
+    `contextual` holds one row per utterance of the batch, in batch order.
+    Returns (loss, its gradient with respect to `contextual`, classifier
+    grads), or None when the batch has no in-space utterance (possible
+    in 6-label mode on an all-neutral batch).
     """
-    rows: list[np.ndarray] = []
-    locations: list[tuple[int, int]] = []
-    targets: list[int] = []
-    for di, (dialog, enc) in enumerate(zip(dialogs, encodings)):
-        for utt in dialog.utterances:
-            if utt.label in label_space:
-                rows.append(enc.contextual[utt.index])
-                locations.append((di, utt.index))
-                targets.append(utt.label)
+    utts = [u for d in dialogs for u in d.utterances]
+    rows = [r for r, u in enumerate(utts) if u.label in label_space]
     if not rows:
         return None
+    targets = [utts[r].label for r in rows]
     weights = batch_class_weights(targets) if weighted_ce else {}
-    logits, cache = classify_batch(np.stack(rows), classifier)
+    logits, cache = classify_batch(contextual[rows], classifier)
     loss, d_logits = ce_loss_and_grad(logits, targets, weights, label_space)
     d_reps, clf_grads = classifier_backward(d_logits, cache, classifier)
-    d_ctx = [np.zeros_like(enc.contextual) for enc in encodings]
-    for row, (di, ui) in enumerate(locations):
-        d_ctx[di][ui] += d_reps[row]
+    d_ctx = np.zeros_like(contextual)
+    d_ctx[rows] = d_reps
     return loss, d_ctx, clf_grads
 
 
 def triplet_pass(
     dialogs: list[Dialog],
-    encodings: list[DialogEncoding],
+    contextual: np.ndarray,
     config: TrainConfig,
     class_w: dict[int, float],
     rng: np.random.Generator,
 ):
     """Mine triplets over the batch's in-space contextual rows and compute
-    the mean triplet loss with its per-dialog representation gradients,
-    all from one pairwise-distance matrix over those rows.
+    the mean triplet loss with its gradient with respect to `contextual`
+    (packed like :func:`ce_pass`'s), all from one pairwise-distance
+    matrix over those rows.
 
     Returns (loss, active_count, d_ctx) or None when the batch lacks
     label diversity (the trainer then skips the triplet step).
     """
     label_space = config.label_space()
-    where: list[tuple[int, int]] = []  # (dialog position, utterance index) per row
-    labels: list[int] = []
-    for di, dialog in enumerate(dialogs):
-        for utt in dialog.utterances:
-            if utt.label in label_space:
-                where.append((di, utt.index))
-                labels.append(utt.label)
-    if len(set(labels)) < 2:
-        return None
+    refs = [(d.id, u.index, u.label) for d in dialogs for u in d.utterances]
+    rows = [r for r, (_, _, label) in enumerate(refs) if label in label_space]
     strategy = config.sampling_strategy
     if strategy != "weighted-random":
         # Rows in ref order, so a distance tie goes to the lowest ref; the
         # sampler keeps batch order, which its draws index into.
-        order = sorted(range(len(where)), key=lambda r: (dialogs[where[r][0]].id, where[r][1]))
-        where = [where[r] for r in order]
-        labels = [labels[r] for r in order]
-    x = np.stack([encodings[di].contextual[ui] for di, ui in where])
+        rows.sort(key=lambda r: refs[r][:2])
+    labels = [refs[r][2] for r in rows]
+    if len(set(labels)) < 2:
+        return None
+    x = contextual[rows]
     tri_cfg = config.triplet_cfg()
     dist = pairwise_distances(x, tri_cfg.distance)
 
@@ -318,21 +309,9 @@ def triplet_pass(
     if len(triplets[0]) == 0:
         return None
     loss, active, dx = batch_triplet_loss_grads(x, dist, triplets, tri_cfg)
-    d_ctx = [np.zeros_like(enc.contextual) for enc in encodings]
-    for (di, ui), grad in zip(where, dx):
-        d_ctx[di][ui] = grad
+    d_ctx = np.zeros_like(contextual)
+    d_ctx[rows] = dx
     return loss, active, d_ctx
-
-
-def _encoder_grads_from_ctx(
-    d_ctx: list[np.ndarray],
-    encodings: list[DialogEncoding],
-    encoder: list[EncoderLayerParams],
-) -> dict[str, np.ndarray]:
-    grads = stack_zero_grads(encoder)
-    for d_c, enc in zip(d_ctx, encodings):
-        add_grads(grads, encode_dialog_backward(d_c, enc, encoder))
-    return grads
 
 
 def train_contextual(
@@ -414,56 +393,37 @@ def train_contextual(
 def _train_cycle(
     dialogs, store, encoder, classifier, enc_opt, clf_opt, config, class_w, rng
 ) -> tuple[float, float, int]:
-    label_space = config.label_space()
-    encodings = [encode_dialog(d, store, encoder) for d in dialogs]
-    ce_out = ce_pass(dialogs, encodings, classifier, label_space, config.weighted_ce)
-
-    if config.loss_mode == "summed":
-        tri_out = None
-        if config.triplet_enabled:
-            tri_out = triplet_pass(dialogs, encodings, config, class_w, rng)
-        ce_loss = tri_loss = 0.0
-        active = 0
-        d_ctx = [np.zeros_like(enc.contextual) for enc in encodings]
-        if ce_out is not None:
-            ce_loss, d_ce, clf_grads = ce_out
-            for acc, d in zip(d_ctx, d_ce):
-                acc += d
-            clf_opt.step(clf_grads)
-        if tri_out is not None:
-            tri_loss, active, d_tri = tri_out
-            for acc, d in zip(d_ctx, d_tri):
-                acc += config.summed_lambda * d
-        elif config.triplet_enabled:
-            logger.info("triplet step skipped: insufficient label diversity in batch")
-        if ce_out is not None or tri_out is not None:
-            enc_opt.step(_encoder_grads_from_ctx(d_ctx, encodings, encoder))
-        return ce_loss, tri_loss, active
-
-    # alternating: CE update, then a fresh forward for the triplet update
-    ce_loss = 0.0
+    summed = config.loss_mode == "summed"
+    encoding = encode_dialog(dialogs, store, encoder)
+    ce_out = ce_pass(dialogs, encoding.contextual, classifier, config.label_space(), config.weighted_ce)
+    ce_loss, d_ctx = 0.0, None  # d_ctx: the encoder update still to make
     if ce_out is not None:
-        ce_loss, d_ce, clf_grads = ce_out
-        enc_grads = _encoder_grads_from_ctx(d_ce, encodings, encoder)
+        ce_loss, d_ctx, clf_grads = ce_out
         clf_opt.step(clf_grads)
-        enc_opt.step(enc_grads)
-    tri_loss = 0.0
-    active = 0
+        if not summed:
+            enc_opt.step(encode_dialog_backward(d_ctx, encoding, encoder))
+            d_ctx = None
+    tri_loss, active = 0.0, 0
     if config.triplet_enabled:
-        encodings = [encode_dialog(d, store, encoder) for d in dialogs]
-        tri_out = triplet_pass(dialogs, encodings, config, class_w, rng)
-        if tri_out is not None:
-            tri_loss, active, d_tri = tri_out
-            enc_opt.step(_encoder_grads_from_ctx(d_tri, encodings, encoder))
-        else:
+        if not summed:  # alternating: a fresh forward after the CE update
+            encoding = encode_dialog(dialogs, store, encoder)
+        tri_out = triplet_pass(dialogs, encoding.contextual, config, class_w, rng)
+        if tri_out is None:
             logger.info("triplet step skipped: insufficient label diversity in batch")
+        else:
+            tri_loss, active, d_tri = tri_out
+            if summed:
+                d_tri = config.summed_lambda * d_tri
+            d_ctx = d_tri if d_ctx is None else d_ctx + d_tri
+    if d_ctx is not None:
+        enc_opt.step(encode_dialog_backward(d_ctx, encoding, encoder))
     return ce_loss, tri_loss, active
 
 
 def predict(model: ContextualModel, dialog: Dialog, store: SentenceEmbeddingStore) -> list[int]:
     """One label id per utterance: argmax of the emotion head over each
     contextual representation."""
-    encoding = encode_dialog(dialog, store, model.encoder)
+    encoding = encode_dialog([dialog], store, model.encoder)
     logits, _ = classify_batch(encoding.contextual, model.classifier)
     space = model.classifier.label_space
     return [space[int(i)] for i in np.argmax(logits, axis=1)]
@@ -596,7 +556,7 @@ def load_isolated(path: str | Path) -> IsolatedModel:
 
     _, tensors, meta = load_checkpoint(path, expect_kind="isolated")
     kind, rep = meta.get("subnetwork"), meta.get("rep_dim")
-    if kind not in ("linear", "lstm") or not isinstance(rep, int):
+    if kind not in SUBNETWORKS or not isinstance(rep, int):
         raise CheckpointError(f"{path}: bad metadata subnetwork={kind!r} rep_dim={rep!r}")
     # The input width is the stored one: the first dim of the input weights.
     lead = tensors.get("w" if kind == "linear" else "w_x")

@@ -15,6 +15,7 @@ import numpy as np
 from .corpus import Corpus
 from .errors import DimMismatch, InsufficientDiversity, ZeroVector
 
+DISTANCES = ("euclidean", "cosine")
 _EUCLID_TINY = 1e-12
 
 
@@ -40,13 +41,13 @@ class Triplet:
 @dataclass(frozen=True)
 class TripletLossConfig:
     margin: float = 1.0
-    distance: str = "euclidean"  # or "cosine"
+    distance: str = "euclidean"  # one of DISTANCES
 
     def __post_init__(self):
         if self.margin <= 0:
             raise ValueError(f"margin must be > 0, got {self.margin}")
-        if self.distance not in ("euclidean", "cosine"):
-            raise ValueError(f"distance must be 'euclidean' or 'cosine', got {self.distance!r}")
+        if self.distance not in DISTANCES:
+            raise ValueError(f"distance must be one of {DISTANCES}, got {self.distance!r}")
 
 
 def distance(x: np.ndarray, y: np.ndarray, kind: str = "euclidean") -> float:

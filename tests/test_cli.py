@@ -299,6 +299,20 @@ class TestConfigFile:
         assert echo["margin"] == 0.7      # file value used
         assert echo["weighted_ce"] is False
 
+    def test_unknown_distance_exits_one_before_pretraining(self, store_file, tmp_path, capsys, monkeypatch):
+        from ercml import training
+
+        def no_pretraining(*args, **kwargs):
+            raise AssertionError("pretraining started")
+
+        monkeypatch.setattr(training, "pretrain_classifier", no_pretraining)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {DATA}\nstore = {store_file}\ndistance = manhattan\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out), *FAST_TRAIN]) == 1
+        assert "ConfigError" in capsys.readouterr().err
+        assert not (out / "model.npz").exists()
+
     def test_parse_types(self, tmp_path):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("[a]\nepochs=3\nlearning_rate=0.01\ntriplet_enabled=no\nffn_dim=none\n")

@@ -7,26 +7,25 @@ from ercml.corpus import Dialog, Utterance
 from ercml.embeddings import SentenceEmbeddingStore
 from ercml.encoder import (
     SingletonLayerParams,
+    build_batch_sequence,
     build_dialog_sequence,
     encode_dialog,
     encode_dialog_backward,
     encoder_backward,
     encoder_forward,
     init_encoder,
+    init_encoder_stack,
     layer_from_tensors,
     layer_meta,
     sep_gradient,
     singleton_backward,
     singleton_forward,
     sinusoidal_positions,
-    split_contextual,
+    stack_backward,
+    stack_forward,
+    stack_tensors,
 )
-from ercml.errors import (
-    BadHeadCount,
-    InconsistentPositions,
-    MissingEmbedding,
-    ShapeMismatch,
-)
+from ercml.errors import BadHeadCount, MissingEmbedding, ShapeMismatch
 from ercml.gradcheck import fd_gradients, group_relative_error
 
 
@@ -111,27 +110,6 @@ class TestBuildDialogSequence:
             build_dialog_sequence(dialog, make_store(dialog, 8), init_encoder(16, heads=2))
 
 
-class TestSplitContextual:
-    def test_seven_rows(self):
-        m = np.arange(7 * 4, dtype=float).reshape(7, 4)
-        out = split_contextual(m, (0, 2, 4, 6))
-        np.testing.assert_array_equal(out, m[[1, 3, 5]])
-
-    def test_three_rows(self):
-        m = np.arange(3 * 2, dtype=float).reshape(3, 2)
-        out = split_contextual(m, (0, 2))
-        np.testing.assert_array_equal(out, m[[1]])
-
-    def test_inconsistent_positions(self):
-        m = np.zeros((5, 2))
-        with pytest.raises(InconsistentPositions):
-            split_contextual(m, (0, 3))
-
-    def test_even_row_count_rejected(self):
-        with pytest.raises(InconsistentPositions):
-            split_contextual(np.zeros((4, 2)), (0, 2))
-
-
 class TestEncoderForward:
     @pytest.mark.parametrize("n_utts", [1, 2, 5])
     def test_shape_preserved(self, n_utts):
@@ -166,7 +144,7 @@ class TestEncoderForward:
         dialog = make_dialog(3)
         store = make_store(dialog, 8, seed=2)
         params = init_encoder(8, heads=2, seed=1)
-        base = encode_dialog(dialog, store, [params]).contextual
+        base = encode_dialog([dialog], store, [params]).contextual
         permuted = Dialog(
             id="d",
             utterances=(
@@ -183,7 +161,7 @@ class TestEncoderForward:
             },
             dim=8,
         )
-        swapped = encode_dialog(permuted, store_perm, [params]).contextual
+        swapped = encode_dialog([permuted], store_perm, [params]).contextual
         # utterance originally at index 0 now sits at index 1; its
         # contextual vector must have changed by more than 1e-6 somewhere
         assert np.abs(swapped[1] - base[0]).max() > 1e-6
@@ -203,8 +181,8 @@ class TestEncoderForward:
             },
             dim=8,
         )
-        ctx1 = encode_dialog(d1, store, [params]).contextual
-        ctx2 = encode_dialog(d2, store, [params]).contextual
+        ctx1 = encode_dialog([d1], store, [params]).contextual
+        ctx2 = encode_dialog([d2], store, [params]).contextual
         assert np.abs(ctx1[0] - ctx2[0]).max() > 1e-6
 
 
@@ -240,10 +218,10 @@ class TestEncoderGradients:
         coeffs = rng.standard_normal((3, 8))
 
         def loss():
-            enc = encode_dialog(dialog, store, [params])
+            enc = encode_dialog([dialog], store, [params])
             return float((coeffs * enc.contextual).sum())
 
-        encoding = encode_dialog(dialog, store, [params])
+        encoding = encode_dialog([dialog], store, [params])
         grads = encode_dialog_backward(coeffs.copy(), encoding, [params])
         assert set(grads) == {f"0.{name}" for name in params.TENSOR_NAMES}
         numeric = fd_gradients(loss, params.tensors(), eps=1e-4)
@@ -254,8 +232,6 @@ class TestEncoderGradients:
 
 class TestEncoderStack:
     def test_single_layer_stack_matches_plain_layer(self):
-        from ercml.encoder import init_encoder_stack, stack_forward
-
         stack = init_encoder_stack(8, heads=2, seed=3)
         x = np.random.default_rng(0).standard_normal((5, 8))
         out_stack, _ = stack_forward(x, stack)
@@ -263,8 +239,6 @@ class TestEncoderStack:
         np.testing.assert_array_equal(out_stack, out_plain)
 
     def test_two_layer_shape_and_gradients(self):
-        from ercml.encoder import init_encoder_stack, stack_backward, stack_forward, stack_tensors
-
         stack = init_encoder_stack(6, heads=2, ffn_dim=12, layers=2, seed=4)
         rng = np.random.default_rng(5)
         x = rng.standard_normal((5, 6))
@@ -283,6 +257,123 @@ class TestEncoderStack:
             assert err < 1e-3, f"{name}: rel err {err:.3e}"
         numeric_x = fd_gradients(loss, {"x": x}, eps=1e-4)["x"]
         assert group_relative_error(dx, numeric_x) < 1e-3
+
+
+# --- the packed batch against the per-dialog loop it replaced --------------
+
+def random_dialogs(rng, n_dialogs, dim, max_utts=14):
+    """Dialogs of 1..max_utts utterances with ids in batch order, and a
+    store covering them."""
+    dialogs = [make_dialog(int(rng.integers(1, max_utts + 1)), f"b{i}") for i in range(n_dialogs)]
+    store = SentenceEmbeddingStore(
+        entries={f"{d.id}#{u.index}": rng.standard_normal(dim) for d in dialogs for u in d.utterances},
+        dim=dim,
+    )
+    return dialogs, store
+
+
+def random_stack(rng, layers, dim=8, heads=2, ffn_dim=16):
+    """An encoder stack with every tensor moved off its initial value,
+    so no bias is zero and no gain is one."""
+    stack = init_encoder_stack(dim, heads=heads, ffn_dim=ffn_dim, layers=layers, seed=int(rng.integers(100)))
+    for arr in stack_tensors(stack).values():
+        arr += 0.1 * rng.standard_normal(arr.shape)
+    return stack
+
+
+def per_dialog_reference(dialogs, store, stack, d_contextual):
+    """One stack_forward and one stack_backward per dialog, the weight
+    gradients summed over dialogs. Returns (contextual rows in batch
+    order, grads keyed like stack_tensors)."""
+    dim = stack[0].dim
+    rows, grads = [], {}
+    start = 0
+    for dialog in dialogs:
+        n = len(dialog)
+        tokens = np.empty((2 * n + 1, dim))
+        tokens[0::2] = stack[0].sep
+        tokens[1::2] = [store.get(dialog.id, i) for i in range(n)]
+        out, caches = stack_forward(tokens + sinusoidal_positions(2 * n + 1, dim), stack)
+        rows.append(out[1::2])
+        d_out = np.zeros_like(out)
+        d_out[1::2] = d_contextual[start:start + n]
+        start += n
+        d_input, dialog_grads = stack_backward(d_out, caches, stack)
+        dialog_grads["0.sep"] = d_input[0::2].sum(axis=0)
+        for name, g in dialog_grads.items():
+            grads[name] = grads[name] + g if name in grads else g
+    return np.vstack(rows), grads
+
+
+class TestPackedBatch:
+    def test_packing_concatenates_dialogs(self):
+        rng = np.random.default_rng(0)
+        dialogs, store = random_dialogs(rng, 3, 8)
+        params = init_encoder(8, heads=2)
+        packed = build_batch_sequence(dialogs, store, params)
+        singles = [build_dialog_sequence(d, store, params) for d in dialogs]
+        np.testing.assert_array_equal(packed.tokens, np.vstack([s.tokens for s in singles]))
+        # positions restart at 0 in every dialog
+        np.testing.assert_array_equal(packed.positions, np.vstack([s.positions for s in singles]))
+        starts = np.cumsum([0] + [len(s.tokens) for s in singles])
+        assert packed.sep_positions == tuple(
+            int(a + p) for a, s in zip(starts, singles) for p in s.sep_positions
+        )
+        np.testing.assert_array_equal(
+            packed.utterance_rows, np.concatenate([a + s.utterance_rows for a, s in zip(starts, singles)])
+        )
+        block = np.zeros((starts[-1], starts[-1]), dtype=bool)
+        for a, b in zip(starts, starts[1:]):
+            block[a:b, a:b] = True
+        np.testing.assert_array_equal(packed.mask, np.where(block, 0.0, -np.inf))
+        assert all(s.mask is None for s in singles)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_matches_per_dialog_loop(self, layers):
+        rng = np.random.default_rng(layers)
+        for _ in range(12):
+            dialogs, store = random_dialogs(rng, int(rng.integers(1, 9)), 8)
+            stack = random_stack(rng, layers)
+            d_ctx = rng.standard_normal((sum(len(d) for d in dialogs), 8))
+            want_ctx, want_grads = per_dialog_reference(dialogs, store, stack, d_ctx)
+            encoding = encode_dialog(dialogs, store, stack)
+            grads = encode_dialog_backward(d_ctx, encoding, stack)
+            np.testing.assert_allclose(encoding.contextual, want_ctx, rtol=0,
+                                       atol=1e-12 * np.abs(want_ctx).max())
+            # One scale for all tensors: b_k's true gradient is 0, so its
+            # entries are roundoff and have no relative error.
+            scale = max(np.abs(g).max() for g in want_grads.values())
+            assert set(grads) == set(want_grads)
+            for name, g in grads.items():
+                assert np.abs(g - want_grads[name]).max() <= 1e-12 * scale, name
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(21)
+        dialogs, store = random_dialogs(rng, 3, 8, max_utts=4)
+        stack = random_stack(rng, 1)
+        coeffs = rng.standard_normal((sum(len(d) for d in dialogs), 8))
+
+        def loss():
+            return float((coeffs * encode_dialog(dialogs, store, stack).contextual).sum())
+
+        grads = encode_dialog_backward(coeffs.copy(), encode_dialog(dialogs, store, stack), stack)
+        numeric = fd_gradients(loss, stack_tensors(stack), eps=1e-4)
+        for name, g in grads.items():
+            err = group_relative_error(g, numeric[name])
+            assert err < 1e-3, f"{name}: rel err {err:.3e}"
+
+    def test_dialogs_do_not_see_each_other(self):
+        rng = np.random.default_rng(5)
+        dialogs, store = random_dialogs(rng, 4, 8)
+        stack = random_stack(rng, 2)
+        before = encode_dialog(dialogs, store, stack).contextual
+        changed = dialogs[1]
+        store.entries[f"{changed.id}#0"] = store.entries[f"{changed.id}#0"] + 1.0
+        after = encode_dialog(dialogs, store, stack).contextual
+        rows = np.cumsum([0] + [len(d) for d in dialogs])
+        kept = np.r_[rows[0]:rows[1], rows[2]:rows[4]]
+        np.testing.assert_array_equal(after[kept], before[kept])
+        assert not np.array_equal(after[rows[1]:rows[2]], before[rows[1]:rows[2]])
 
 
 def singleton_layer(params) -> SingletonLayerParams:

@@ -8,7 +8,7 @@ from ercml import checkpoint
 from ercml.checkpoint import load_checkpoint, save_checkpoint
 from ercml.classifier import pretrain_classifier
 from ercml.embeddings import SentenceEmbeddingStore, WordEmbeddingTable, hash_store_for_corpus
-from ercml.errors import CheckpointError, ConfigError, MissingEmbedding
+from ercml.errors import CheckpointError, ConfigError, MissingEmbedding, NonFinite
 from ercml.training import (
     ContextualModel,
     TrainConfig,
@@ -62,6 +62,8 @@ class TestTrainConfig:
             TrainConfig(loss_mode="summed", summed_lambda=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(sampling_strategy="hardest")
+        with pytest.raises(ConfigError, match="distance"):
+            TrainConfig(distance="manhattan")
 
 
 class TestContextualTraining:
@@ -122,6 +124,43 @@ class TestContextualTraining:
         m1 = train_contextual(train_corpus, store16, cfg)
         m2 = train_contextual(train_corpus, store16, cfg)
         assert params_equal(m1.encoder, m2.encoder)
+
+    @pytest.mark.parametrize("loss_mode", ["alternating", "summed"])
+    def test_one_pass_per_forward_and_update(self, train_corpus, store16, monkeypatch, loss_mode):
+        # Each forward encodes the whole batch in one call and each encoder
+        # update is one backward call. A summed update gets d_ce + lambda * d_tri.
+        from ercml import training
+
+        seen = {"fwd": 0, "ce": [], "tri": [], "bwd": []}
+
+        def spy(name, fn, pick=None):
+            def wrapped(*args):
+                out = fn(*args)
+                if name == "fwd":
+                    seen["fwd"] += 1
+                elif name == "bwd":
+                    seen["bwd"].append(args[0].copy())
+                elif out is not None:
+                    seen[name].append(out[pick])
+                return out
+            monkeypatch.setattr(training, fn.__name__, wrapped)
+
+        spy("fwd", training.encode_dialog)
+        spy("bwd", training.encode_dialog_backward)
+        spy("ce", training.ce_pass, 1)
+        spy("tri", training.triplet_pass, 2)
+        cfg = self.small_cfg(max_steps=1, loss_mode=loss_mode, summed_lambda=0.25)
+        train_contextual(train_corpus, store16, cfg)
+        assert len(seen["ce"]) == len(seen["tri"]) == 1
+        if loss_mode == "summed":
+            assert seen["fwd"] == 1
+            np.testing.assert_array_equal(seen["bwd"][0], seen["ce"][0] + 0.25 * seen["tri"][0])
+            assert len(seen["bwd"]) == 1
+        else:
+            assert seen["fwd"] == 2
+            assert len(seen["bwd"]) == 2
+            np.testing.assert_array_equal(seen["bwd"][0], seen["ce"][0])
+            np.testing.assert_array_equal(seen["bwd"][1], seen["tri"][0])
 
     def test_two_layer_stack_trains_and_round_trips(self, train_corpus, store16, tmp_path):
         cfg = self.small_cfg(max_steps=2, encoder_layers=2)
@@ -388,3 +427,18 @@ class TestStoreCoverage:
                 classifier=classifier, log_hook=records.append,
             )
         assert records == []
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("pretrained", [False, True])
+    def test_nan_vector_in_store_raises(self, train_corpus, store16, pretrained):
+        entries = dict(store16.entries)
+        key = next(iter(entries))
+        entries[key] = np.full(16, np.nan)
+        store = SentenceEmbeddingStore(entries=entries, dim=16)
+        # With a classifier passed in, pretraining is skipped and the NaN
+        # first reaches an optimizer in the contextual loop.
+        classifier = pretrain_classifier(train_corpus, store16, steps=2, seed=0) if pretrained else None
+        with pytest.raises(NonFinite, match="optimizer step"):
+            train_contextual(train_corpus, store, TrainConfig(epochs=1, pretrain_steps=5, seed=0),
+                             classifier=classifier)

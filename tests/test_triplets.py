@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -387,24 +385,29 @@ STRATEGIES = ("weighted-random", "batch-all", "batch-hard")
 PASS_TOL = 1e-12
 
 
-def reference_triplet_pass(dialogs, encodings, config, class_w, rng):
+def packed_refs(dialogs):
+    """(ref, label, packed row) of every utterance, in batch order."""
+    out = []
+    for dialog in dialogs:
+        out.extend((UttRef(dialog.id, u.index), u.label, len(out)) for u in dialog.utterances)
+    return out
+
+
+def reference_triplet_pass(dialogs, contextual, config, class_w, rng):
     """The per-triplet triplet pass: list-built triplets, one
     `triplet_loss_grads` call each. Batch-all and batch-hard mine with
     the brute-force oracles. Returns (loss, active, d_ctx, mined)."""
     label_space = config.label_space()
     pool: list[tuple[UttRef, int]] = []
-    where: dict[UttRef, tuple[int, int]] = {}
-    for di, (dialog, enc) in enumerate(zip(dialogs, encodings)):
-        for utt in dialog.utterances:
-            if utt.label in label_space:
-                ref = UttRef(dialog.id, utt.index)
-                pool.append((ref, utt.label))
-                where[ref] = (di, utt.index)
+    where: dict[UttRef, int] = {}
+    for ref, label, row in packed_refs(dialogs):
+        if label in label_space:
+            pool.append((ref, label))
+            where[ref] = row
     tri_cfg = config.triplet_cfg()
 
     def vec(ref: UttRef) -> np.ndarray:
-        di, ui = where[ref]
-        return encodings[di].contextual[ui]
+        return contextual[where[ref]]
 
     try:
         if config.sampling_strategy == "weighted-random":
@@ -420,7 +423,7 @@ def reference_triplet_pass(dialogs, encodings, config, class_w, rng):
     if not triplets:
         return None
 
-    d_ctx = [np.zeros_like(enc.contextual) for enc in encodings]
+    d_ctx = np.zeros_like(contextual)
     total = 0.0
     active = 0
     scale = 1.0 / len(triplets)
@@ -429,28 +432,28 @@ def reference_triplet_pass(dialogs, encodings, config, class_w, rng):
         total += loss
         active += loss > 0.0
         for ref, grad in ((t.anchor, da), (t.positive, dp), (t.negative, dn)):
-            di, ui = where[ref]
-            d_ctx[di][ui] += scale * grad
+            d_ctx[where[ref]] += scale * grad
     return total * scale, active, d_ctx, len(triplets)
 
 
 def random_batch(rng, dim=6, coincident=False):
-    """3-5 dialogs with DailyDialog-like label skew; dialog ids are
-    random, so batch order is not ref order."""
-    dialogs, encodings = [], []
+    """3-5 dialogs with DailyDialog-like label skew and their packed
+    contextual rows; dialog ids are random, so batch order is not ref
+    order."""
+    dialogs, blocks = [], []
     for dialog_id in rng.choice(1000, size=int(rng.integers(3, 6)), replace=False):
         n = int(rng.integers(1, 9))
         labels = rng.choice(7, size=n, p=[0.6, 0.05, 0.05, 0.05, 0.15, 0.05, 0.05])
         utts = tuple(Utterance(index=i, text="u", label=int(lab)) for i, lab in enumerate(labels))
         dialogs.append(Dialog(id=f"d{dialog_id:03d}", utterances=utts))
-        encodings.append(SimpleNamespace(contextual=rng.standard_normal((n, dim))))
+        blocks.append(rng.standard_normal((n, dim)))
+    contextual = np.vstack(blocks)
     if coincident:
         # copy rows onto rows of the same and of other dialogs
-        rows = [(d, u) for d, enc in enumerate(encodings) for u in range(len(enc.contextual))]
-        for _ in range(len(rows) // 3):
-            (sd, su), (td, tu) = (rows[i] for i in rng.choice(len(rows), size=2, replace=False))
-            encodings[td].contextual[tu] = encodings[sd].contextual[su]
-    return dialogs, encodings
+        for _ in range(len(contextual) // 3):
+            source, target = rng.choice(len(contextual), size=2, replace=False)
+            contextual[target] = contextual[source]
+    return dialogs, contextual
 
 
 def mined_count(monkeypatch):
@@ -477,9 +480,9 @@ def assert_pass_matches(new, ref, seen):
     assert loss == pytest.approx(ref_loss, rel=PASS_TOL, abs=1e-300)
     # Rows are compared against the scale of the whole gradient, since a
     # row where contributions cancel has no meaningful relative error.
-    scale = max(np.linalg.norm(g, axis=1).max() for g in ref_ctx)
-    for got, want in zip(d_ctx, ref_ctx, strict=True):
-        assert np.linalg.norm(got - want, axis=1).max() <= PASS_TOL * scale
+    assert d_ctx.shape == ref_ctx.shape
+    scale = np.linalg.norm(ref_ctx, axis=1).max()
+    assert np.linalg.norm(d_ctx - ref_ctx, axis=1).max() <= PASS_TOL * scale
 
 
 class TestTripletPassOracle:
@@ -493,9 +496,9 @@ class TestTripletPassOracle:
         rng = np.random.default_rng([STRATEGIES.index(strategy), len(kind), coincident])
         compared = 0
         for seed in range(20):
-            dialogs, encodings = random_batch(rng, coincident=coincident)
-            new = triplet_pass(dialogs, encodings, cfg, class_w, np.random.default_rng(seed))
-            ref = reference_triplet_pass(dialogs, encodings, cfg, class_w, np.random.default_rng(seed))
+            dialogs, contextual = random_batch(rng, coincident=coincident)
+            new = triplet_pass(dialogs, contextual, cfg, class_w, np.random.default_rng(seed))
+            ref = reference_triplet_pass(dialogs, contextual, cfg, class_w, np.random.default_rng(seed))
             assert_pass_matches(new, ref, seen)
             compared += ref is not None
         assert compared >= 15
@@ -532,10 +535,10 @@ class TestTripletPassOracle:
         cfg = TrainConfig(sampling_strategy=strategy, label_space_size=6, triplets_per_batch=7)
         rng = np.random.default_rng(8)
         for seed in range(20):
-            dialogs, encodings = random_batch(rng)
-            new = triplet_pass(dialogs, encodings, cfg, {lab: 1.0 for lab in range(1, 7)},
+            dialogs, contextual = random_batch(rng)
+            new = triplet_pass(dialogs, contextual, cfg, {lab: 1.0 for lab in range(1, 7)},
                                np.random.default_rng(seed))
-            ref = reference_triplet_pass(dialogs, encodings, cfg, {lab: 1.0 for lab in range(1, 7)},
+            ref = reference_triplet_pass(dialogs, contextual, cfg, {lab: 1.0 for lab in range(1, 7)},
                                          np.random.default_rng(seed))
             assert_pass_matches(new, ref, seen)
 
@@ -548,37 +551,34 @@ class TestTripletPassOracle:
             Dialog("m", (Utterance(0, "u", 1),)),
             Dialog("a", (Utterance(0, "u", 1), Utterance(1, "u", 2))),
         ]
-        encodings = [
-            SimpleNamespace(contextual=np.array([same, other])),
-            SimpleNamespace(contextual=np.array([[0.0, 0.0]])),
-            SimpleNamespace(contextual=np.array([same, other])),
-        ]
+        contextual = np.array([same, other, [0.0, 0.0], same, other])
         seen = mined_count(monkeypatch)
         cfg = TrainConfig(sampling_strategy="batch-hard")
-        new = triplet_pass(dialogs, encodings, cfg, {}, np.random.default_rng(0))
-        assert_pass_matches(new, reference_triplet_pass(dialogs, encodings, cfg, {}, None), seen)
-        # z#1 is nobody's nearest negative: its duplicate a#1 is picked
+        new = triplet_pass(dialogs, contextual, cfg, {}, np.random.default_rng(0))
+        assert_pass_matches(new, reference_triplet_pass(dialogs, contextual, cfg, {}, None), seen)
+        # z#1 (row 1) is nobody's nearest negative: its duplicate a#1
+        # (row 4) is picked
         d_ctx = new[2]
-        assert not d_ctx[0][1].any() and d_ctx[2][1].any()
+        assert not d_ctx[1].any() and d_ctx[4].any()
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_cosine_zero_row_raises(self, strategy):
-        dialogs, encodings = random_batch(np.random.default_rng(3))
+        dialogs, contextual = random_batch(np.random.default_rng(3))
         dialogs.append(Dialog("zz", (Utterance(0, "u", 1), Utterance(1, "u", 1), Utterance(2, "u", 2))))
-        encodings.append(SimpleNamespace(contextual=np.array([[0.0] * 6, [1.0] * 6, [2.0] * 6])))
+        contextual = np.vstack([contextual, [[0.0] * 6, [1.0] * 6, [2.0] * 6]])
         cfg = TrainConfig(sampling_strategy=strategy, distance="cosine", triplets_per_batch=500)
         with pytest.raises(ZeroVector):
-            triplet_pass(dialogs, encodings, cfg, {lab: 1.0 for lab in range(7)}, np.random.default_rng(0))
+            triplet_pass(dialogs, contextual, cfg, {lab: 1.0 for lab in range(7)}, np.random.default_rng(0))
         with pytest.raises(ZeroVector):
-            reference_triplet_pass(dialogs, encodings, cfg, {lab: 1.0 for lab in range(7)},
+            reference_triplet_pass(dialogs, contextual, cfg, {lab: 1.0 for lab in range(7)},
                                    np.random.default_rng(0))
 
     def test_single_label_batch_is_skipped(self):
         dialogs = [Dialog("a", (Utterance(0, "u", 3), Utterance(1, "u", 3)))]
-        encodings = [SimpleNamespace(contextual=np.eye(2))]
+        contextual = np.eye(2)
         for strategy in STRATEGIES:
             cfg = TrainConfig(sampling_strategy=strategy)
-            assert triplet_pass(dialogs, encodings, cfg, {3: 1.0}, np.random.default_rng(0)) is None
+            assert triplet_pass(dialogs, contextual, cfg, {3: 1.0}, np.random.default_rng(0)) is None
 
     @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -588,30 +588,28 @@ class TestTripletPassOracle:
         rng = np.random.default_rng(61)
         checked = 0
         while checked < 3:
-            dialogs, encodings = random_batch(rng, dim=3)
-            out = triplet_pass(dialogs, encodings, cfg, class_w, np.random.default_rng(checked))
-            if out is None or not self._away_from_kinks(dialogs, encodings, cfg, class_w, checked):
+            dialogs, contextual = random_batch(rng, dim=3)
+            out = triplet_pass(dialogs, contextual, cfg, class_w, np.random.default_rng(checked))
+            if out is None or not self._away_from_kinks(dialogs, contextual, cfg, class_w, checked):
                 continue
 
             def loss():
-                return triplet_pass(dialogs, encodings, cfg, class_w, np.random.default_rng(checked))[0]
+                return triplet_pass(dialogs, contextual, cfg, class_w, np.random.default_rng(checked))[0]
 
-            for enc, d_c in zip(encodings, out[2]):
-                numeric = fd_gradient(loss, enc.contextual, eps=1e-6)
-                assert group_relative_error(d_c, numeric, floor=1e-8) < 1e-6
+            numeric = fd_gradient(loss, contextual, eps=1e-6)
+            assert group_relative_error(out[2], numeric, floor=1e-8) < 1e-6
             checked += 1
 
     @staticmethod
-    def _away_from_kinks(dialogs, encodings, cfg, class_w, seed):
+    def _away_from_kinks(dialogs, contextual, cfg, class_w, seed):
         """Every mined hinge, and every batch-hard choice, is clear of a
         switch under a 1e-6 perturbation."""
-        ref = reference_triplet_pass(dialogs, encodings, cfg, class_w, np.random.default_rng(seed))
-        rows = [enc.contextual[u.index] for d, enc in zip(dialogs, encodings) for u in d.utterances]
+        ref = reference_triplet_pass(dialogs, contextual, cfg, class_w, np.random.default_rng(seed))
+        rows = list(contextual)
         gaps = [abs(a - b) for i, a in enumerate(rows) for b in rows[i + 1:]]
         if min(np.linalg.norm(g) for g in gaps) < 1e-3:
             return False  # coincident rows: a kink of the euclidean distance
-        pool = [(UttRef(d.id, u.index), u.label, enc.contextual[u.index])
-                for d, enc in zip(dialogs, encodings) for u in d.utterances]
+        pool = [(ref, label, contextual[row]) for ref, label, row in packed_refs(dialogs)]
         by_ref = {r: v for r, _, v in pool}
         triplets = brute_force_hard(pool, cfg.distance) if cfg.sampling_strategy == "batch-hard" else (
             sorted(brute_force_all([(r, lab) for r, lab, _ in pool])))
