@@ -28,9 +28,6 @@ class LinearSubnetParams:
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {"w": np.zeros_like(self.w), "b": np.zeros_like(self.b)}
 
-    def copy(self) -> "LinearSubnetParams":
-        return LinearSubnetParams(w=self.w.copy(), b=self.b.copy())
-
 
 def init_linear_subnet(d_in: int, d_rep: int, seed: int = 0) -> LinearSubnetParams:
     rng = np.random.default_rng(seed)
@@ -68,9 +65,6 @@ class LstmParams:
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(arr) for name, arr in self.tensors().items()}
-
-    def copy(self) -> "LstmParams":
-        return LstmParams(w_x=self.w_x.copy(), w_h=self.w_h.copy(), b=self.b.copy())
 
 
 def init_lstm(d_in: int, hidden: int, seed: int = 0) -> LstmParams:

@@ -51,27 +51,34 @@ from .metrics import MetricsReport, report_from_predictions
 from .optim import Adam, add_grads
 from .triplets import (
     DISTANCES,
-    Triplet,
     TripletLossConfig,
-    UttRef,
     batch_all_indices,
     batch_hard_indices,
     batch_triplet_loss_grads,
-    corpus_pool,
     pairwise_distances,
     sample_triplet_indices,
-    sample_triplets,
-    triplet_loss_grads,
 )
-# Unused here since the triplet pass mines index arrays, but perfbench's
+# Unused here since both trainers mine index arrays, but perfbench's
 # traced run wraps the list-returning miners at these names.
-from .triplets import batch_all_triplets, batch_hard_triplets  # noqa: F401
+from .triplets import batch_all_triplets, batch_hard_triplets, sample_triplets  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
 SAMPLING_STRATEGIES = ("weighted-random", "batch-all", "batch-hard")
 LOSS_MODES = ("alternating", "summed")
 SUBNETWORKS = ("linear", "lstm")
+
+
+# Numeric TrainConfig fields -> whether the bound is strict (> 0) or not
+# (>= 0); an optional field left at None is not checked.
+_LOWER_BOUNDS = {
+    **dict.fromkeys(
+        ("epochs", "batch_size", "learning_rate", "margin", "pretrain_epochs", "pretrain_batch_size",
+         "heads", "ffn_dim", "encoder_layers", "rep_dim", "triplets_per_batch", "grad_clip"),
+        True,
+    ),
+    **dict.fromkeys(("seed", "pretrain_steps", "smooth_counts", "max_steps"), False),
+}
 
 
 @dataclass(frozen=True)
@@ -105,8 +112,10 @@ class TrainConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        for name, strict in _LOWER_BOUNDS.items():
+            value = getattr(self, name)
+            if value is not None and not (value > 0 if strict else value >= 0):
+                raise ConfigError(f"{name} must be {'>' if strict else '>='} 0, got {value}")
         if self.label_space_size not in (6, 7):
             raise ConfigError(f"label_space_size must be 6 or 7, got {self.label_space_size}")
         if self.sampling_strategy not in SAMPLING_STRATEGIES:
@@ -119,10 +128,6 @@ class TrainConfig:
             raise ConfigError(f"subnetwork must be one of {SUBNETWORKS}, got {self.subnetwork!r}")
         if self.distance not in DISTANCES:
             raise ConfigError(f"distance must be one of {DISTANCES}, got {self.distance!r}")
-        if self.margin <= 0:
-            raise ConfigError(f"margin must be > 0, got {self.margin}")
-        if self.encoder_layers < 1:
-            raise ConfigError(f"encoder_layers must be >= 1, got {self.encoder_layers}")
 
     def label_space(self) -> tuple[int, ...]:
         return ALL_LABEL_IDS if self.label_space_size == 7 else EMOTION_IDS
@@ -334,6 +339,8 @@ def train_contextual(
     Raises:
         MissingEmbedding: the store lacks a vector for some utterance of
             `corpus` (checked before any training).
+        DimMismatch, ConfigError: a passed-in classifier's width or label
+            space differs from the store's or the config's.
     """
     label_space = config.label_space()
     include_neutral = 0 in label_space
@@ -344,6 +351,8 @@ def train_contextual(
         classifier = pretrain_from_config(corpus, store, config)
     elif classifier.dim != store.dim:
         raise DimMismatch(f"classifier dim {classifier.dim} != store dim {store.dim}")
+    elif classifier.label_space != label_space:
+        raise ConfigError(f"classifier label space {classifier.label_space} != configured {label_space}")
 
     encoder = init_encoder_stack(
         store.dim, heads=config.heads, ffn_dim=config.ffn_dim,
@@ -470,24 +479,21 @@ def train_isolated(
     """Siamese baseline on isolated utterances, triplet loss only.
 
     The sub-network is an affine map over mean-pooled word vectors or an
-    LSTM over the word sequence, per `config.subnetwork`.
+    LSTM over the word sequence, per `config.subnetwork`. Each epoch draws
+    one weighted-random triplet per in-space utterance, consumed in
+    batches of `config.batch_size` triplets.
     """
     label_space = config.label_space()
     include_neutral = 0 in label_space
     rng = np.random.default_rng(config.seed)
-    pool = corpus_pool(corpus, include_neutral=include_neutral)
+    utts = [u for _, u in corpus.iter_utterances() if include_neutral or u.label != 0]
+    labels = [u.label for u in utts]
     if config.weighted_sampler:
         class_w = label_weights(corpus, include_neutral=include_neutral, smooth_counts=config.smooth_counts)
     else:
         class_w = {lab: 1.0 for lab in label_space}
-    utt_by_ref = {
-        UttRef(d.id, u.index): u
-        for d, u in corpus.iter_utterances()
-    }
-    if config.subnetwork == "linear":
-        params = init_linear_subnet(table.dim, config.rep_dim, seed=config.seed)
-    else:
-        params = init_lstm(table.dim, config.rep_dim, seed=config.seed)
+    init = init_linear_subnet if config.subnetwork == "linear" else init_lstm
+    params = init(table.dim, config.rep_dim, seed=config.seed)
     model = IsolatedModel(
         kind=config.subnetwork, params=params, rep_dim=config.rep_dim,
         config_echo=config.as_echo(),
@@ -500,12 +506,12 @@ def train_isolated(
     for epoch in range(config.epochs):
         if done:
             break
-        triplets = sample_triplets(pool, count=len(pool), weights=class_w, rng=rng)
-        for batch in _chunks(triplets, config.batch_size):
+        triplets = np.stack(sample_triplet_indices(labels, len(utts), class_w, rng), axis=1)
+        for chunk in _chunks(triplets, config.batch_size):
             if config.max_steps is not None and step >= config.max_steps:
                 done = True
                 break
-            loss, active = _isolated_batch_update(batch, model, table, utt_by_ref, opt, tri_cfg)
+            loss, active = _isolated_batch_update(chunk.T, model, table, utts, opt, tri_cfg)
             step += 1
             logger.info("step=%d epoch=%d triplet=%.6f active=%d", step, epoch, loss, active)
             if log_hook is not None:
@@ -513,35 +519,21 @@ def train_isolated(
     return model
 
 
-def _isolated_batch_update(
-    batch: list[Triplet], model, table, utt_by_ref, opt, tri_cfg
-) -> tuple[float, int]:
-    refs = sorted({r for t in batch for r in (t.anchor, t.positive, t.negative)})
-    reps: dict[UttRef, np.ndarray] = {}
-    caches: dict[UttRef, object] = {}
-    d_reps: dict[UttRef, np.ndarray] = {}
-    for ref in refs:
-        rep, cache = model.represent_with_cache(utt_by_ref[ref], table)
-        reps[ref] = rep
-        caches[ref] = cache
-        d_reps[ref] = np.zeros_like(rep)
-    total = 0.0
-    active = 0
-    scale = 1.0 / len(batch)
-    for t in batch:
-        loss, da, dp, dn = triplet_loss_grads(
-            reps[t.anchor], reps[t.positive], reps[t.negative], tri_cfg
-        )
-        total += loss
-        active += loss > 0.0
-        d_reps[t.anchor] += scale * da
-        d_reps[t.positive] += scale * dp
-        d_reps[t.negative] += scale * dn
+def _isolated_batch_update(block: np.ndarray, model, table, utts, opt, tri_cfg) -> tuple[float, int]:
+    """One triplet update over the (3, T) block of (a, p, n) positions in
+    `utts`: each distinct utterance is represented once, and the loss and
+    its gradient come from one distance matrix over those rows."""
+    rows, inverse = np.unique(block, return_inverse=True)
+    reps, caches = zip(*(model.represent_with_cache(utts[r], table) for r in rows))
+    x = np.stack(reps)
+    loss, active, dx = batch_triplet_loss_grads(
+        x, pairwise_distances(x, tri_cfg.distance), tuple(inverse.reshape(block.shape)), tri_cfg
+    )
     grads = model.params.zero_grads()
-    for ref in refs:
-        add_grads(grads, model.backward(d_reps[ref], caches[ref]))
+    for d_rep, cache in zip(dx, caches):
+        add_grads(grads, model.backward(d_rep, cache))
     opt.step(grads)
-    return total * scale, active
+    return loss, active
 
 
 def save_isolated(model: IsolatedModel, path: str | Path) -> Path:

@@ -17,6 +17,7 @@ from .errors import DimMismatch, InsufficientDiversity, ZeroVector
 
 DISTANCES = ("euclidean", "cosine")
 _EUCLID_TINY = 1e-12
+_ONE_TRIPLET = (np.array([0]), np.array([1]), np.array([2]))  # rows (a, p, n)
 
 
 @dataclass(frozen=True, order=True)
@@ -51,72 +52,44 @@ class TripletLossConfig:
 
 
 def distance(x: np.ndarray, y: np.ndarray, kind: str = "euclidean") -> float:
-    """Symmetric distance: L2 norm of x-y, or 1 - cosine similarity.
+    """Symmetric distance: L2 norm of x-y, or 1 - cosine similarity;
+    :func:`pairwise_distances` over the two rows.
 
     Raises:
         DimMismatch: unequal dimensions.
         ZeroVector: cosine distance on a zero-norm input.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimMismatch(f"distance on shapes {x.shape} vs {y.shape}")
-    if kind == "euclidean":
-        return float(np.linalg.norm(x - y))
-    if kind == "cosine":
-        nx = np.linalg.norm(x)
-        ny = np.linalg.norm(y)
-        if nx == 0.0 or ny == 0.0:
-            raise ZeroVector("cosine distance undefined for zero-norm vector")
-        return float(1.0 - (x @ y) / (nx * ny))
-    raise ValueError(f"unknown distance kind {kind!r}")
-
-
-def _distance_grads(x: np.ndarray, y: np.ndarray, kind: str):
-    """Gradients of distance(x, y) with respect to x and y."""
-    if kind == "euclidean":
-        diff = x - y
-        norm = np.linalg.norm(diff)
-        if norm < _EUCLID_TINY:  # subgradient at the coincident point
-            return np.zeros_like(x), np.zeros_like(y)
-        g = diff / norm
-        return g, -g
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        raise ZeroVector("cosine distance undefined for zero-norm vector")
-    dot = x @ y
-    dx = dot * x / (nx**3 * ny) - y / (nx * ny)
-    dy = dot * y / (ny**3 * nx) - x / (nx * ny)
-    return dx, dy
+    return float(pairwise_distances(_stacked(x, y), kind)[0, 1])
 
 
 def triplet_loss(
     ea: np.ndarray, ep: np.ndarray, en: np.ndarray, cfg: TripletLossConfig
 ) -> float:
     """max(d(a,p) - d(a,n) + margin, 0)."""
-    return max(
-        distance(ea, ep, cfg.distance) - distance(ea, en, cfg.distance) + cfg.margin,
-        0.0,
-    )
+    return triplet_loss_grads(ea, ep, en, cfg)[0]
 
 
 def triplet_loss_grads(
     ea: np.ndarray, ep: np.ndarray, en: np.ndarray, cfg: TripletLossConfig
 ):
-    """Loss and its gradients w.r.t. the three representations.
+    """Loss and its gradients w.r.t. the three representations:
+    :func:`batch_triplet_loss_grads` on the single triplet (0, 1, 2).
 
     Inactive triplets (loss 0) contribute zero gradient.
     """
-    ea = np.asarray(ea, dtype=float)
-    ep = np.asarray(ep, dtype=float)
-    en = np.asarray(en, dtype=float)
-    loss = triplet_loss(ea, ep, en, cfg)
-    if loss <= 0.0:
-        return 0.0, np.zeros_like(ea), np.zeros_like(ep), np.zeros_like(en)
-    dap_da, dap_dp = _distance_grads(ea, ep, cfg.distance)
-    dan_da, dan_dn = _distance_grads(ea, en, cfg.distance)
-    return loss, dap_da - dan_da, dap_dp, -dan_dn
+    x = _stacked(ea, ep, en)
+    loss, _, dx = batch_triplet_loss_grads(x, pairwise_distances(x, cfg.distance), _ONE_TRIPLET, cfg)
+    return loss, dx[0], dx[1], dx[2]
+
+
+def _stacked(*vectors) -> np.ndarray:
+    """The vectors as the rows of one matrix; raises DimMismatch on
+    unequal shapes."""
+    arrays = [np.asarray(v, dtype=float) for v in vectors]
+    shapes = {a.shape for a in arrays}
+    if len(shapes) > 1:
+        raise DimMismatch(f"distance over vectors of shapes {sorted(shapes)}")
+    return np.stack(arrays).reshape(len(arrays), -1)
 
 
 def corpus_pool(corpus: Corpus, include_neutral: bool = True) -> list[tuple[UttRef, int]]:
@@ -350,8 +323,5 @@ def batch_hard_triplets(
     labels = [lab for _, lab, _ in ordered]
     if len(set(labels)) < 2:
         raise InsufficientDiversity(f"batch has {len(set(labels))} distinct label(s); need >= 2")
-    vecs = [np.asarray(vec, dtype=float) for _, _, vec in ordered]
-    if len({v.shape for v in vecs}) > 1:
-        raise DimMismatch(f"batch-hard over vectors of shapes {sorted({v.shape for v in vecs})}")
-    dist = pairwise_distances(np.stack(vecs), cfg.distance)
+    dist = pairwise_distances(_stacked(*(vec for _, _, vec in ordered)), cfg.distance)
     return _as_triplets([ref for ref, _, _ in ordered], batch_hard_indices(dist, labels))

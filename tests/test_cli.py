@@ -221,6 +221,21 @@ class TestPretrain:
         assert rc == 0
 
 
+    def test_classifier_of_another_label_space_exits_one(self, store_file, tmp_path, capsys):
+        pre = tmp_path / "pre"
+        main(["pretrain", "--data", DATA, "--store", store_file,
+              "--out", str(pre), "--pretrain-steps", "4"])
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = main([
+            "train", "--data", DATA, "--store", store_file, "--out", str(out),
+            "--classifier", str(pre / "classifier.npz"), "--label-space", "6", *FAST_TRAIN,
+        ])
+        assert rc == 1
+        assert "ConfigError" in capsys.readouterr().err
+        assert not (out / "model.npz").exists()
+
+
 class TestPredict:
     def test_jsonl_output(self, store_file, tmp_path):
         out = tmp_path / "run"
@@ -311,6 +326,19 @@ class TestConfigFile:
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out), *FAST_TRAIN]) == 1
         assert "ConfigError" in capsys.readouterr().err
+        assert not (out / "model.npz").exists()
+
+    def test_zero_batch_size_exits_one_without_traceback(self, store_file, tmp_path):
+        out = tmp_path / "run"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ercml.cli", "train", "--data", DATA, "--store", store_file,
+             "--out", str(out), *FAST_TRAIN, "--batch-size", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "ConfigError: batch_size must be > 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not (out / "model.npz").exists()
 
     def test_parse_types(self, tmp_path):

@@ -20,6 +20,7 @@ from ercml.training import (
     train_contextual,
     train_isolated,
 )
+from reference_triplets import reference_train_isolated
 
 
 def params_equal(a, b) -> bool:
@@ -64,6 +65,30 @@ class TestTrainConfig:
             TrainConfig(sampling_strategy="hardest")
         with pytest.raises(ConfigError, match="distance"):
             TrainConfig(distance="manhattan")
+
+    @pytest.mark.parametrize("name, bad, ok", [
+        ("epochs", 0, 1),
+        ("batch_size", 0, 1),
+        ("learning_rate", -1.0, 1e-6),
+        ("learning_rate", float("nan"), 1e-6),
+        ("margin", 0.0, 0.1),
+        ("pretrain_epochs", 0, 1),
+        ("pretrain_batch_size", 0, 1),
+        ("heads", 0, 1),
+        ("ffn_dim", 0, 1),
+        ("encoder_layers", 0, 1),
+        ("rep_dim", 0, 1),
+        ("triplets_per_batch", 0, 1),
+        ("grad_clip", 0.0, 0.5),
+        ("seed", -1, 0),
+        ("pretrain_steps", -3, 0),
+        ("smooth_counts", -1, 0),
+        ("max_steps", -1, 0),
+    ])
+    def test_numeric_lower_bounds(self, name, bad, ok):
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            TrainConfig(**{name: bad})
+        assert getattr(TrainConfig(**{name: ok}), name) == ok
 
 
 class TestContextualTraining:
@@ -350,6 +375,33 @@ class TestIsolatedTraining:
                 load_isolated(path)
 
 
+class TestIsolatedOracle:
+    """`train_isolated` against the per-triplet trainer it replaced
+    (`reference_triplets.reference_train_isolated`): same mined triplets,
+    one loss and gradient per triplet, one backward per ref."""
+
+    @pytest.mark.parametrize("label_space_size", [7, 6])
+    @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("subnetwork", ["linear", "lstm"])
+    def test_matches_per_triplet_trainer(self, train_corpus, subnetwork, kind, label_space_size):
+        table = WordEmbeddingTable(vocabulary={}, dim=6, oov_policy="hashed")
+        cfg = TrainConfig(epochs=10, max_steps=60, seed=3, rep_dim=5, subnetwork=subnetwork,
+                          distance=kind, margin=0.5, label_space_size=label_space_size)
+        runs = []
+        for trainer in (train_isolated, reference_train_isolated):
+            logs = []
+            model = trainer(train_corpus, table, cfg, log_hook=logs.append)
+            runs.append((logs, model.params.tensors()))
+        (logs, tensors), (ref_logs, ref_tensors) = runs
+        assert len(logs) == len(ref_logs) == 60
+        assert [r["active"] for r in logs] == [r["active"] for r in ref_logs]
+        assert 0 < sum(r["active"] for r in logs) < 60 * cfg.batch_size
+        for rec, ref in zip(logs, ref_logs, strict=True):
+            assert rec["triplet"] == pytest.approx(ref["triplet"], rel=1e-10, abs=1e-300)
+        for name, arr in tensors.items():
+            np.testing.assert_allclose(arr, ref_tensors[name], rtol=0, atol=1e-9)
+
+
 class TestContextualCheckpoint:
     def test_save_load_identical_predictions(self, train_corpus, store16, tmp_path):
         cfg = TrainConfig(epochs=1, max_steps=3, pretrain_steps=5, seed=0)
@@ -426,6 +478,17 @@ class TestStoreCoverage:
                 train_corpus, store, TrainConfig(epochs=1, seed=0),
                 classifier=classifier, log_hook=records.append,
             )
+        assert records == []
+
+
+class TestPassedClassifier:
+    @pytest.mark.parametrize("clf_space, config_size", [(tuple(range(7)), 6), (EMOTION_IDS, 7)])
+    def test_other_label_space_fails_before_any_step(self, train_corpus, store16, clf_space, config_size):
+        classifier = pretrain_classifier(train_corpus, store16, label_space=clf_space, steps=2, seed=0)
+        records = []
+        with pytest.raises(ConfigError, match="label space"):
+            train_contextual(train_corpus, store16, TrainConfig(epochs=1, seed=0, label_space_size=config_size),
+                             classifier=classifier, log_hook=records.append)
         assert records == []
 
 

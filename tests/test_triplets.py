@@ -20,6 +20,7 @@ from ercml.triplets import (
     triplet_loss,
     triplet_loss_grads,
 )
+import reference_triplets as ref_loss
 
 
 def refs(labels: list[int]) -> list[tuple[UttRef, int]]:
@@ -131,6 +132,24 @@ class TestTripletLossGradients:
             assert group_relative_error(dp, numeric["p"]) < 1e-4
             assert group_relative_error(dn, numeric["n"]) < 1e-4
             checked += 1
+
+    @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
+    def test_matches_per_triplet_reference(self, kind):
+        # the batched routine on one triplet against the per-triplet formulas
+        rng = np.random.default_rng(19)
+        cfg = TripletLossConfig(margin=1.0, distance=kind)
+        active = 0
+        for _ in range(200):
+            a, p, n = rng.standard_normal((3, 5))
+            if rng.random() < 0.2:
+                p = a.copy()  # the coincident-point subgradient
+            loss, *grads = triplet_loss_grads(a, p, n, cfg)
+            ref, *ref_grads = ref_loss.triplet_loss_grads(a, p, n, cfg)
+            assert loss == pytest.approx(ref, rel=1e-12, abs=1e-15)
+            for g, r in zip(grads, ref_grads):
+                np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
+            active += ref > 0.0
+        assert 0 < active < 200
 
     def test_inactive_triplet_zero_gradient(self):
         cfg = TripletLossConfig(margin=0.5)
@@ -251,7 +270,7 @@ def brute_force_hard(points, kind="euclidean"):
         for o_ref, o_lab, o_vec in sorted(points, key=lambda x: x[0]):
             if o_ref == a_ref:
                 continue
-            d = distance(a_vec, o_vec, kind)
+            d = ref_loss.distance(a_vec, o_vec, kind)
             if o_lab == a_lab and d > best_pd:
                 best_p, best_pd = o_ref, d
             if o_lab != a_lab and d < best_nd:
@@ -359,7 +378,7 @@ class TestPairwiseDistances:
         dist = pairwise_distances(x, kind)
         for i in range(9):
             for j in range(9):
-                assert dist[i, j] == pytest.approx(distance(x[i], x[j], kind), rel=1e-12, abs=1e-15)
+                assert dist[i, j] == pytest.approx(ref_loss.distance(x[i], x[j], kind), rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
     def test_duplicate_rows_tie_exactly(self, kind):
@@ -428,7 +447,7 @@ def reference_triplet_pass(dialogs, contextual, config, class_w, rng):
     active = 0
     scale = 1.0 / len(triplets)
     for t in triplets:
-        loss, da, dp, dn = triplet_loss_grads(vec(t.anchor), vec(t.positive), vec(t.negative), tri_cfg)
+        loss, da, dp, dn = ref_loss.triplet_loss_grads(vec(t.anchor), vec(t.positive), vec(t.negative), tri_cfg)
         total += loss
         active += loss > 0.0
         for ref, grad in ((t.anchor, da), (t.positive, dp), (t.negative, dn)):
@@ -615,12 +634,13 @@ class TestTripletPassOracle:
             sorted(brute_force_all([(r, lab) for r, lab, _ in pool])))
         kind = cfg.distance
         for a, p, n in triplets:
-            slack = distance(by_ref[a], by_ref[p], kind) - distance(by_ref[a], by_ref[n], kind) + cfg.margin
+            slack = (ref_loss.distance(by_ref[a], by_ref[p], kind)
+                     - ref_loss.distance(by_ref[a], by_ref[n], kind) + cfg.margin)
             if abs(slack) < 1e-3:
                 return False
         if cfg.sampling_strategy == "batch-hard":
             for r, lab, v in pool:
-                ds = sorted(distance(v, o, kind) for o_r, _, o in pool if o_r != r)
+                ds = sorted(ref_loss.distance(v, o, kind) for o_r, _, o in pool if o_r != r)
                 if any(b - a < 1e-3 for a, b in zip(ds, ds[1:])):
                     return False
         return ref is not None
