@@ -5,7 +5,7 @@ STORE ?= data/minilm_store.jsonl
 RUNS ?= runs/paper
 SEEDS ?= 0 1 2 3 4 5 6 7 8 9
 
-.PHONY: test tier1 acceptance demos bench-smoke paper-run
+.PHONY: test tier1 acceptance demos bench-smoke bench-pairs paper-run
 
 # The package is imported from src/, so no `pip install -e .` is needed.
 SRC_PATH = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
@@ -22,6 +22,16 @@ demos:
 # Benchmark smoke test: both workloads, traced and untraced, at a tiny size.
 bench-smoke:
 	$(PY) -m pytest -q perfbench/test_smoke.py
+
+# Paired parent/change runs of the benchmark, alternating which side goes
+# first; writes BENCH_$(BENCH_NAME).json. The change side is the working
+# tree. About 2 x 65 s per seed and workload.
+PARENT ?= HEAD
+BENCH_NAME ?= local
+BENCH_SEEDS ?= 201-210
+BENCH_WORKLOADS ?= train-wr train-ba
+bench-pairs:
+	$(PY) scripts/bench_pairs.py --parent $(PARENT) --name $(BENCH_NAME) --seeds $(BENCH_SEEDS) --workloads $(BENCH_WORKLOADS)
 
 # Full-scale experiment, NOT a CI gate: needs the real DailyDialog
 # download under $(DATA) and a 384-dim sentence-embedding export at

@@ -29,10 +29,12 @@ from .metrics import format_report
 from .training import (
     DISTANCES,
     LOSS_MODES,
+    LOWER_BOUNDS,
     SAMPLING_STRATEGIES,
     SUBNETWORKS,
     ContextualModel,
     TrainConfig,
+    check_lower_bound,
     evaluate_model,
     predict,
     pretrain_from_config,
@@ -303,6 +305,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sample_triplets(args) -> int:
+    for name in ("seed", "smooth_counts"):
+        check_lower_bound(name, getattr(args, name), LOWER_BOUNDS[name])
+    check_lower_bound("count", args.count, strict=True)
     corpus = load_split(args.data, args.split)
     include_neutral = args.include_neutral
     pool = corpus_pool(corpus, include_neutral=include_neutral)

@@ -132,3 +132,8 @@ class ConfigError(ErcmlError):
 
 class NonFinite(ErcmlError):
     """A gradient holds a NaN or an infinity."""
+
+
+class NonContiguous(ErcmlError):
+    """An optimizer parameter is not one C-contiguous block, so a flat view
+    of it would be a copy and updates to it would be lost."""

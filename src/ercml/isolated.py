@@ -25,9 +25,6 @@ class LinearSubnetParams:
     def tensors(self) -> dict[str, np.ndarray]:
         return {"w": self.w, "b": self.b}
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {"w": np.zeros_like(self.w), "b": np.zeros_like(self.b)}
-
 
 def init_linear_subnet(d_in: int, d_rep: int, seed: int = 0) -> LinearSubnetParams:
     rng = np.random.default_rng(seed)

@@ -6,7 +6,13 @@ import math
 
 import numpy as np
 
-from .errors import NonFinite
+from .errors import NonContiguous, NonFinite
+
+# Elements per pass of the Adam update. A chunk's gradient, moments,
+# parameter and two scratch rows (6 x 128 KiB) stay in cache across the
+# chunk's dozen ufunc calls, so each byte of a tensor leaves memory about
+# once per step, and no temporary the size of a tensor is allocated.
+CHUNK = 16384
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float | None) -> float:
@@ -15,7 +21,7 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float | None) -> fl
 
     Returns the pre-clip global norm.
     """
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    total = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))  # one BLAS dot per tensor
     if max_norm is not None and max_norm < total < math.inf:
         scale = max_norm / total
         for g in grads.values():
@@ -24,7 +30,16 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float | None) -> fl
 
 
 class Adam:
-    """Adam over a live dict of named parameter arrays (updated in place)."""
+    """Adam over a live dict of named parameter arrays (updated in place).
+
+    Each tensor is streamed in chunks of `CHUNK` elements through two
+    scratch rows allocated once, with every element getting the textbook
+    update in the textbook order, so the result is bit-identical to the
+    whole-array expressions.
+
+    Raises:
+        NonContiguous: a parameter is not C-contiguous.
+    """
 
     def __init__(
         self,
@@ -35,6 +50,9 @@ class Adam:
         eps: float = 1e-8,
         clip_norm: float | None = 1.0,
     ):
+        for name, arr in tensors.items():
+            if not arr.flags.c_contiguous:
+                raise NonContiguous(f"parameter {name!r} is not C-contiguous; its updates would be lost")
         self.tensors = tensors
         self.lr = lr
         self.beta1 = beta1
@@ -42,8 +60,10 @@ class Adam:
         self.eps = eps
         self.clip_norm = clip_norm
         self.t = 0
-        self._m = {name: np.zeros_like(arr) for name, arr in tensors.items()}
-        self._v = {name: np.zeros_like(arr) for name, arr in tensors.items()}
+        self._flat = {name: arr.reshape(-1) for name, arr in tensors.items()}
+        self._m = {name: np.zeros_like(flat) for name, flat in self._flat.items()}
+        self._v = {name: np.zeros_like(flat) for name, flat in self._flat.items()}
+        self._scratch = np.empty((2, CHUNK))
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         """One update from a grads dict keyed like the tensors dict.
@@ -57,20 +77,30 @@ class Adam:
             what = f"gradient {bad[0]!r} is not finite" if bad else "the gradient norm overflows"
             raise NonFinite(f"optimizer step {self.t + 1}: {what}")
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
         for name, grad in grads.items():
-            param = self.tensors[name]
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            param -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            g_all = grad.reshape(-1)
+            p_all, m_all, v_all = self._flat[name], self._m[name], self._v[name]
+            for lo in range(0, g_all.size, CHUNK):
+                hi = lo + CHUNK
+                g, m, v = g_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
+                a, b = self._scratch[:, : g.size]
+                # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+                m *= b1
+                m += np.multiply(g, 1.0 - b1, out=a)
+                v *= b2
+                v += np.multiply(np.multiply(g, 1.0 - b2, out=a), g, out=a)
+                # p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+                np.multiply(np.divide(m, bc1, out=a), lr, out=a)
+                np.sqrt(np.divide(v, bc2, out=b), out=b)
+                b += eps
+                a /= b
+                p_all[lo:hi] -= a
 
 
 def add_grads(into: dict[str, np.ndarray], grads: dict[str, np.ndarray], scale: float = 1.0) -> None:
-    """Accumulate `grads` into `into`, scaled."""
-    for name, g in grads.items():
-        into[name] += scale * g
+    """Accumulate `grads` into `into`, scaled; names `into` lacks are skipped."""
+    for name, acc in into.items():
+        acc += scale * grads[name]

@@ -71,7 +71,7 @@ SUBNETWORKS = ("linear", "lstm")
 
 # Numeric TrainConfig fields -> whether the bound is strict (> 0) or not
 # (>= 0); an optional field left at None is not checked.
-_LOWER_BOUNDS = {
+LOWER_BOUNDS = {
     **dict.fromkeys(
         ("epochs", "batch_size", "learning_rate", "margin", "pretrain_epochs", "pretrain_batch_size",
          "heads", "ffn_dim", "encoder_layers", "rep_dim", "triplets_per_batch", "grad_clip"),
@@ -79,6 +79,12 @@ _LOWER_BOUNDS = {
     ),
     **dict.fromkeys(("seed", "pretrain_steps", "smooth_counts", "max_steps"), False),
 }
+
+
+def check_lower_bound(name: str, value, strict: bool) -> None:
+    """Raises ConfigError unless `value` is None, or > 0 (strict) or >= 0."""
+    if value is not None and not (value > 0 if strict else value >= 0):
+        raise ConfigError(f"{name} must be {'>' if strict else '>='} 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -112,10 +118,8 @@ class TrainConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
-        for name, strict in _LOWER_BOUNDS.items():
-            value = getattr(self, name)
-            if value is not None and not (value > 0 if strict else value >= 0):
-                raise ConfigError(f"{name} must be {'>' if strict else '>='} 0, got {value}")
+        for name, strict in LOWER_BOUNDS.items():
+            check_lower_bound(name, getattr(self, name), strict)
         if self.label_space_size not in (6, 7):
             raise ConfigError(f"label_space_size must be 6 or 7, got {self.label_space_size}")
         if self.sampling_strategy not in SAMPLING_STRATEGIES:
@@ -498,7 +502,13 @@ def train_isolated(
         kind=config.subnetwork, params=params, rep_dim=config.rep_dim,
         config_echo=config.as_echo(),
     )
-    opt = Adam(params.tensors(), lr=config.learning_rate, clip_norm=config.grad_clip)
+    tensors = params.tensors()
+    if config.subnetwork == "linear" and config.distance == "euclidean":
+        # A euclidean triplet loss is blind to a shared shift of all reps, so
+        # b's gradient is rounding noise that Adam would turn into real steps;
+        # b stays at its zero init.
+        del tensors["b"]
+    opt = Adam(tensors, lr=config.learning_rate, clip_norm=config.grad_clip)
     tri_cfg = config.triplet_cfg()
 
     step = 0
@@ -529,7 +539,7 @@ def _isolated_batch_update(block: np.ndarray, model, table, utts, opt, tri_cfg) 
     loss, active, dx = batch_triplet_loss_grads(
         x, pairwise_distances(x, tri_cfg.distance), tuple(inverse.reshape(block.shape)), tri_cfg
     )
-    grads = model.params.zero_grads()
+    grads = {name: np.zeros_like(arr) for name, arr in opt.tensors.items()}
     for d_rep, cache in zip(dx, caches):
         add_grads(grads, model.backward(d_rep, cache))
     opt.step(grads)

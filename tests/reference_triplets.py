@@ -103,7 +103,7 @@ def reference_train_isolated(corpus, table, config, log_hook=None) -> IsolatedMo
                 d_reps[t.anchor] += scale * da
                 d_reps[t.positive] += scale * dp
                 d_reps[t.negative] += scale * dn
-            grads = model.params.zero_grads()
+            grads = {name: np.zeros_like(arr) for name, arr in model.params.tensors().items()}
             for ref in refs:
                 add_grads(grads, model.backward(d_reps[ref], caches[ref]))
             opt.step(grads)

@@ -266,6 +266,18 @@ class TestSampleTriplets:
         assert len(lines) == 25
         assert set(json.loads(lines[0])) == {"a", "p", "n"}
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--seed", "seed must be >= 0"),
+        ("--count", "count must be > 0"),
+        ("--smooth-counts", "smooth_counts must be >= 0"),
+    ])
+    def test_negative_option_exits_one_with_config_error(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "triplets.jsonl"
+        rc = main(["sample-triplets", "--data", DATA, "--out", str(out), flag, "-1"])
+        assert rc == 1
+        assert f"ConfigError: {message}, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLlmEval:
     def test_replay_run(self, tmp_path, capsys):

@@ -20,6 +20,7 @@ from ercml.training import (
     train_contextual,
     train_isolated,
 )
+from ercml.triplets import pairwise_distances
 from reference_triplets import reference_train_isolated
 
 
@@ -400,6 +401,23 @@ class TestIsolatedOracle:
             assert rec["triplet"] == pytest.approx(ref["triplet"], rel=1e-10, abs=1e-300)
         for name, arr in tensors.items():
             np.testing.assert_allclose(arr, ref_tensors[name], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
+    def test_linear_bias_trained_only_where_the_loss_sees_it(self, train_corpus, kind):
+        table = WordEmbeddingTable(vocabulary={}, dim=6, oov_policy="hashed")
+        cfg = TrainConfig(epochs=10, max_steps=60, seed=3, rep_dim=5, distance=kind, margin=0.5)
+        model = train_isolated(train_corpus, table, cfg)
+        ref = reference_train_isolated(train_corpus, table, cfg)
+        b = model.params.b
+        if kind == "euclidean":
+            np.testing.assert_array_equal(b, np.zeros_like(b))
+            assert np.any(ref.params.b != 0)  # the reference moves it with rounding noise
+        else:
+            assert np.any(b != 0)
+        np.testing.assert_allclose(model.params.w, ref.params.w, rtol=0, atol=1e-9)
+        utts = [u for _, u in train_corpus.iter_utterances()][:12]
+        dists = [pairwise_distances(np.stack([m.represent(u, table) for u in utts]), kind) for m in (model, ref)]
+        np.testing.assert_allclose(dists[0], dists[1], rtol=1e-10, atol=1e-9)
 
 
 class TestContextualCheckpoint:
