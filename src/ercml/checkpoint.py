@@ -5,7 +5,8 @@ JSON metadata entry carrying the format version, the checkpoint kind,
 the seed, and a verbatim config echo. Tensors are namespaced with dots
 ("encoder.0.w_q", "classifier.head.w") so composite models flatten
 cleanly. Version 2 dropped the emotion head's query/key/separator
-tensors; files of any other version are rejected, not converted.
+tensors, and version 3 the encoder's key bias, which softmax attention
+cannot see; files of any other version are rejected, not converted.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import CheckpointError
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _META_KEY = "__meta__"
 
 
@@ -69,6 +70,20 @@ def load_checkpoint(path: str | Path, expect_kind: str | None = None):
     if expect_kind is not None and kind != expect_kind:
         raise CheckpointError(f"{path}: checkpoint kind {kind!r}, expected {expect_kind!r}")
     return kind, tensors, meta
+
+
+def meta_entry(meta: dict, key: str, kind=int):
+    """`kind(meta[key])`: a size, the label space, a nested section.
+
+    Raises:
+        CheckpointError: the entry is absent or not convertible by `kind`.
+    """
+    if key not in meta:
+        raise CheckpointError(f"checkpoint metadata lacks {key!r}")
+    try:
+        return kind(meta[key])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint metadata {key!r} is malformed: {exc}") from None
 
 
 def checked_tensor(tensors: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import checked_tensor, reject_unknown_tensors
+from .checkpoint import checked_tensor, meta_entry, reject_unknown_tensors
 from .corpus import ALL_LABEL_IDS, Corpus, label_weights
 from .embeddings import SentenceEmbeddingStore
 from .encoder import (
@@ -255,14 +255,15 @@ def classifier_from_tensors(tensors: dict[str, np.ndarray], meta: dict) -> Class
     """Rebuild from a checkpoint's (tensors, meta).
 
     Raises:
-        CheckpointError: a tensor is missing, unexpected, or shaped
-            unlike `meta` says.
+        CheckpointError: `meta` is missing an entry or malformed, or a
+            tensor is missing, unexpected, or shaped unlike `meta` says.
     """
-    label_space = tuple(int(x) for x in meta["label_space"])
+    label_space = meta_entry(meta, "label_space", lambda ids: tuple(int(x) for x in ids))
     k = len(label_space)
+    encoder = layer_from_tensors(SingletonLayerParams, tensors, meta, prefix="encoder.")
     params = ClassifierParams(
-        encoder=layer_from_tensors(SingletonLayerParams, tensors, meta, prefix="encoder."),
-        w_out=checked_tensor(tensors, "head.w", (int(meta["dim"]), k)),
+        encoder=encoder,
+        w_out=checked_tensor(tensors, "head.w", (encoder.dim, k)),
         b_out=checked_tensor(tensors, "head.b", (k,)),
         label_space=label_space,
     )

@@ -22,7 +22,7 @@ from . import __version__
 from .classifier import classifier_from_tensors, classifier_to_tensors
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import LABEL_NAMES, corpus_stats, format_stats, label_weights, load_split, utt_key
-from .embeddings import load_sentence_embeddings, load_word_table
+from .embeddings import load_sentence_embeddings
 from .errors import ConfigError, ErcmlError
 from .llm import HttpGenerationClient, ReplayClient, evaluate_llm, resolve_template, write_generation_log
 from .metrics import format_report
@@ -31,16 +31,13 @@ from .training import (
     LOSS_MODES,
     LOWER_BOUNDS,
     SAMPLING_STRATEGIES,
-    SUBNETWORKS,
     ContextualModel,
     TrainConfig,
     check_lower_bound,
     evaluate_model,
     predict,
     pretrain_from_config,
-    save_isolated,
     train_contextual,
-    train_isolated,
 )
 from .triplets import corpus_pool, sample_triplets
 
@@ -56,7 +53,6 @@ _CHOICES = {
     "distance": DISTANCES,
     "sampling_strategy": SAMPLING_STRATEGIES,
     "loss_mode": LOSS_MODES,
-    "subnetwork": SUBNETWORKS,
 }
 
 
@@ -193,10 +189,7 @@ def cmd_train(args) -> int:
     file_options = read_config_file(args.config) if args.config else {}
     config = build_train_config(args, file_options)
     _resolve_path_option(args, file_options, "data", required=True)
-    if args.model_kind == "isolated":
-        _resolve_path_option(args, file_options, "word_table", required=True)
-    else:
-        _resolve_path_option(args, file_options, "store", required=True)
+    _resolve_path_option(args, file_options, "store", required=True)
     echo = _config_echo(args, config)
     out = _out_dir(args)
     train_corpus = load_split(args.data, "train")
@@ -215,19 +208,6 @@ def cmd_train(args) -> int:
     # step lines go to train.log only, not also to the root handler's stderr
     training_logger.propagate = False
     try:
-        if args.model_kind == "isolated":
-            table = load_word_table(args.word_table)
-            model = train_isolated(train_corpus, table, config)
-            save_isolated(model, out / "model.npz")
-            _write_json(out / "summary.json", {
-                "model_kind": "isolated",
-                "subnetwork": model.kind,
-                "config_echo": echo,
-                "seed": config.seed,
-            })
-            print(f"isolated model written to {out / 'model.npz'}")
-            return 0
-
         store = load_sentence_embeddings(args.store)
         eval_corpus = load_split(args.data, args.eval_split)
         store.check_covers(eval_corpus)
@@ -383,11 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_options(p)
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("train", help="train the contextual model (or the isolated baseline)")
+    p = sub.add_parser("train", help="train the contextual model")
     p.add_argument("--data", default=None)
-    p.add_argument("--store", default=None, help="sentence-embedding JSONL export (contextual)")
-    p.add_argument("--word-table", default=None, dest="word_table", help="word-vector table (isolated)")
-    p.add_argument("--model-kind", default="contextual", choices=("contextual", "isolated"), dest="model_kind")
+    p.add_argument("--store", default=None, help="sentence-embedding JSONL export")
     p.add_argument("--classifier", default=None, help="pretrained classifier checkpoint")
     p.add_argument("--eval-split", default="test", choices=("train", "validation", "test"), dest="eval_split")
     p.add_argument("--neutral-policy", default="attribute", choices=("attribute", "drop"), dest="neutral_policy")

@@ -21,8 +21,8 @@ from scipy.special import erf
 
 from .corpus import Dialog
 from .embeddings import SentenceEmbeddingStore
-from .checkpoint import checked_tensor
-from .errors import BadHeadCount, ShapeMismatch
+from .checkpoint import checked_tensor, meta_entry
+from .errors import BadHeadCount, CheckpointError, ShapeMismatch
 
 LN_EPS = 1e-5
 
@@ -70,17 +70,18 @@ class EncoderLayerParams(SingletonLayerParams):
     """One encoder layer: multi-head self-attention + feed-forward block.
 
     `sep` is the learned separator vector interleaved between utterance
-    embeddings when a dialog sequence is built.
+    embeddings when a dialog sequence is built. The key projection has
+    no bias: a key bias `c` would add the same `q_i . c` to every score
+    of query row `i`, a per-row constant that softmax cannot see.
     """
 
     w_q: np.ndarray
     b_q: np.ndarray
     w_k: np.ndarray
-    b_k: np.ndarray
     sep: np.ndarray
 
     TENSOR_NAMES = (
-        "w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o",
+        "w_q", "b_q", "w_k", "w_v", "b_v", "w_o", "b_o",
         "w_ff1", "b_ff1", "w_ff2", "b_ff2",
         "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias", "sep",
     )
@@ -110,7 +111,7 @@ def init_encoder(dim: int, heads: int = 4, ffn_dim: int | None = None, seed: int
         heads=heads,
         ffn_dim=ffn_dim,
         w_q=proj(dim, dim), b_q=np.zeros(dim),
-        w_k=proj(dim, dim), b_k=np.zeros(dim),
+        w_k=proj(dim, dim),
         w_v=proj(dim, dim), b_v=np.zeros(dim),
         w_o=proj(dim, dim), b_o=np.zeros(dim),
         w_ff1=proj(dim, ffn_dim), b_ff1=np.zeros(ffn_dim),
@@ -135,9 +136,13 @@ def layer_from_tensors(
     to reject.
 
     Raises:
-        CheckpointError: a tensor is missing or shaped unlike `meta` says.
+        CheckpointError: a size is missing from `meta` or not an integer,
+            `dim` is not divisible by `heads`, or a tensor is missing or
+            shaped unlike `meta` says.
     """
-    dim, ffn_dim = int(meta["dim"]), int(meta["ffn_dim"])
+    dim, heads, ffn_dim = (meta_entry(meta, key) for key in ("dim", "heads", "ffn_dim"))
+    if heads < 1 or dim % heads != 0:
+        raise CheckpointError(f"checkpoint metadata: dim {dim} not divisible by heads {heads}")
     wide = {"w_ff1": (dim, ffn_dim), "b_ff1": (ffn_dim,), "w_ff2": (ffn_dim, dim)}
     arrays = {
         name: checked_tensor(
@@ -146,7 +151,7 @@ def layer_from_tensors(
         )
         for name in layer_type.TENSOR_NAMES
     }
-    return layer_type(dim=dim, heads=int(meta["heads"]), ffn_dim=ffn_dim, **arrays)
+    return layer_type(dim=dim, heads=heads, ffn_dim=ffn_dim, **arrays)
 
 
 # --- positional encodings ---------------------------------------------------
@@ -350,7 +355,7 @@ def encoder_forward(x: np.ndarray, params: EncoderLayerParams, mask: np.ndarray 
     x = _checked_input(x, params)
     p = params
     q = x @ p.w_q + p.b_q
-    k = x @ p.w_k + p.b_k
+    k = x @ p.w_k
     v = x @ p.w_v + p.b_v
     qh, kh, vh = (_split_heads(m, p.heads) for m in (q, k, v))
     scale = 1.0 / np.sqrt(p.head_dim())
@@ -384,14 +389,12 @@ def encoder_backward(d_out: np.ndarray, cache: EncoderCache, params: EncoderLaye
     dkh = (dscores.transpose(0, 2, 1) @ cache.qh) * scale
 
     x = cache.rowwise.x
-    for name_w, name_b, dm, w in (
-        ("w_q", "b_q", _merge_heads(dqh), p.w_q),
-        ("w_k", "b_k", _merge_heads(dkh), p.w_k),
-        ("w_v", "b_v", _merge_heads(dvh), p.w_v),
-    ):
-        grads[name_w] = x.T @ dm
-        grads[name_b] = dm.sum(axis=0)
-        dx += dm @ w.T
+    dq, dk, dv = (_merge_heads(m) for m in (dqh, dkh, dvh))
+    grads["b_q"] = dq.sum(axis=0)
+    grads["b_v"] = dv.sum(axis=0)
+    for name, dm in (("w_q", dq), ("w_k", dk), ("w_v", dv)):
+        grads[name] = x.T @ dm
+        dx += dm @ getattr(p, name).T
 
     grads["sep"] = np.zeros_like(p.sep)
     return dx, grads

@@ -153,12 +153,10 @@ def lstm_backward(d_rep: np.ndarray, cache: LstmCache, params: LstmParams):
 
 @dataclass
 class IsolatedModel:
-    """Trained context-free Siamese sub-network plus its config echo."""
+    """Trained context-free Siamese sub-network."""
 
     kind: str  # "linear" or "lstm"
     params: LinearSubnetParams | LstmParams
-    rep_dim: int
-    config_echo: dict
 
     def represent_with_cache(self, utterance: Utterance, table: WordEmbeddingTable):
         vectors = embed_words(utterance, table)

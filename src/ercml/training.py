@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import checked_tensor, load_checkpoint, reject_unknown_tensors, save_checkpoint
+from .checkpoint import load_checkpoint, meta_entry, reject_unknown_tensors, save_checkpoint
 from .classifier import (
     ClassifierParams,
     batch_class_weights,
@@ -74,7 +74,7 @@ SUBNETWORKS = ("linear", "lstm")
 LOWER_BOUNDS = {
     **dict.fromkeys(
         ("epochs", "batch_size", "learning_rate", "margin", "pretrain_epochs", "pretrain_batch_size",
-         "heads", "ffn_dim", "encoder_layers", "rep_dim", "triplets_per_batch", "grad_clip"),
+         "heads", "ffn_dim", "encoder_layers", "triplets_per_batch", "grad_clip"),
         True,
     ),
     **dict.fromkeys(("seed", "pretrain_steps", "smooth_counts", "max_steps"), False),
@@ -101,14 +101,12 @@ class TrainConfig:
     loss_mode: str = "alternating"
     summed_lambda: float = 1.0
     label_space_size: int = 7        # 7, or 6 for the neutral-free ablation
-    subnetwork: str = "linear"       # isolated baseline: "linear" or "lstm"
     pretrain_epochs: int = 3
     pretrain_steps: int | None = None
     pretrain_batch_size: int = 32
     heads: int = 4
     ffn_dim: int | None = None
     encoder_layers: int = 1
-    rep_dim: int = 16                # isolated-baseline representation width
     triplets_per_batch: int | None = None
     weighted_sampler: bool = True
     weighted_ce: bool = True
@@ -128,8 +126,6 @@ class TrainConfig:
             raise ConfigError(f"loss_mode must be one of {LOSS_MODES}")
         if self.loss_mode == "summed" and self.summed_lambda <= 0:
             raise ConfigError(f"summed_lambda must be > 0, got {self.summed_lambda}")
-        if self.subnetwork not in SUBNETWORKS:
-            raise ConfigError(f"subnetwork must be one of {SUBNETWORKS}, got {self.subnetwork!r}")
         if self.distance not in DISTANCES:
             raise ConfigError(f"distance must be one of {DISTANCES}, got {self.distance!r}")
 
@@ -182,12 +178,13 @@ class ContextualModel:
     @classmethod
     def load(cls, path: str | Path) -> "ContextualModel":
         """Raises CheckpointError on a file of another kind or format
-        version, or whose tensors do not match its metadata."""
+        version, with missing or malformed metadata, or whose tensors do
+        not match its metadata."""
         _, tensors, meta = load_checkpoint(path, expect_kind="contextual")
-        enc_meta = meta["encoder"]
+        enc_meta = meta_entry(meta, "encoder", dict)
         encoder = [
             layer_from_tensors(EncoderLayerParams, tensors, enc_meta, prefix=f"encoder.{i}.")
-            for i in range(int(enc_meta["layers"]))
+            for i in range(meta_entry(enc_meta, "layers"))
         ]
         clf_tensors = {
             name[len("classifier."):]: arr
@@ -195,7 +192,7 @@ class ContextualModel:
             if name.startswith("classifier.")
         }
         try:
-            classifier = classifier_from_tensors(clf_tensors, meta["classifier"])
+            classifier = classifier_from_tensors(clf_tensors, meta_entry(meta, "classifier", dict))
         except CheckpointError as exc:
             raise CheckpointError(f"{path}: classifier part: {exc}") from None
         model = cls(
@@ -478,15 +475,26 @@ def train_isolated(
     corpus: Corpus,
     table: WordEmbeddingTable,
     config: TrainConfig,
+    *,
+    subnetwork: str = "linear",
+    rep_dim: int = 16,
     log_hook=None,
 ) -> IsolatedModel:
-    """Siamese baseline on isolated utterances, triplet loss only.
+    """Siamese baseline on isolated utterances, triplet loss only; a
+    library baseline that no checkpoint or CLI command carries.
 
-    The sub-network is an affine map over mean-pooled word vectors or an
-    LSTM over the word sequence, per `config.subnetwork`. Each epoch draws
-    one weighted-random triplet per in-space utterance, consumed in
-    batches of `config.batch_size` triplets.
+    The sub-network is an affine map over mean-pooled word vectors
+    (`subnetwork="linear"`) or an LSTM over the word sequence ("lstm"),
+    with `rep_dim`-wide representations. Each epoch draws one
+    weighted-random triplet per in-space utterance, consumed in batches
+    of `config.batch_size` triplets.
+
+    Raises:
+        ConfigError: unknown `subnetwork` or `rep_dim` < 1, before any step.
     """
+    if subnetwork not in SUBNETWORKS:
+        raise ConfigError(f"subnetwork must be one of {SUBNETWORKS}, got {subnetwork!r}")
+    check_lower_bound("rep_dim", rep_dim, strict=True)
     label_space = config.label_space()
     include_neutral = 0 in label_space
     rng = np.random.default_rng(config.seed)
@@ -496,14 +504,11 @@ def train_isolated(
         class_w = label_weights(corpus, include_neutral=include_neutral, smooth_counts=config.smooth_counts)
     else:
         class_w = {lab: 1.0 for lab in label_space}
-    init = init_linear_subnet if config.subnetwork == "linear" else init_lstm
-    params = init(table.dim, config.rep_dim, seed=config.seed)
-    model = IsolatedModel(
-        kind=config.subnetwork, params=params, rep_dim=config.rep_dim,
-        config_echo=config.as_echo(),
-    )
+    init = init_linear_subnet if subnetwork == "linear" else init_lstm
+    params = init(table.dim, rep_dim, seed=config.seed)
+    model = IsolatedModel(kind=subnetwork, params=params)
     tensors = params.tensors()
-    if config.subnetwork == "linear" and config.distance == "euclidean":
+    if subnetwork == "linear" and config.distance == "euclidean":
         # A euclidean triplet loss is blind to a shared shift of all reps, so
         # b's gradient is rounding noise that Adam would turn into real steps;
         # b stays at its zero init.
@@ -544,42 +549,6 @@ def _isolated_batch_update(block: np.ndarray, model, table, utts, opt, tri_cfg) 
         add_grads(grads, model.backward(d_rep, cache))
     opt.step(grads)
     return loss, active
-
-
-def save_isolated(model: IsolatedModel, path: str | Path) -> Path:
-    meta = {"subnetwork": model.kind, "rep_dim": model.rep_dim, "config_echo": model.config_echo}
-    return save_checkpoint(path, "isolated", model.params.tensors(), meta)
-
-
-def load_isolated(path: str | Path) -> IsolatedModel:
-    """Raises CheckpointError on a file of another kind or format version,
-    or whose tensors do not match its sub-network and `rep_dim`."""
-    from .isolated import LinearSubnetParams, LstmParams
-
-    _, tensors, meta = load_checkpoint(path, expect_kind="isolated")
-    kind, rep = meta.get("subnetwork"), meta.get("rep_dim")
-    if kind not in SUBNETWORKS or not isinstance(rep, int):
-        raise CheckpointError(f"{path}: bad metadata subnetwork={kind!r} rep_dim={rep!r}")
-    # The input width is the stored one: the first dim of the input weights.
-    lead = tensors.get("w" if kind == "linear" else "w_x")
-    d_in = lead.shape[0] if lead is not None and lead.ndim == 2 else 0
-    if kind == "linear":
-        params = LinearSubnetParams(
-            w=checked_tensor(tensors, "w", (d_in, rep)), b=checked_tensor(tensors, "b", (rep,))
-        )
-    else:
-        params = LstmParams(
-            w_x=checked_tensor(tensors, "w_x", (d_in, 4 * rep)),
-            w_h=checked_tensor(tensors, "w_h", (rep, 4 * rep)),
-            b=checked_tensor(tensors, "b", (4 * rep,)),
-        )
-    reject_unknown_tensors(tensors, params.tensors())
-    return IsolatedModel(
-        kind=kind,
-        params=params,
-        rep_dim=rep,
-        config_echo=meta.get("config_echo", {}),
-    )
 
 
 def run_experiment(

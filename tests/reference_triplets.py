@@ -64,7 +64,7 @@ def triplet_loss_grads(ea, ep, en, cfg):
     return loss, dap_da - dan_da, dap_dp, -dan_dn
 
 
-def reference_train_isolated(corpus, table, config, log_hook=None) -> IsolatedModel:
+def reference_train_isolated(corpus, table, config, *, subnetwork, rep_dim, log_hook=None) -> IsolatedModel:
     """The isolated trainer with list-built triplets over `UttRef`s and
     one :func:`triplet_loss_grads` call per triplet."""
     label_space = config.label_space()
@@ -76,9 +76,9 @@ def reference_train_isolated(corpus, table, config, log_hook=None) -> IsolatedMo
     else:
         class_w = {lab: 1.0 for lab in label_space}
     utt_by_ref = {UttRef(d.id, u.index): u for d, u in corpus.iter_utterances()}
-    init = init_linear_subnet if config.subnetwork == "linear" else init_lstm
-    params = init(table.dim, config.rep_dim, seed=config.seed)
-    model = IsolatedModel(kind=config.subnetwork, params=params, rep_dim=config.rep_dim, config_echo={})
+    init = init_linear_subnet if subnetwork == "linear" else init_lstm
+    params = init(table.dim, rep_dim, seed=config.seed)
+    model = IsolatedModel(kind=subnetwork, params=params)
     opt = Adam(params.tensors(), lr=config.learning_rate, clip_norm=config.grad_clip)
     tri_cfg = config.triplet_cfg()
 

@@ -167,34 +167,17 @@ class TestTrainEval:
         assert len(steps) == 2
         assert "step=" not in proc.stderr
 
-    def test_bad_isolated_checkpoint_exits_one(self, tmp_path, capsys):
-        table = tmp_path / "words.txt"
-        table.write_text("the 0.1 0.2 0.3 0.4\nand 0.4 0.3 0.2 0.1\n")
-        out = tmp_path / "iso"
-        main(["train", "--data", DATA, "--model-kind", "isolated", "--word-table", str(table),
-              "--out", str(out), "--epochs", "1", "--max-steps", "1", "--rep-dim", "4", "--seed", "0"])
-        kind, tensors, meta = load_checkpoint(out / "model.npz")
-        del tensors["w"]
-        save_checkpoint(tmp_path / "bad.npz", kind, tensors, meta)
-        capsys.readouterr()
-        for command in ("eval", "predict"):
-            rc = main([command, "--model", str(tmp_path / "bad.npz"), "--data", DATA,
-                       "--store", str(table), "--split", "test"])
-            assert rc == 1
-            assert "CheckpointError" in capsys.readouterr().err
-
-    def test_isolated_training(self, tmp_path):
-        table = tmp_path / "words.txt"
-        table.write_text("the 0.1 0.2 0.3 0.4\nand 0.4 0.3 0.2 0.1\n")
-        out = tmp_path / "iso"
-        rc = main([
-            "train", "--data", DATA, "--model-kind", "isolated",
-            "--word-table", str(table), "--out", str(out),
-            "--epochs", "1", "--max-steps", "2", "--rep-dim", "4", "--seed", "0",
-        ])
-        assert rc == 0
-        assert (out / "model.npz").exists()
-        assert json.loads((out / "summary.json").read_text())["model_kind"] == "isolated"
+    @pytest.mark.parametrize("flag, value", [
+        ("--model-kind", "isolated"), ("--word-table", "vectors.txt"),
+        ("--subnetwork", "lstm"), ("--rep-dim", "4"),
+    ])
+    def test_retired_isolated_options_exit_two(self, store_file, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        rc = main(["train", "--data", DATA, "--store", store_file, "--out", str(out),
+                   *FAST_TRAIN, flag, value])
+        assert rc == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPretrain:

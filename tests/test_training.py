@@ -6,6 +6,7 @@ import pytest
 from ercml.corpus import Corpus, Dialog, EMOTION_IDS, Utterance
 from ercml import checkpoint
 from ercml.checkpoint import load_checkpoint, save_checkpoint
+from ercml.cli import main
 from ercml.classifier import pretrain_classifier
 from ercml.embeddings import SentenceEmbeddingStore, WordEmbeddingTable, hash_store_for_corpus
 from ercml.errors import CheckpointError, ConfigError, MissingEmbedding, NonFinite
@@ -13,10 +14,8 @@ from ercml.training import (
     ContextualModel,
     TrainConfig,
     evaluate_model,
-    load_isolated,
     predict,
     run_experiment,
-    save_isolated,
     train_contextual,
     train_isolated,
 )
@@ -78,7 +77,6 @@ class TestTrainConfig:
         ("heads", 0, 1),
         ("ffn_dim", 0, 1),
         ("encoder_layers", 0, 1),
-        ("rep_dim", 0, 1),
         ("triplets_per_batch", 0, 1),
         ("grad_clip", 0.0, 0.5),
         ("seed", -1, 0),
@@ -312,68 +310,38 @@ def separation_ratio(model, corpus, table):
 class TestIsolatedTraining:
     def test_seed_determinism_loss_trajectory(self):
         corpus, table = separable_corpus_and_table()
-        cfg = TrainConfig(epochs=2, max_steps=10, seed=0, rep_dim=8, smooth_counts=1)
+        cfg = TrainConfig(epochs=2, max_steps=10, seed=0, smooth_counts=1)
         runs = []
         for _ in range(2):
             records = []
-            train_isolated(corpus, table, cfg, log_hook=records.append)
+            train_isolated(corpus, table, cfg, rep_dim=8, log_hook=records.append)
             runs.append([r["triplet"] for r in records])
         assert runs[0] == runs[1]
 
     def test_linear_separation(self):
         corpus, table = separable_corpus_and_table()
-        cfg = TrainConfig(epochs=20, max_steps=100, seed=0, rep_dim=8, smooth_counts=1)
-        model = train_isolated(corpus, table, cfg)
+        cfg = TrainConfig(epochs=20, max_steps=100, seed=0, smooth_counts=1)
+        model = train_isolated(corpus, table, cfg, rep_dim=8)
         intra, inter = separation_ratio(model, corpus, table)
         assert intra < inter
 
     def test_lstm_separation(self):
         corpus, table = separable_corpus_and_table()
-        cfg = TrainConfig(
-            epochs=20, max_steps=100, seed=0, rep_dim=8, subnetwork="lstm", smooth_counts=1
-        )
-        model = train_isolated(corpus, table, cfg)
+        cfg = TrainConfig(epochs=20, max_steps=100, seed=0, smooth_counts=1)
+        model = train_isolated(corpus, table, cfg, subnetwork="lstm", rep_dim=8)
         intra, inter = separation_ratio(model, corpus, table)
         assert intra < inter
 
-    def test_checkpoint_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("name, bad, message", [
+        ("rep_dim", 0, "rep_dim must be > 0, got 0"),
+        ("subnetwork", "gru", "subnetwork must be one of"),
+    ], ids=["rep_dim", "subnetwork"])
+    def test_bad_argument_raises_before_any_step(self, name, bad, message):
         corpus, table = separable_corpus_and_table()
-        cfg = TrainConfig(epochs=1, max_steps=5, seed=0, rep_dim=8, subnetwork="lstm", smooth_counts=1)
-        model = train_isolated(corpus, table, cfg)
-        save_isolated(model, tmp_path / "iso.npz")
-        again = load_isolated(tmp_path / "iso.npz")
-        utt = corpus.dialogs[0].utterances[0]
-        np.testing.assert_allclose(model.represent(utt, table), again.represent(utt, table))
-
-    @pytest.fixture(scope="class", params=["linear", "lstm"])
-    def saved_isolated(self, request, tmp_path_factory):
-        corpus, table = separable_corpus_and_table()
-        cfg = TrainConfig(epochs=1, max_steps=1, seed=0, rep_dim=8, subnetwork=request.param, smooth_counts=1)
-        path = tmp_path_factory.mktemp("iso") / "iso.npz"
-        save_isolated(train_isolated(corpus, table, cfg), path)
-        return path
-
-    def resave(self, saved, tmp_path, edit):
-        kind, tensors, meta = load_checkpoint(saved)
-        edit(tensors)
-        return save_checkpoint(tmp_path / "edited.npz", kind, tensors, meta)
-
-    def test_missing_tensor(self, saved_isolated, tmp_path):
-        for name in load_checkpoint(saved_isolated)[1]:
-            path = self.resave(saved_isolated, tmp_path, lambda t: t.pop(name))
-            with pytest.raises(CheckpointError, match=f"lacks tensor '{name}'"):
-                load_isolated(path)
-
-    def test_extra_tensor(self, saved_isolated, tmp_path):
-        path = self.resave(saved_isolated, tmp_path, lambda t: t.__setitem__("stray", np.zeros(8)))
-        with pytest.raises(CheckpointError, match="unexpected tensors"):
-            load_isolated(path)
-
-    def test_misshaped_tensor(self, saved_isolated, tmp_path):
-        for name in load_checkpoint(saved_isolated)[1]:
-            path = self.resave(saved_isolated, tmp_path, lambda t: t.__setitem__(name, t[name][..., :-1]))
-            with pytest.raises(CheckpointError, match=f"'{name}' has shape"):
-                load_isolated(path)
+        records = []
+        with pytest.raises(ConfigError, match=message):
+            train_isolated(corpus, table, TrainConfig(epochs=1, seed=0), log_hook=records.append, **{name: bad})
+        assert records == []
 
 
 class TestIsolatedOracle:
@@ -386,12 +354,12 @@ class TestIsolatedOracle:
     @pytest.mark.parametrize("subnetwork", ["linear", "lstm"])
     def test_matches_per_triplet_trainer(self, train_corpus, subnetwork, kind, label_space_size):
         table = WordEmbeddingTable(vocabulary={}, dim=6, oov_policy="hashed")
-        cfg = TrainConfig(epochs=10, max_steps=60, seed=3, rep_dim=5, subnetwork=subnetwork,
-                          distance=kind, margin=0.5, label_space_size=label_space_size)
+        cfg = TrainConfig(epochs=10, max_steps=60, seed=3, distance=kind, margin=0.5,
+                          label_space_size=label_space_size)
         runs = []
         for trainer in (train_isolated, reference_train_isolated):
             logs = []
-            model = trainer(train_corpus, table, cfg, log_hook=logs.append)
+            model = trainer(train_corpus, table, cfg, subnetwork=subnetwork, rep_dim=5, log_hook=logs.append)
             runs.append((logs, model.params.tensors()))
         (logs, tensors), (ref_logs, ref_tensors) = runs
         assert len(logs) == len(ref_logs) == 60
@@ -405,9 +373,9 @@ class TestIsolatedOracle:
     @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
     def test_linear_bias_trained_only_where_the_loss_sees_it(self, train_corpus, kind):
         table = WordEmbeddingTable(vocabulary={}, dim=6, oov_policy="hashed")
-        cfg = TrainConfig(epochs=10, max_steps=60, seed=3, rep_dim=5, distance=kind, margin=0.5)
-        model = train_isolated(train_corpus, table, cfg)
-        ref = reference_train_isolated(train_corpus, table, cfg)
+        cfg = TrainConfig(epochs=10, max_steps=60, seed=3, distance=kind, margin=0.5)
+        model = train_isolated(train_corpus, table, cfg, rep_dim=5)
+        ref = reference_train_isolated(train_corpus, table, cfg, subnetwork="linear", rep_dim=5)
         b = model.params.b
         if kind == "euclidean":
             np.testing.assert_array_equal(b, np.zeros_like(b))
@@ -444,9 +412,13 @@ class TestContextualCheckpoint:
 
     def test_head_stores_no_dead_tensors(self, saved):
         _, tensors, _ = load_checkpoint(saved)
-        for name in ("w_q", "b_q", "w_k", "b_k", "sep"):
+        for name in ("w_q", "b_q", "w_k", "sep"):
             assert f"encoder.0.{name}" in tensors
             assert f"classifier.encoder.{name}" not in tensors
+        # softmax cannot see a key bias, so neither part stores one
+        assert "encoder.0.b_k" not in tensors
+        assert "classifier.encoder.b_k" not in tensors
+        assert sum(name.startswith("encoder.0.") for name in tensors) == 16
 
     @pytest.mark.parametrize("name", ["encoder.0.w_k", "classifier.encoder.b_ff1", "classifier.head.b"])
     def test_missing_tensor(self, saved, tmp_path, name):
@@ -466,18 +438,39 @@ class TestContextualCheckpoint:
         with pytest.raises(CheckpointError, match=name.split(".", 1)[-1]):
             ContextualModel.load(path)
 
-    def test_version_1_rejected(self, saved, tmp_path, monkeypatch):
-        # a version-1 file: the head still carries query/key/separator tensors
+    def test_version_1_rejected(self, saved, tmp_path, monkeypatch, capsys):
+        # a version-2 file: the encoder carries a key bias; a version-1
+        # file: the head also carries query/key/separator tensors
         kind, tensors, meta = load_checkpoint(saved)
+        tensors["encoder.0.b_k"] = np.zeros(16)
+        v2 = dict(tensors)
         for name in ("w_q", "w_k"):
             tensors[f"classifier.encoder.{name}"] = np.zeros((16, 16))
         for name in ("b_q", "b_k", "sep"):
             tensors[f"classifier.encoder.{name}"] = np.zeros(16)
-        monkeypatch.setattr(checkpoint, "FORMAT_VERSION", 1)
-        path = save_checkpoint(tmp_path / "v1.npz", kind, tensors, meta)
-        monkeypatch.undo()
-        with pytest.raises(CheckpointError, match="format version 1 != 2"):
+        for version, version_tensors in ((1, tensors), (2, v2)):
+            monkeypatch.setattr(checkpoint, "FORMAT_VERSION", version)
+            path = save_checkpoint(tmp_path / f"v{version}.npz", kind, version_tensors, meta)
+            monkeypatch.undo()
+            with pytest.raises(CheckpointError, match=f"format version {version} != 3"):
+                ContextualModel.load(path)
+            assert main(["eval", "--model", str(path), "--data", "unused", "--store", "unused"]) == 1
+            assert f"format version {version} != 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta.pop("encoder"), "lacks 'encoder'"),
+        (lambda meta: meta["encoder"].update(layers="x"), "'layers' is malformed"),
+        (lambda meta: meta["classifier"].pop("label_space"), "lacks 'label_space'"),
+        (lambda meta: meta["encoder"].update(heads=3), "dim 16 not divisible by heads 3"),
+    ], ids=["no-encoder", "layers-not-int", "no-label-space", "heads-not-dividing-dim"])
+    def test_malformed_metadata_rejected(self, saved, tmp_path, capsys, edit, message):
+        kind, tensors, meta = load_checkpoint(saved)
+        edit(meta)
+        path = save_checkpoint(tmp_path / "edited.npz", kind, tensors, meta)
+        with pytest.raises(CheckpointError, match=message):
             ContextualModel.load(path)
+        assert main(["eval", "--model", str(path), "--data", "unused", "--store", "unused"]) == 1
+        assert "CheckpointError" in capsys.readouterr().err
 
 
 class TestStoreCoverage:
