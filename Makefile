@@ -5,7 +5,7 @@ STORE ?= data/minilm_store.jsonl
 RUNS ?= runs/paper
 SEEDS ?= 0 1 2 3 4 5 6 7 8 9
 
-.PHONY: test tier1 acceptance demos bench-smoke bench-pairs paper-run
+.PHONY: test tier1 acceptance demos bench-smoke bench-pairs byte-identity paper-run
 
 # The package is imported from src/, so no `pip install -e .` is needed.
 SRC_PATH = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
@@ -32,6 +32,13 @@ BENCH_SEEDS ?= 201-210
 BENCH_WORKLOADS ?= train-wr train-ba
 bench-pairs:
 	$(PY) scripts/bench_pairs.py --parent $(PARENT) --name $(BENCH_NAME) --seeds $(BENCH_SEEDS) --workloads $(BENCH_WORKLOADS)
+
+# Byte-identity check against $(PARENT): the C13 train recipe for every
+# sampling strategy and label space, then eval, predict and llm-eval, run in
+# the exported parent tree and in the working tree; every artifact and each
+# command's output are compared, and any difference exits 1. About a minute.
+byte-identity:
+	$(PY) scripts/byte_identity.py --parent $(PARENT)
 
 # Full-scale experiment, NOT a CI gate: needs the real DailyDialog
 # download under $(DATA) and a 384-dim sentence-embedding export at

@@ -72,11 +72,23 @@ def load_checkpoint(path: str | Path, expect_kind: str | None = None):
     return kind, tensors, meta
 
 
-def meta_entry(meta: dict, key: str, kind=int):
+def json_int(value) -> int:
+    """`value` if it is a JSON integer; a float, bool or string is not.
+
+    Raises:
+        TypeError: `value` is not an integer.
+    """
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def meta_entry(meta: dict, key: str, kind=json_int):
     """`kind(meta[key])`: a size, the label space, a nested section.
 
     Raises:
-        CheckpointError: the entry is absent or not convertible by `kind`.
+        CheckpointError: the entry is absent or `kind` rejects it with a
+            TypeError or ValueError.
     """
     if key not in meta:
         raise CheckpointError(f"checkpoint metadata lacks {key!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import checked_tensor, meta_entry, reject_unknown_tensors
+from .checkpoint import checked_tensor, json_int, meta_entry, reject_unknown_tensors
 from .corpus import ALL_LABEL_IDS, Corpus, label_weights
 from .embeddings import SentenceEmbeddingStore
 from .encoder import (
@@ -127,16 +127,15 @@ def weighted_cross_entropy(
     weights: dict[int, float],
     label_space: tuple[int, ...],
 ) -> float:
-    """-w(target) * log softmax(logits)[target]; labels absent from
-    `weights` default to weight 1.
+    """-w(target) * log softmax(logits)[target]: `ce_loss_and_grad`'s
+    loss on one row. Labels absent from `weights` default to weight 1.
 
     Raises:
         BadTarget: target not in the label space.
     """
     if target not in label_space:
         raise BadTarget(f"target {target} not in label space {label_space}")
-    idx = label_space.index(target)
-    return float(-weights.get(target, 1.0) * log_softmax(np.asarray(logits, dtype=float))[idx])
+    return ce_loss_and_grad(np.asarray(logits, dtype=float)[None], [target], weights, label_space)[0]
 
 
 def ce_loss_and_grad(
@@ -222,9 +221,7 @@ def pretrain_classifier(
         class_w = label_weights(
             corpus, include_neutral=(0 in label_space), smooth_counts=smooth_counts
         )
-        item_w = np.array([class_w.get(lab, 0.0) for lab in labels])
-        if item_w.sum() == 0.0:
-            item_w = np.ones(len(labels))
+        item_w = np.array([class_w[lab] for lab in labels])
         probs = item_w / item_w.sum()
     else:
         probs = None
@@ -251,14 +248,28 @@ def classifier_to_tensors(params: ClassifierParams) -> tuple[dict[str, np.ndarra
     return params.tensors(), {**layer_meta(params.encoder), "label_space": list(params.label_space)}
 
 
+def _label_ids(ids) -> tuple[int, ...]:
+    """A checkpoint's label space: one or more distinct label ids in 0..6.
+
+    Raises:
+        TypeError, ValueError: `ids` is not such a list.
+    """
+    space = tuple(json_int(x) for x in ids)
+    if not space or len(set(space)) != len(space) or not set(space) <= set(ALL_LABEL_IDS):
+        raise ValueError(f"{list(space)} is not a non-empty list of distinct label ids in 0..6")
+    return space
+
+
 def classifier_from_tensors(tensors: dict[str, np.ndarray], meta: dict) -> ClassifierParams:
     """Rebuild from a checkpoint's (tensors, meta).
 
     Raises:
-        CheckpointError: `meta` is missing an entry or malformed, or a
-            tensor is missing, unexpected, or shaped unlike `meta` says.
+        CheckpointError: `meta` is missing an entry or malformed (a size
+            that is not an integer, a label space that is not distinct
+            ids in 0..6), or a tensor is missing, unexpected, or shaped
+            unlike `meta` says.
     """
-    label_space = meta_entry(meta, "label_space", lambda ids: tuple(int(x) for x in ids))
+    label_space = meta_entry(meta, "label_space", _label_ids)
     k = len(label_space)
     encoder = layer_from_tensors(SingletonLayerParams, tensors, meta, prefix="encoder.")
     params = ClassifierParams(

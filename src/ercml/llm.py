@@ -16,7 +16,8 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .corpus import LABEL_NAMES, Corpus, Dialog
@@ -199,13 +200,7 @@ class GenerationRecord:
     status: str  # "ok", "unparsable", or "failed"
 
     def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "prompt_sha256": self.prompt_sha256,
-            "raw_output": self.raw_output,
-            "parsed_label": self.parsed_label,
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -284,10 +279,8 @@ def evaluate_llm(
     modal_label = None
     modal_share = 0.0
     if preds:
-        tally: dict[str, int] = {}
-        for p in preds:
-            tally[p] = tally.get(p, 0) + 1
-        modal_label = max(sorted(tally), key=lambda k: tally[k])
+        tally = Counter(preds)
+        modal_label = max(sorted(tally), key=tally.__getitem__)
         modal_share = tally[modal_label] / len(preds)
     extras = {
         "population": "last-utterance-per-dialog",

@@ -14,7 +14,7 @@ MCC forms).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class ConfusionMatrix:
         except ValueError:
             raise UnknownLabel(f"label {name!r} not in space {self.label_space}") from None
 
-    def emotional_labels(self) -> tuple[str, ...]:
-        return tuple(l for l in self.label_space if l != NEUTRAL and not _is_pseudo(l))
-
 
 def confusion(
     preds: list[str], golds: list[str], label_space: tuple[str, ...]
@@ -89,13 +86,6 @@ def _f1(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / denom if denom > 0 else 0.0
 
 
-def _tp_fp_fn(counts: np.ndarray, i: int) -> tuple[int, int, int]:
-    tp = int(counts[i, i])
-    fp = int(counts[:, i].sum() - counts[i, i])
-    fn = int(counts[i, :].sum() - counts[i, i])
-    return tp, fp, fn
-
-
 def _apply_neutral_policy(m: ConfusionMatrix, neutral_policy: str) -> np.ndarray:
     if neutral_policy == "attribute":
         return m.counts
@@ -104,6 +94,28 @@ def _apply_neutral_policy(m: ConfusionMatrix, neutral_policy: str) -> np.ndarray
         counts[m.index(NEUTRAL), :] = 0
         return counts
     raise ValueError(f"neutral_policy must be 'attribute' or 'drop', got {neutral_policy!r}")
+
+
+def _tally(
+    m: ConfusionMatrix, neutral_policy: str, all_labels: bool
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The scored labels and their (n, 3) TP/FP/FN rows, each counted once.
+
+    The emotional labels over the counts `neutral_policy` leaves, or with
+    `all_labels` every label but the pseudo-labels over the raw counts.
+    """
+    idx = [i for i, l in enumerate(m.label_space) if not _is_pseudo(l) and (all_labels or l != NEUTRAL)]
+    counts = m.counts if all_labels else _apply_neutral_policy(m, neutral_policy)
+    tp = counts.diagonal()[idx]
+    fp = counts.sum(axis=0)[idx] - tp
+    fn = counts.sum(axis=1)[idx] - tp
+    return tuple(m.label_space[i] for i in idx), np.stack([tp, fp, fn], axis=1)
+
+
+def _macro_micro(tally: np.ndarray) -> tuple[float, float]:
+    """Mean of the per-label F1s, and the F1 of the summed counts."""
+    macro = float(np.mean([_f1(*row) for row in tally.tolist()]))
+    return macro, _f1(*tally.sum(axis=0).tolist())
 
 
 def f1_excluding_neutral(
@@ -120,32 +132,10 @@ def f1_excluding_neutral(
     """
     if NEUTRAL not in m.label_space:
         raise NoNeutralInSpace(f"label space {m.label_space} lacks {NEUTRAL!r}")
-    counts = _apply_neutral_policy(m, neutral_policy)
-    indices = [m.index(name) for name in m.emotional_labels()]
-    if mode == "macro":
-        return float(np.mean([_f1(*_tp_fp_fn(counts, i)) for i in indices]))
-    if mode == "micro":
-        tp = sum(_tp_fp_fn(counts, i)[0] for i in indices)
-        fp = sum(_tp_fp_fn(counts, i)[1] for i in indices)
-        fn = sum(_tp_fp_fn(counts, i)[2] for i in indices)
-        return _f1(tp, fp, fn)
-    raise ValueError(f"mode must be 'macro' or 'micro', got {mode!r}")
-
-
-def f1_all_labels(m: ConfusionMatrix, mode: str) -> float:
-    """Plain macro/micro F1 over every non-pseudo label in the space.
-
-    Used for 6-label ablation models whose space has no neutral.
-    """
-    indices = [i for i, name in enumerate(m.label_space) if not _is_pseudo(name)]
-    if mode == "macro":
-        return float(np.mean([_f1(*_tp_fp_fn(m.counts, i)) for i in indices]))
-    if mode == "micro":
-        tp = sum(_tp_fp_fn(m.counts, i)[0] for i in indices)
-        fp = sum(_tp_fp_fn(m.counts, i)[1] for i in indices)
-        fn = sum(_tp_fp_fn(m.counts, i)[2] for i in indices)
-        return _f1(tp, fp, fn)
-    raise ValueError(f"mode must be 'macro' or 'micro', got {mode!r}")
+    if mode not in ("macro", "micro"):
+        raise ValueError(f"mode must be 'macro' or 'micro', got {mode!r}")
+    macro, micro = _macro_micro(_tally(m, neutral_policy, all_labels=False)[1])
+    return macro if mode == "macro" else micro
 
 
 @dataclass(frozen=True)
@@ -230,16 +220,7 @@ class MetricsReport:
             "macro_f1_star": self.macro_f1_star,
             "micro_f1_star": self.micro_f1_star,
             "mcc": self.mcc,
-            "per_label": [
-                {
-                    "label": s.label,
-                    "precision": s.precision,
-                    "recall": s.recall,
-                    "f1": s.f1,
-                    "support": s.support,
-                }
-                for s in self.per_label
-            ],
+            "per_label": [asdict(s) for s in self.per_label],
             "confusion": self.confusion.counts.tolist(),
             "label_space": list(self.confusion.label_space),
             "n_scored": self.n_scored,
@@ -265,31 +246,18 @@ def report_from_confusion(
     neutral in the F1s and the per-label list; such reports are not
     comparable to the community convention.
     """
-    if score_all_labels or NEUTRAL not in m.label_space:
-        counts = m.counts
-        macro = f1_all_labels(m, "macro")
-        micro = f1_all_labels(m, "micro")
-        scored_names = tuple(l for l in m.label_space if not _is_pseudo(l))
-    else:
-        counts = _apply_neutral_policy(m, neutral_policy)
-        macro = f1_excluding_neutral(m, "macro", neutral_policy)
-        micro = f1_excluding_neutral(m, "micro", neutral_policy)
-        scored_names = m.emotional_labels()
-    per_label = []
-    for name in scored_names:
-        i = m.index(name)
-        tp, fp, fn = _tp_fp_fn(counts, i)
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-        per_label.append(
-            PerLabelScore(
-                label=name,
-                precision=precision,
-                recall=recall,
-                f1=_f1(tp, fp, fn),
-                support=int(m.counts[i, :].sum()),
-            )
+    names, tally = _tally(m, neutral_policy, score_all_labels or NEUTRAL not in m.label_space)
+    macro, micro = _macro_micro(tally)
+    per_label = tuple(
+        PerLabelScore(
+            label=name,
+            precision=tp / (tp + fp) if tp + fp > 0 else 0.0,
+            recall=tp / (tp + fn) if tp + fn > 0 else 0.0,
+            f1=_f1(tp, fp, fn),
+            support=tp + fn,
         )
+        for name, (tp, fp, fn) in zip(names, tally.tolist())
+    )
     report_extras = dict(extras or {})
     if score_all_labels:
         report_extras.setdefault("includes_neutral", True)
@@ -297,7 +265,7 @@ def report_from_confusion(
         macro_f1_star=macro,
         micro_f1_star=micro,
         mcc=mcc_multiclass(m),
-        per_label=tuple(per_label),
+        per_label=per_label,
         confusion=m,
         n_scored=m.total,
         neutral_policy=neutral_policy,
@@ -326,7 +294,7 @@ class RunSummary:
     std: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {"n_runs": self.n_runs, "mean": self.mean, "std": self.std}
+        return asdict(self)
 
 
 def aggregate_runs(reports: list[MetricsReport]) -> RunSummary:

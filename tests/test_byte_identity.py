@@ -1,0 +1,50 @@
+from __future__ import annotations
+
+import zipfile
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.fixture
+def byte_identity(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import byte_identity
+
+    return byte_identity
+
+
+def write_npz(path: Path, members: dict[str, bytes], date_time: tuple[int, ...]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(zipfile.ZipInfo(name, date_time=date_time), data)
+
+
+class TestCompare:
+    def test_npz_compared_by_member_not_by_container(self, byte_identity, tmp_path):
+        parent, change = tmp_path / "parent", tmp_path / "change"
+        members = {"t::w.npy": b"\x01\x02", "__meta__.npy": b"{}"}
+        write_npz(parent / "run" / "model.npz", members, (2020, 1, 1, 0, 0, 0))
+        write_npz(change / "run" / "model.npz", members, (2024, 6, 1, 12, 0, 0))
+        assert (parent / "run" / "model.npz").read_bytes() != (change / "run" / "model.npz").read_bytes()
+        assert byte_identity.compare(parent, change) == []
+
+        write_npz(change / "run" / "model.npz", {**members, "t::w.npy": b"\x01\x03"}, (2020, 1, 1, 0, 0, 0))
+        assert byte_identity.compare(parent, change) == ["run/model.npz: members differ: t::w.npy"]
+
+    def test_text_difference_and_missing_files(self, byte_identity, tmp_path):
+        parent, change = tmp_path / "parent", tmp_path / "change"
+        for root in (parent, change):
+            root.mkdir()
+            (root / "same.json").write_text("{}\n")
+        (parent / "metrics.json").write_text('{"mcc": 0.5}\n')
+        (change / "metrics.json").write_text('{"mcc": 0.25}\n')
+        (parent / "only_parent.log").write_text("x\n")
+        (change / "only_change.log").write_text("y\n")
+        diffs = byte_identity.compare(parent, change)
+        assert len(diffs) == 3
+        assert diffs[0].startswith("metrics.json:") and '+{"mcc": 0.25}' in diffs[0]
+        assert diffs[1:] == ["only_change.log: only in the change", "only_parent.log: only in the parent"]

@@ -240,6 +240,16 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match="encoder.w_q"):
             classifier_from_tensors(tensors, meta)
 
+    @pytest.mark.parametrize("label_space", [
+        [0, 1, 2, 3, 4, 5, 9], [0, 1, 2, 3, 4, 5, 5], [-1, 1, 2, 3, 4, 5, 6],
+        [0, 1, 2, 3, 4, 5, 6.0], [0, 1, 2, 3, 4, 5, "6"], [0, 1, 2, 3, 4, 5, True], 7,
+    ])
+    def test_bad_label_ids(self, label_space):
+        tensors, meta = classifier_to_tensors(init_classifier(8, seed=3))
+        meta["label_space"] = label_space
+        with pytest.raises(CheckpointError, match="'label_space' is malformed"):
+            classifier_from_tensors(tensors, meta)
+
     @pytest.mark.parametrize("name", ["encoder.w_ff2", "encoder.ln1_gain", "head.w", "head.b"])
     def test_misshaped_tensor(self, name):
         tensors, meta = classifier_to_tensors(init_classifier(8, seed=3))

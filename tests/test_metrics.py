@@ -22,28 +22,44 @@ from ercml.metrics import (
 SEVEN = ("neutral", "anger", "disgust", "fear", "happiness", "sadness", "surprise")
 
 
-def brute_force_f1(counts: np.ndarray, labels: tuple[str, ...], mode: str) -> float:
-    """Independent per-label P/R/F1 oracle over the emotional labels."""
+def brute_force_report(counts, labels, scored, drop_gold_neutral):
+    """Independent oracle for `report_from_confusion`: per scored label
+    (precision, recall, F1, support) from a cell-by-cell walk of the
+    matrix, then macro and micro F1. Under `drop` the walk skips every
+    gold-neutral cell."""
     k = len(labels)
-    scores = []
+    per_label = []
     tp_sum = fp_sum = fn_sum = 0
     for i, name in enumerate(labels):
-        if name == "neutral":
+        if name not in scored:
             continue
-        tp = counts[i][i]
-        fp = sum(counts[g][i] for g in range(k) if g != i)
-        fn = sum(counts[i][p] for p in range(k) if p != i)
-        tp_sum += tp
-        fp_sum += fp
-        fn_sum += fn
+        tp = fp = fn = 0
+        for g in range(k):
+            if drop_gold_neutral and labels[g] == "neutral":
+                continue
+            for p in range(k):
+                if g == i and p == i:
+                    tp += counts[g][p]
+                elif p == i:
+                    fp += counts[g][p]
+                elif g == i:
+                    fn += counts[g][p]
+        tp_sum, fp_sum, fn_sum = tp_sum + tp, fp_sum + fp, fn_sum + fn
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
-        scores.append(2 * precision * recall / (precision + recall) if precision + recall else 0.0)
-    if mode == "macro":
-        return sum(scores) / len(scores)
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_label.append((name, precision, recall, f1, sum(counts[i])))
+    macro = sum(entry[3] for entry in per_label) / len(per_label)
     precision = tp_sum / (tp_sum + fp_sum) if tp_sum + fp_sum else 0.0
     recall = tp_sum / (tp_sum + fn_sum) if tp_sum + fn_sum else 0.0
-    return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    micro = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return macro, micro, per_label
+
+
+def brute_force_f1(counts, labels: tuple[str, ...], mode: str) -> float:
+    """The oracle's macro or micro F1 over the emotional labels (`attribute`)."""
+    macro, micro, _ = brute_force_report(counts, labels, set(labels) - {"neutral"}, False)
+    return macro if mode == "macro" else micro
 
 
 class TestConfusion:
@@ -240,6 +256,44 @@ class TestAggregateRuns:
     def test_empty_raises(self):
         with pytest.raises(EmptySequence):
             aggregate_runs([])
+
+
+class TestReportOracle:
+    SIX = SEVEN[1:]
+    WITH_UNPARSABLE = SEVEN + ("__unparsable__",)
+    # (label space, neutral policy, score_all_labels, scored labels, drop gold-neutral)
+    MODES = {
+        "attribute": (SEVEN, "attribute", False, SIX, False),
+        "drop": (SEVEN, "drop", False, SIX, True),
+        "six-labels": (SIX, "attribute", False, SIX, False),
+        "score-all-labels": (SEVEN, "drop", True, SEVEN, False),
+        "unparsable-attribute": (WITH_UNPARSABLE, "attribute", False, SIX, False),
+        "unparsable-drop": (WITH_UNPARSABLE, "drop", False, SIX, True),
+        "unparsable-score-all": (WITH_UNPARSABLE, "attribute", True, SEVEN, False),
+    }
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_every_field_matches_brute_force(self, mode):
+        space, policy, all_labels, scored, drop = self.MODES[mode]
+        rng = np.random.default_rng(list(self.MODES).index(mode))
+        k = len(space)
+        for _ in range(300):
+            # sparse matrices, so empty rows and columns (0/0 scores) occur
+            density = rng.uniform(0.05, 1.0)
+            counts = rng.integers(0, 12, size=(k, k)) * (rng.random((k, k)) < density)
+            report = report_from_confusion(
+                ConfusionMatrix(counts=counts, label_space=space), policy,
+                score_all_labels=all_labels,
+            )
+            macro, micro, per_label = brute_force_report(counts.tolist(), space, scored, drop)
+            assert report.macro_f1_star == pytest.approx(macro, abs=1e-12)
+            assert report.micro_f1_star == pytest.approx(micro, abs=1e-12)
+            assert [s.label for s in report.per_label] == [entry[0] for entry in per_label]
+            for s, (_, precision, recall, f1, support) in zip(report.per_label, per_label):
+                assert s.precision == pytest.approx(precision, abs=1e-12)
+                assert s.recall == pytest.approx(recall, abs=1e-12)
+                assert s.f1 == pytest.approx(f1, abs=1e-12)
+                assert s.support == support
 
 
 class TestReportDocument:

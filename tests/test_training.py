@@ -462,15 +462,24 @@ class TestContextualCheckpoint:
         (lambda meta: meta["encoder"].update(layers="x"), "'layers' is malformed"),
         (lambda meta: meta["classifier"].pop("label_space"), "lacks 'label_space'"),
         (lambda meta: meta["encoder"].update(heads=3), "dim 16 not divisible by heads 3"),
-    ], ids=["no-encoder", "layers-not-int", "no-label-space", "heads-not-dividing-dim"])
+        # int() would read these as 2, 1 and 1
+        (lambda meta: meta["encoder"].update(heads=2.9), "'heads' is malformed"),
+        (lambda meta: meta["encoder"].update(layers=True), "'layers' is malformed"),
+        (lambda meta: meta["classifier"].update(dim="16"), "'dim' is malformed"),
+        # seven ids, so the head's shape still matches
+        (lambda meta: meta["classifier"].update(label_space=[0, 1, 2, 3, 4, 5, 9]), "distinct label ids in 0..6"),
+        (lambda meta: meta["classifier"].update(label_space=[0, 1, 2, 3, 4, 5, 5]), "distinct label ids in 0..6"),
+    ], ids=["no-encoder", "layers-not-int", "no-label-space", "heads-not-dividing-dim",
+            "heads-float", "layers-bool", "dim-string", "label-id-out-of-range", "label-id-repeated"])
     def test_malformed_metadata_rejected(self, saved, tmp_path, capsys, edit, message):
         kind, tensors, meta = load_checkpoint(saved)
         edit(meta)
         path = save_checkpoint(tmp_path / "edited.npz", kind, tensors, meta)
         with pytest.raises(CheckpointError, match=message):
             ContextualModel.load(path)
-        assert main(["eval", "--model", str(path), "--data", "unused", "--store", "unused"]) == 1
-        assert "CheckpointError" in capsys.readouterr().err
+        for command in ("eval", "predict"):
+            assert main([command, "--model", str(path), "--data", "unused", "--store", "unused"]) == 1
+            assert "CheckpointError" in capsys.readouterr().err
 
 
 class TestStoreCoverage:
