@@ -9,6 +9,7 @@ the pipeline.
 from pathlib import Path
 
 from ercml import (
+    ALL_LABEL_IDS,
     LABEL_NAMES,
     corpus_stats,
     label_weights,
@@ -42,7 +43,7 @@ for lid, name in enumerate(LABEL_NAMES):
 
 # The sampler weights invert those frequencies: the rarer the label,
 # the more often its utterances are drawn during training.
-weights = label_weights(corpus, include_neutral=True)
+weights = label_weights(corpus, labels=ALL_LABEL_IDS)
 print("\ninverse-frequency sampler weights (sum to 1):")
 for lid, w in sorted(weights.items(), key=lambda kv: -kv[1]):
     print(f"  {LABEL_NAMES[lid]:9s} {w:.3f}")

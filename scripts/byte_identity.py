@@ -12,8 +12,9 @@ fixture corpus under tests/data/mini:
 
 - `train --epochs 1 --max-steps 5 --pretrain-steps 10 --seed 7` (the C13
   recipe) for each sampling strategy and `--label-space` 7 and 6;
-- on each trained model, `eval` (default, `--neutral-policy drop` and
-  `--include-neutral`) and `predict`;
+- on each trained model, `eval` (default and `--neutral-policy drop`)
+  and `predict`, and on each 7-label model also `eval --include-neutral`
+  (a 6-label model has no neutral to include, and exits 1 on it);
 - `llm-eval` on a replay fixture under both unparsable policies.
 
 Both trees get the same inputs: the hash-embedding store is built once
@@ -75,9 +76,10 @@ def commands() -> list[list[str]]:
                  "--sampling-strategy", strategy, "--label-space", space],
                 ["eval", *model, "--out", f"{run}/eval.json"],
                 ["eval", *model, "--neutral-policy", "drop", "--out", f"{run}/eval_drop.json"],
-                ["eval", *model, "--include-neutral", "--out", f"{run}/eval_neutral.json"],
                 ["predict", *model, "--out", f"{run}/predictions.jsonl"],
             ]
+            if space == "7":
+                out.append(["eval", *model, "--include-neutral", "--out", f"{run}/eval_neutral.json"])
     for policy in LLM_POLICIES:
         out.append(["llm-eval", "--data", DATA, "--split", "test", "--replay", REPLAY,
                     "--policy", policy, "--parallelism", "2", "--out", f"{OUT}/llm-{policy}"])

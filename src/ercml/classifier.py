@@ -133,8 +133,6 @@ def weighted_cross_entropy(
     Raises:
         BadTarget: target not in the label space.
     """
-    if target not in label_space:
-        raise BadTarget(f"target {target} not in label space {label_space}")
     return ce_loss_and_grad(np.asarray(logits, dtype=float)[None], [target], weights, label_space)[0]
 
 
@@ -147,10 +145,17 @@ def ce_loss_and_grad(
     """Mean weighted cross-entropy over a batch and its logit gradient.
 
     d(mean loss)/d(logits) = w(target) * (softmax - onehot) / m per row.
+
+    Raises:
+        EmptyBatch: no rows.
+        BadTarget: a target not in the label space.
     """
     m = logits.shape[0]
     if m == 0:
         raise EmptyBatch("cross-entropy over an empty batch")
+    outside = set(targets) - set(label_space)
+    if outside:
+        raise BadTarget(f"targets {sorted(outside)} not in label space {label_space}")
     idx = np.array([label_space.index(t) for t in targets])
     w = np.array([weights.get(t, 1.0) for t in targets])
     logp = log_softmax(logits)
@@ -218,9 +223,7 @@ def pretrain_classifier(
     labels = [lab for _, lab in items]
 
     if weighted_sampler:
-        class_w = label_weights(
-            corpus, include_neutral=(0 in label_space), smooth_counts=smooth_counts
-        )
+        class_w = label_weights(corpus, labels=label_space, smooth_counts=smooth_counts)
         item_w = np.array([class_w[lab] for lab in labels])
         probs = item_w / item_w.sum()
     else:

@@ -21,7 +21,9 @@ import numpy as np
 from . import __version__
 from .classifier import classifier_from_tensors, classifier_to_tensors
 from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import LABEL_NAMES, corpus_stats, format_stats, label_weights, load_split, utt_key
+from .corpus import (
+    ALL_LABEL_IDS, EMOTION_IDS, LABEL_NAMES, corpus_stats, format_stats, label_weights, load_split, utt_key,
+)
 from .embeddings import load_sentence_embeddings
 from .errors import ConfigError, ErcmlError
 from .llm import HttpGenerationClient, ReplayClient, evaluate_llm, resolve_template, write_generation_log
@@ -239,19 +241,8 @@ def cmd_eval(args) -> int:
     store = load_sentence_embeddings(args.store)
     store.check_covers(corpus)
     echo = _config_echo(args)
-    if args.include_neutral:
-        from .metrics import confusion, report_from_confusion
-        from .training import predict_corpus
-
-        preds, golds = predict_corpus(model, corpus, store)
-        names = tuple(LABEL_NAMES[i] for i in model.classifier.label_space)
-        report = report_from_confusion(
-            confusion(preds, golds, names),
-            extras={"comparable": False},
-            score_all_labels=True,
-        )
-    else:
-        report = evaluate_model(model, corpus, store, neutral_policy=args.neutral_policy)
+    policy = "include" if args.include_neutral else args.neutral_policy
+    report = evaluate_model(model, corpus, store, neutral_policy=policy)
     doc = report.to_dict(config_echo=echo)
     doc["split"] = args.split
     doc["seed"] = model.config_echo.get("train_config", {}).get("seed", model.config_echo.get("seed"))
@@ -289,9 +280,9 @@ def cmd_sample_triplets(args) -> int:
         check_lower_bound(name, getattr(args, name), LOWER_BOUNDS[name])
     check_lower_bound("count", args.count, strict=True)
     corpus = load_split(args.data, args.split)
-    include_neutral = args.include_neutral
-    pool = corpus_pool(corpus, include_neutral=include_neutral)
-    weights = label_weights(corpus, include_neutral=include_neutral, smooth_counts=args.smooth_counts)
+    labels = ALL_LABEL_IDS if args.include_neutral else EMOTION_IDS
+    pool = corpus_pool(corpus, labels=labels)
+    weights = label_weights(corpus, labels=labels, smooth_counts=args.smooth_counts)
     rng = np.random.default_rng(args.seed)
     triplets = sample_triplets(pool, count=args.count, weights=weights, rng=rng)
     lines = [
@@ -382,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neutral-policy", default="attribute", choices=("attribute", "drop"), dest="neutral_policy")
     p.add_argument(
         "--include-neutral", action="store_true", dest="include_neutral",
-        help="diagnostics only: score neutral as a class; report marked non-comparable",
+        help="diagnostics only: score neutral as a class (the `include` policy); "
+        "report marked non-comparable; exits 1 on a 6-label model",
     )
     p.add_argument("--out", default=None, help="metrics JSON path")
     p.set_defaults(func=cmd_eval)

@@ -281,15 +281,14 @@ def format_stats(stats: CorpusStats) -> str:
 
 def label_weights(
     corpus: Corpus,
-    include_neutral: bool = False,
+    labels: tuple[int, ...] = EMOTION_IDS,
     smooth_counts: int | None = None,
-    labels: tuple[int, ...] | None = None,
 ) -> dict[int, float]:
     """Inverse-frequency label weights, normalized to sum 1.
 
-    Weight of label l is proportional to 1/count(l) over the included
-    labels: the six emotions, plus neutral when `include_neutral`, or an
-    explicit `labels` subset (how a caller drops zero-count labels).
+    Weight of label l is proportional to 1/count(l) over `labels`: the
+    six emotions by default, a label space, or a subset (how a caller
+    drops zero-count labels).
 
     Args:
         smooth_counts: when set, adds this pseudo-count to every included
@@ -298,12 +297,8 @@ def label_weights(
     Raises:
         ZeroCount: an included label never occurs and no smoothing given.
     """
-    if labels is not None:
-        included = labels
-    else:
-        included = ALL_LABEL_IDS if include_neutral else EMOTION_IDS
     counts: dict[int, int] = {}
-    for lid in included:
+    for lid in labels:
         c = corpus.label_histogram.get(lid, 0)
         if smooth_counts is not None:
             c += smooth_counts

@@ -4,8 +4,11 @@ macroF1*/microF1* follow the ERC community convention: per-label scores
 are computed for the emotional labels only, while errors involving
 neutral still count as false positives/negatives of the emotional label
 involved (`attribute` policy). A `drop` policy that discards
-gold-neutral utterances first is also provided for comparison. The
-multiclass MCC is computed over the full label space, neutral included.
+gold-neutral utterances first is also provided for comparison, and an
+`include` policy (diagnostics only) scores neutral as one more label.
+A label space without neutral (the 6-label ablation) is scored over all
+its labels, which is what `drop` does. The multiclass MCC is computed
+over the full label space, neutral included.
 
 Degenerate 0/0 cases are defined as 0 throughout (per-label F1 and both
 MCC forms).
@@ -21,6 +24,7 @@ import numpy as np
 from .errors import EmptySequence, LengthMismatch, NoNeutralInSpace, UnknownLabel
 
 NEUTRAL = "neutral"
+NEUTRAL_POLICIES = ("attribute", "drop", "include")
 
 # Reserved prefix for pseudo-labels (e.g. the LLM harness's unparsable
 # bucket): they live in the matrix but are never scored as emotions.
@@ -86,26 +90,19 @@ def _f1(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / denom if denom > 0 else 0.0
 
 
-def _apply_neutral_policy(m: ConfusionMatrix, neutral_policy: str) -> np.ndarray:
-    if neutral_policy == "attribute":
-        return m.counts
-    if neutral_policy == "drop":
-        counts = m.counts.copy()
-        counts[m.index(NEUTRAL), :] = 0
-        return counts
-    raise ValueError(f"neutral_policy must be 'attribute' or 'drop', got {neutral_policy!r}")
-
-
-def _tally(
-    m: ConfusionMatrix, neutral_policy: str, all_labels: bool
-) -> tuple[tuple[str, ...], np.ndarray]:
+def _tally(m: ConfusionMatrix, neutral_policy: str) -> tuple[tuple[str, ...], np.ndarray]:
     """The scored labels and their (n, 3) TP/FP/FN rows, each counted once.
 
-    The emotional labels over the counts `neutral_policy` leaves, or with
-    `all_labels` every label but the pseudo-labels over the raw counts.
+    Every label except the pseudo-labels and, unless `include`, neutral;
+    `drop` first discards the gold-neutral row, if the space has one.
     """
-    idx = [i for i, l in enumerate(m.label_space) if not _is_pseudo(l) and (all_labels or l != NEUTRAL)]
-    counts = m.counts if all_labels else _apply_neutral_policy(m, neutral_policy)
+    counts = m.counts
+    if neutral_policy == "drop":
+        counts = counts * (np.array(m.label_space) != NEUTRAL)[:, None]
+    idx = [
+        i for i, l in enumerate(m.label_space)
+        if not _is_pseudo(l) and (neutral_policy == "include" or l != NEUTRAL)
+    ]
     tp = counts.diagonal()[idx]
     fp = counts.sum(axis=0)[idx] - tp
     fn = counts.sum(axis=1)[idx] - tp
@@ -134,7 +131,9 @@ def f1_excluding_neutral(
         raise NoNeutralInSpace(f"label space {m.label_space} lacks {NEUTRAL!r}")
     if mode not in ("macro", "micro"):
         raise ValueError(f"mode must be 'macro' or 'micro', got {mode!r}")
-    macro, micro = _macro_micro(_tally(m, neutral_policy, all_labels=False)[1])
+    if neutral_policy not in ("attribute", "drop"):
+        raise ValueError(f"neutral_policy must be 'attribute' or 'drop', got {neutral_policy!r}")
+    macro, micro = _macro_micro(_tally(m, neutral_policy)[1])
     return macro if mode == "macro" else micro
 
 
@@ -235,18 +234,29 @@ def report_from_confusion(
     m: ConfusionMatrix,
     neutral_policy: str = "attribute",
     extras: dict | None = None,
-    score_all_labels: bool = False,
 ) -> MetricsReport:
     """All metrics for one confusion matrix.
 
-    F1* uses neutral exclusion when neutral is in the space; for spaces
-    without neutral (6-label ablation) plain macro/micro F1 over the
-    space is reported under the same field names. MCC always covers the
-    full space. `score_all_labels` is the diagnostics-only mode keeping
-    neutral in the F1s and the per-label list; such reports are not
-    comparable to the community convention.
+    F1* scores the labels `neutral_policy` picks (see `_tally`). A space
+    without neutral (6-label ablation) is scored over all its labels under
+    the same field names, and its report records `drop`. `include` is the
+    diagnostics-only policy keeping neutral in the F1s and the per-label
+    list; its report is marked as not comparable to the community
+    convention. MCC always covers the full space.
+
+    Raises:
+        NoNeutralInSpace: `include` on a space without neutral.
     """
-    names, tally = _tally(m, neutral_policy, score_all_labels or NEUTRAL not in m.label_space)
+    if neutral_policy not in NEUTRAL_POLICIES:
+        raise ValueError(f"neutral_policy must be one of {NEUTRAL_POLICIES}, got {neutral_policy!r}")
+    report_extras = dict(extras or {})
+    if NEUTRAL not in m.label_space:
+        if neutral_policy == "include":
+            raise NoNeutralInSpace(f"label space {m.label_space} lacks {NEUTRAL!r} to include")
+        neutral_policy = "drop"
+    elif neutral_policy == "include":
+        report_extras.update(includes_neutral=True, comparable=False)
+    names, tally = _tally(m, neutral_policy)
     macro, micro = _macro_micro(tally)
     per_label = tuple(
         PerLabelScore(
@@ -258,9 +268,6 @@ def report_from_confusion(
         )
         for name, (tp, fp, fn) in zip(names, tally.tolist())
     )
-    report_extras = dict(extras or {})
-    if score_all_labels:
-        report_extras.setdefault("includes_neutral", True)
     return MetricsReport(
         macro_f1_star=macro,
         micro_f1_star=micro,

@@ -140,6 +140,13 @@ class TrainConfig:
         n = sum(1 for _, u in corpus.iter_utterances() if u.label in self.label_space())
         return self.pretrain_epochs * max(1, math.ceil(n / self.pretrain_batch_size))
 
+    def class_weights(self, corpus: Corpus) -> dict[int, float]:
+        """Inverse-frequency weights over the label space, or uniform ones
+        when `weighted_sampler` is off."""
+        if not self.weighted_sampler:
+            return dict.fromkeys(self.label_space(), 1.0)
+        return label_weights(corpus, labels=self.label_space(), smooth_counts=self.smooth_counts)
+
     def triplet_cfg(self) -> TripletLossConfig:
         return TripletLossConfig(margin=self.margin, distance=self.distance)
 
@@ -227,6 +234,19 @@ def pretrain_from_config(corpus: Corpus, store: SentenceEmbeddingStore, config: 
 def _chunks(seq, size):
     for start in range(0, len(seq), size):
         yield seq[start:start + size]
+
+
+def _steps(config: TrainConfig, epoch_batches):
+    """(step, epoch, batch) over `config.epochs` epochs, steps counted from
+    1, stopping once `config.max_steps` steps are done. `epoch_batches()`
+    is called as each epoch starts and returns that epoch's batches."""
+    step = 0
+    for epoch in range(config.epochs):
+        for batch in epoch_batches():
+            if config.max_steps is not None and step >= config.max_steps:
+                return
+            step += 1
+            yield step, epoch, batch
 
 
 def _epoch_order(
@@ -344,7 +364,6 @@ def train_contextual(
             space differs from the store's or the config's.
     """
     label_space = config.label_space()
-    include_neutral = 0 in label_space
     rng = np.random.default_rng(config.seed)
 
     store.check_covers(corpus)
@@ -362,36 +381,25 @@ def train_contextual(
     enc_opt = Adam(stack_tensors(encoder), lr=config.learning_rate, clip_norm=config.grad_clip)
     clf_opt = Adam(classifier.tensors(), lr=config.learning_rate, clip_norm=config.grad_clip)
 
-    if config.weighted_sampler:
-        class_w = label_weights(corpus, include_neutral=include_neutral, smooth_counts=config.smooth_counts)
-    else:
-        class_w = {lab: 1.0 for lab in label_space}
-
-    step = 0
-    done = False
-    for epoch in range(config.epochs):
-        if done:
-            break
-        order = _epoch_order(corpus, class_w, rng, weighted=config.weighted_sampler)
-        for chunk in _chunks(order, config.batch_size):
-            if config.max_steps is not None and step >= config.max_steps:
-                done = True
-                break
-            dialogs = [corpus.dialogs[i] for i in chunk]
-            ce_loss, tri_loss, active = _train_cycle(
-                dialogs, store, encoder, classifier, enc_opt, clf_opt,
-                config, class_w, rng,
-            )
-            step += 1
-            logger.info(
-                "step=%d epoch=%d ce=%.6f triplet=%.6f active=%d",
-                step, epoch, ce_loss, tri_loss, active,
-            )
-            if log_hook is not None:
-                log_hook({
-                    "step": step, "epoch": epoch, "ce": ce_loss,
-                    "triplet": tri_loss, "active": active,
-                })
+    class_w = config.class_weights(corpus)
+    steps = _steps(config, lambda: _chunks(
+        _epoch_order(corpus, class_w, rng, weighted=config.weighted_sampler), config.batch_size
+    ))
+    for step, epoch, chunk in steps:
+        dialogs = [corpus.dialogs[i] for i in chunk]
+        ce_loss, tri_loss, active = _train_cycle(
+            dialogs, store, encoder, classifier, enc_opt, clf_opt,
+            config, class_w, rng,
+        )
+        logger.info(
+            "step=%d epoch=%d ce=%.6f triplet=%.6f active=%d",
+            step, epoch, ce_loss, tri_loss, active,
+        )
+        if log_hook is not None:
+            log_hook({
+                "step": step, "epoch": epoch, "ce": ce_loss,
+                "triplet": tri_loss, "active": active,
+            })
     return ContextualModel(
         encoder=encoder,
         classifier=classifier,
@@ -496,14 +504,10 @@ def train_isolated(
         raise ConfigError(f"subnetwork must be one of {SUBNETWORKS}, got {subnetwork!r}")
     check_lower_bound("rep_dim", rep_dim, strict=True)
     label_space = config.label_space()
-    include_neutral = 0 in label_space
     rng = np.random.default_rng(config.seed)
-    utts = [u for _, u in corpus.iter_utterances() if include_neutral or u.label != 0]
+    utts = [u for _, u in corpus.iter_utterances() if u.label in label_space]
     labels = [u.label for u in utts]
-    if config.weighted_sampler:
-        class_w = label_weights(corpus, include_neutral=include_neutral, smooth_counts=config.smooth_counts)
-    else:
-        class_w = {lab: 1.0 for lab in label_space}
+    class_w = config.class_weights(corpus)
     init = init_linear_subnet if subnetwork == "linear" else init_lstm
     params = init(table.dim, rep_dim, seed=config.seed)
     model = IsolatedModel(kind=subnetwork, params=params)
@@ -516,21 +520,14 @@ def train_isolated(
     opt = Adam(tensors, lr=config.learning_rate, clip_norm=config.grad_clip)
     tri_cfg = config.triplet_cfg()
 
-    step = 0
-    done = False
-    for epoch in range(config.epochs):
-        if done:
-            break
-        triplets = np.stack(sample_triplet_indices(labels, len(utts), class_w, rng), axis=1)
-        for chunk in _chunks(triplets, config.batch_size):
-            if config.max_steps is not None and step >= config.max_steps:
-                done = True
-                break
-            loss, active = _isolated_batch_update(chunk.T, model, table, utts, opt, tri_cfg)
-            step += 1
-            logger.info("step=%d epoch=%d triplet=%.6f active=%d", step, epoch, loss, active)
-            if log_hook is not None:
-                log_hook({"step": step, "epoch": epoch, "triplet": loss, "active": active})
+    steps = _steps(config, lambda: _chunks(
+        np.stack(sample_triplet_indices(labels, len(utts), class_w, rng), axis=1), config.batch_size
+    ))
+    for step, epoch, chunk in steps:
+        loss, active = _isolated_batch_update(chunk.T, model, table, utts, opt, tri_cfg)
+        logger.info("step=%d epoch=%d triplet=%.6f active=%d", step, epoch, loss, active)
+        if log_hook is not None:
+            log_hook({"step": step, "epoch": epoch, "triplet": loss, "active": active})
     return model
 
 

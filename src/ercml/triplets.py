@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import ALL_LABEL_IDS, Corpus
 from .errors import DimMismatch, InsufficientDiversity, ZeroVector
 
 DISTANCES = ("euclidean", "cosine")
@@ -92,14 +92,14 @@ def _stacked(*vectors) -> np.ndarray:
     return np.stack(arrays).reshape(len(arrays), -1)
 
 
-def corpus_pool(corpus: Corpus, include_neutral: bool = True) -> list[tuple[UttRef, int]]:
-    """All utterance refs of a corpus with their labels, corpus order."""
-    pool = []
-    for dialog, utt in corpus.iter_utterances():
-        if not include_neutral and utt.label == 0:
-            continue
-        pool.append((UttRef(dialog.id, utt.index), utt.label))
-    return pool
+def corpus_pool(corpus: Corpus, labels: tuple[int, ...] = ALL_LABEL_IDS) -> list[tuple[UttRef, int]]:
+    """The refs of a corpus's utterances labelled in `labels`, with their
+    labels, in corpus order."""
+    return [
+        (UttRef(dialog.id, utt.index), utt.label)
+        for dialog, utt in corpus.iter_utterances()
+        if utt.label in labels
+    ]
 
 
 # --- index-level mining -------------------------------------------------

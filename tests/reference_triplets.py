@@ -68,11 +68,10 @@ def reference_train_isolated(corpus, table, config, *, subnetwork, rep_dim, log_
     """The isolated trainer with list-built triplets over `UttRef`s and
     one :func:`triplet_loss_grads` call per triplet."""
     label_space = config.label_space()
-    include_neutral = 0 in label_space
     rng = np.random.default_rng(config.seed)
-    pool = corpus_pool(corpus, include_neutral=include_neutral)
+    pool = corpus_pool(corpus, labels=label_space)
     if config.weighted_sampler:
-        class_w = label_weights(corpus, include_neutral=include_neutral, smooth_counts=config.smooth_counts)
+        class_w = label_weights(corpus, labels=label_space, smooth_counts=config.smooth_counts)
     else:
         class_w = {lab: 1.0 for lab in label_space}
     utt_by_ref = {UttRef(d.id, u.index): u for d, u in corpus.iter_utterances()}

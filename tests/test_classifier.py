@@ -95,6 +95,10 @@ class TestWeightedCrossEntropy:
         with pytest.raises(BadTarget):
             weighted_cross_entropy(np.zeros(3), 6, {}, (0, 1, 2))
 
+    def test_batch_bad_target(self):
+        with pytest.raises(BadTarget, match=r"\[6\]"):
+            ce_loss_and_grad(np.zeros((1, 3)), [6], {}, (0, 1, 2))
+
     def test_strictly_positive_unless_saturated(self):
         rng = np.random.default_rng(5)
         for _ in range(50):

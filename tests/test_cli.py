@@ -113,6 +113,22 @@ class TestTrainEval:
         doc = json.loads(metrics_path.read_text())
         assert doc["comparable"] is False
         assert doc["includes_neutral"] is True
+        assert doc["neutral_policy"] == "include"
+
+    def test_eval_include_neutral_on_six_labels_exits_one(self, store_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["train", "--data", DATA, "--store", store_file, "--out", str(out),
+              "--label-space", "6", *FAST_TRAIN])
+        metrics_path = tmp_path / "eval_n.json"
+        capsys.readouterr()
+        rc = main([
+            "eval", "--model", str(out / "model.npz"), "--data", DATA,
+            "--store", store_file, "--split", "test", "--include-neutral",
+            "--out", str(metrics_path),
+        ])
+        assert rc == 1
+        assert "NoNeutralInSpace" in capsys.readouterr().err
+        assert not metrics_path.exists()
 
     def test_missing_model_exits_one(self, store_file, tmp_path):
         rc = main([

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ercml.corpus import (
+    ALL_LABEL_IDS,
     Corpus,
     Dialog,
     Utterance,
@@ -198,7 +199,7 @@ class TestLabelWeights:
                         assert w[a] == pytest.approx(w[b])
 
     def test_include_neutral(self, train_corpus):
-        w = label_weights(train_corpus, include_neutral=True)
+        w = label_weights(train_corpus, labels=ALL_LABEL_IDS)
         assert set(w) == set(range(7))
         # neutral is the majority label in the fixture, so lowest weight
         assert w[0] == min(w.values())

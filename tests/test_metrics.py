@@ -261,30 +261,29 @@ class TestAggregateRuns:
 class TestReportOracle:
     SIX = SEVEN[1:]
     WITH_UNPARSABLE = SEVEN + ("__unparsable__",)
-    # (label space, neutral policy, score_all_labels, scored labels, drop gold-neutral)
+    # (label space, neutral policy, scored labels, drop gold-neutral)
     MODES = {
-        "attribute": (SEVEN, "attribute", False, SIX, False),
-        "drop": (SEVEN, "drop", False, SIX, True),
-        "six-labels": (SIX, "attribute", False, SIX, False),
-        "score-all-labels": (SEVEN, "drop", True, SEVEN, False),
-        "unparsable-attribute": (WITH_UNPARSABLE, "attribute", False, SIX, False),
-        "unparsable-drop": (WITH_UNPARSABLE, "drop", False, SIX, True),
-        "unparsable-score-all": (WITH_UNPARSABLE, "attribute", True, SEVEN, False),
+        "attribute": (SEVEN, "attribute", SIX, False),
+        "drop": (SEVEN, "drop", SIX, True),
+        "six-labels": (SIX, "attribute", SIX, False),
+        "include": (SEVEN, "include", SEVEN, False),
+        "unparsable-attribute": (WITH_UNPARSABLE, "attribute", SIX, False),
+        "unparsable-drop": (WITH_UNPARSABLE, "drop", SIX, True),
+        "unparsable-include": (WITH_UNPARSABLE, "include", SEVEN, False),
     }
 
     @pytest.mark.parametrize("mode", list(MODES))
     def test_every_field_matches_brute_force(self, mode):
-        space, policy, all_labels, scored, drop = self.MODES[mode]
+        space, policy, scored, drop = self.MODES[mode]
         rng = np.random.default_rng(list(self.MODES).index(mode))
         k = len(space)
         for _ in range(300):
             # sparse matrices, so empty rows and columns (0/0 scores) occur
             density = rng.uniform(0.05, 1.0)
             counts = rng.integers(0, 12, size=(k, k)) * (rng.random((k, k)) < density)
-            report = report_from_confusion(
-                ConfusionMatrix(counts=counts, label_space=space), policy,
-                score_all_labels=all_labels,
-            )
+            report = report_from_confusion(ConfusionMatrix(counts=counts, label_space=space), policy)
+            # a space without neutral is scored, and recorded, as `drop`
+            assert report.neutral_policy == ("drop" if space == self.SIX else policy)
             macro, micro, per_label = brute_force_report(counts.tolist(), space, scored, drop)
             assert report.macro_f1_star == pytest.approx(macro, abs=1e-12)
             assert report.micro_f1_star == pytest.approx(micro, abs=1e-12)
@@ -320,3 +319,28 @@ class TestReportDocument:
         assert 0.0 <= report.macro_f1_star <= 1.0
         assert 0.0 <= report.micro_f1_star <= 1.0
         assert -1.0 <= report.mcc <= 1.0
+
+
+class TestNeutralPolicy:
+    def matrix(self, space):
+        return ConfusionMatrix(counts=np.eye(len(space), dtype=int), label_space=space)
+
+    @pytest.mark.parametrize("policy", ["attribute", "drop", "include"])
+    def test_only_include_marks_report(self, policy):
+        doc = report_from_confusion(self.matrix(SEVEN), policy).to_dict()
+        assert doc["neutral_policy"] == policy
+        marks = {"includes_neutral": True, "comparable": False} if policy == "include" else {}
+        assert {k: doc[k] for k in ("includes_neutral", "comparable") if k in doc} == marks
+
+    def test_include_without_neutral_raises(self):
+        with pytest.raises(NoNeutralInSpace):
+            report_from_confusion(self.matrix(SEVEN[1:]), "include")
+
+    @pytest.mark.parametrize("space", [SEVEN, SEVEN[1:]])
+    def test_unknown_policy_raises(self, space):
+        with pytest.raises(ValueError):
+            report_from_confusion(self.matrix(space), "keep")
+
+    def test_f1_excluding_neutral_refuses_include(self):
+        with pytest.raises(ValueError):
+            f1_excluding_neutral(self.matrix(SEVEN), "macro", "include")
