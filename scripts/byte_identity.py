@@ -13,8 +13,9 @@ fixture corpus under tests/data/mini:
 - `train --epochs 1 --max-steps 5 --pretrain-steps 10 --seed 7` (the C13
   recipe) for each sampling strategy and `--label-space` 7 and 6;
 - on each trained model, `eval` (default and `--neutral-policy drop`)
-  and `predict`, and on each 7-label model also `eval --include-neutral`
-  (a 6-label model has no neutral to include, and exits 1 on it);
+  and `predict`, and on each 7-label model also
+  `eval --neutral-policy include` (a 6-label model has no neutral to
+  include, and exits 1 on it);
 - `llm-eval` on a replay fixture under both unparsable policies.
 
 Both trees get the same inputs: the hash-embedding store is built once
@@ -79,7 +80,7 @@ def commands() -> list[list[str]]:
                 ["predict", *model, "--out", f"{run}/predictions.jsonl"],
             ]
             if space == "7":
-                out.append(["eval", *model, "--include-neutral", "--out", f"{run}/eval_neutral.json"])
+                out.append(["eval", *model, "--neutral-policy", "include", "--out", f"{run}/eval_neutral.json"])
     for policy in LLM_POLICIES:
         out.append(["llm-eval", "--data", DATA, "--split", "test", "--replay", REPLAY,
                     "--policy", policy, "--parallelism", "2", "--out", f"{OUT}/llm-{policy}"])

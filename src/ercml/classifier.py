@@ -9,7 +9,6 @@ sentence embeddings and left unfrozen for the contextual trainer.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,6 @@ from .encoder import (
 )
 from .errors import BadTarget, DimMismatch, EmptyBatch
 from .optim import Adam
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -209,7 +206,8 @@ def pretrain_classifier(
     labels appear, and the cross-entropy is re-weighted for the residual
     per-batch imbalance. With a 6-label space, neutral utterances are
     excluded from training entirely. The returned parameters stay
-    unfrozen; the contextual trainer keeps updating them.
+    unfrozen; the contextual trainer keeps updating them. `log_hook`, if
+    given, gets `{"step", "ce"}` per step, steps counted from 1.
     """
     rng = np.random.default_rng(seed)
     items = [
@@ -231,7 +229,7 @@ def pretrain_classifier(
 
     params = init_classifier(store.dim, label_space=label_space, heads=heads, ffn_dim=ffn_dim, seed=seed)
     adam = Adam(params.tensors(), lr=learning_rate, clip_norm=grad_clip)
-    for step in range(steps):
+    for step in range(1, steps + 1):
         chosen = rng.choice(len(labels), size=batch_size, p=probs)
         batch_x = vectors[chosen]
         batch_y = [labels[i] for i in chosen]
@@ -240,7 +238,6 @@ def pretrain_classifier(
         loss, d_logits = ce_loss_and_grad(logits, batch_y, ce_w, params.label_space)
         _, grads = classifier_backward(d_logits, cache, params)
         adam.step(grads)
-        logger.debug("pretrain step=%d ce=%.6f", step, loss)
         if log_hook is not None:
             log_hook({"step": step, "ce": loss})
     return params

@@ -27,7 +27,7 @@ from .corpus import (
 from .embeddings import load_sentence_embeddings
 from .errors import ConfigError, ErcmlError
 from .llm import HttpGenerationClient, ReplayClient, evaluate_llm, resolve_template, write_generation_log
-from .metrics import format_report
+from .metrics import NEUTRAL_POLICIES, format_report
 from .training import (
     DISTANCES,
     LOSS_MODES,
@@ -42,8 +42,6 @@ from .training import (
     train_contextual,
 )
 from .triplets import corpus_pool, sample_triplets
-
-logger = logging.getLogger(__name__)
 
 # TrainConfig field -> int, float, bool or str, read off its type hint
 # with any `| None` dropped; the flags and the config-file parser follow it.
@@ -142,9 +140,19 @@ def _config_echo(args: argparse.Namespace, train_config: TrainConfig | None = No
     return echo
 
 
-def _write_json(path: Path, doc: dict) -> None:
+def _write_text(path: str | Path | None, text: str) -> None:
+    """Writes `text` to the file `path`, making its directory, or to
+    stdout when `path` is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
+
+
+def _write_json(path: str | Path, doc: dict) -> None:
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -160,9 +168,7 @@ def cmd_stats(args) -> int:
     text = format_stats(corpus_stats(corpus))
     sys.stdout.write(text)
     if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        _write_text(args.out, text)
     return 0
 
 
@@ -195,21 +201,13 @@ def cmd_train(args) -> int:
     echo = _config_echo(args, config)
     out = _out_dir(args)
     train_corpus = load_split(args.data, "train")
+    # train.log: one JSON line per record, the config echo and then each
+    # step; line-buffered, so the log of a running job is current
+    with open(out / "train.log", "w", encoding="utf-8", buffering=1) as log:
+        def log_hook(record: dict) -> None:
+            log.write(json.dumps(record, sort_keys=True) + "\n")
 
-    log_path = out / "train.log"
-    log_path.write_text(
-        "config_echo = " + json.dumps(echo, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    handler = logging.FileHandler(log_path, mode="a", encoding="utf-8")
-    handler.setFormatter(logging.Formatter("%(message)s"))
-    handler.setLevel(logging.INFO)
-    training_logger = logging.getLogger("ercml.training")
-    previous_level, previous_propagate = training_logger.level, training_logger.propagate
-    training_logger.addHandler(handler)
-    training_logger.setLevel(logging.INFO)
-    # step lines go to train.log only, not also to the root handler's stderr
-    training_logger.propagate = False
-    try:
+        log_hook({"config_echo": echo})
         store = load_sentence_embeddings(args.store)
         eval_corpus = load_split(args.data, args.eval_split)
         store.check_covers(eval_corpus)
@@ -217,22 +215,17 @@ def cmd_train(args) -> int:
         if args.classifier:
             _, tensors, meta = load_checkpoint(args.classifier, expect_kind="classifier")
             classifier = classifier_from_tensors(tensors, meta)
-        model = train_contextual(train_corpus, store, config, classifier=classifier)
-        model.config_echo = echo
-        model.save(out / "model.npz")
-        report = evaluate_model(model, eval_corpus, store, neutral_policy=args.neutral_policy)
-        doc = report.to_dict(config_echo=echo)
-        doc["seed"] = config.seed
-        doc["split"] = args.eval_split
-        _write_json(out / "metrics.json", doc)
-        sys.stdout.write(format_report(report))
-        print(f"model written to {out / 'model.npz'}; metrics to {out / 'metrics.json'}")
-        return 0
-    finally:
-        training_logger.removeHandler(handler)
-        training_logger.setLevel(previous_level)
-        training_logger.propagate = previous_propagate
-        handler.close()
+        model = train_contextual(train_corpus, store, config, classifier=classifier, log_hook=log_hook)
+    model.config_echo = echo
+    model.save(out / "model.npz")
+    report = evaluate_model(model, eval_corpus, store, neutral_policy=args.neutral_policy)
+    doc = report.to_dict(config_echo=echo)
+    doc["seed"] = config.seed
+    doc["split"] = args.eval_split
+    _write_json(out / "metrics.json", doc)
+    sys.stdout.write(format_report(report))
+    print(f"model written to {out / 'model.npz'}; metrics to {out / 'metrics.json'}")
+    return 0
 
 
 def cmd_eval(args) -> int:
@@ -241,14 +234,13 @@ def cmd_eval(args) -> int:
     store = load_sentence_embeddings(args.store)
     store.check_covers(corpus)
     echo = _config_echo(args)
-    policy = "include" if args.include_neutral else args.neutral_policy
-    report = evaluate_model(model, corpus, store, neutral_policy=policy)
+    report = evaluate_model(model, corpus, store, neutral_policy=args.neutral_policy)
     doc = report.to_dict(config_echo=echo)
     doc["split"] = args.split
     doc["seed"] = model.config_echo.get("train_config", {}).get("seed", model.config_echo.get("seed"))
     sys.stdout.write(format_report(report))
     if args.out:
-        _write_json(Path(args.out), doc)
+        _write_json(args.out, doc)
     return 0
 
 
@@ -265,13 +257,7 @@ def cmd_predict(args) -> int:
                 "pred": LABEL_NAMES[pred],
                 "gold": LABEL_NAMES[utt.label],
             }, sort_keys=True))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -289,13 +275,7 @@ def cmd_sample_triplets(args) -> int:
         json.dumps({"a": t.anchor.key, "p": t.positive.key, "n": t.negative.key})
         for t in triplets
     ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -370,11 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--store", required=True)
     p.add_argument("--split", default="test", choices=("train", "validation", "test"))
-    p.add_argument("--neutral-policy", default="attribute", choices=("attribute", "drop"), dest="neutral_policy")
     p.add_argument(
-        "--include-neutral", action="store_true", dest="include_neutral",
-        help="diagnostics only: score neutral as a class (the `include` policy); "
-        "report marked non-comparable; exits 1 on a 6-label model",
+        "--neutral-policy", default="attribute", choices=NEUTRAL_POLICIES, dest="neutral_policy",
+        help="`include` is diagnostics only: neutral is scored as a class, the report is "
+        "marked non-comparable, and a 6-label model exits 1",
     )
     p.add_argument("--out", default=None, help="metrics JSON path")
     p.set_defaults(func=cmd_eval)

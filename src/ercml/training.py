@@ -16,7 +16,6 @@ ablation runs.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -61,8 +60,6 @@ from .triplets import (
 # Unused here since both trainers mine index arrays, but perfbench's
 # traced run wraps the list-returning miners at these names.
 from .triplets import batch_all_triplets, batch_hard_triplets, sample_triplets  # noqa: F401
-
-logger = logging.getLogger(__name__)
 
 SAMPLING_STRATEGIES = ("weighted-random", "batch-all", "batch-hard")
 LOSS_MODES = ("alternating", "summed")
@@ -355,7 +352,9 @@ def train_contextual(
     between; summed mode applies one update on CE + lambda * triplet).
     Batches without label diversity skip the triplet step and keep
     training. The classifier is pretrained standalone unless one is
-    passed in, and stays unfrozen throughout.
+    passed in, and stays unfrozen throughout. `log_hook`, if given, gets
+    one record per step: `step` (from 1), `epoch`, `ce`, `triplet`,
+    `active` and `triplet_skipped`.
 
     Raises:
         MissingEmbedding: the store lacks a vector for some utterance of
@@ -387,19 +386,12 @@ def train_contextual(
     ))
     for step, epoch, chunk in steps:
         dialogs = [corpus.dialogs[i] for i in chunk]
-        ce_loss, tri_loss, active = _train_cycle(
+        record = _train_cycle(
             dialogs, store, encoder, classifier, enc_opt, clf_opt,
             config, class_w, rng,
         )
-        logger.info(
-            "step=%d epoch=%d ce=%.6f triplet=%.6f active=%d",
-            step, epoch, ce_loss, tri_loss, active,
-        )
         if log_hook is not None:
-            log_hook({
-                "step": step, "epoch": epoch, "ce": ce_loss,
-                "triplet": tri_loss, "active": active,
-            })
+            log_hook({"step": step, "epoch": epoch, **record})
     return ContextualModel(
         encoder=encoder,
         classifier=classifier,
@@ -410,7 +402,10 @@ def train_contextual(
 
 def _train_cycle(
     dialogs, store, encoder, classifier, enc_opt, clf_opt, config, class_w, rng
-) -> tuple[float, float, int]:
+) -> dict:
+    """One batch's updates; returns the step record's loss fields: `ce`,
+    `triplet`, `active`, and `triplet_skipped`, true when the batch
+    lacked the label diversity for a triplet step."""
     summed = config.loss_mode == "summed"
     encoding = encode_dialog(dialogs, store, encoder)
     ce_out = ce_pass(dialogs, encoding.contextual, classifier, config.label_space(), config.weighted_ce)
@@ -421,21 +416,20 @@ def _train_cycle(
         if not summed:
             enc_opt.step(encode_dialog_backward(d_ctx, encoding, encoder))
             d_ctx = None
-    tri_loss, active = 0.0, 0
+    tri_loss, active, skipped = 0.0, 0, False
     if config.triplet_enabled:
         if not summed:  # alternating: a fresh forward after the CE update
             encoding = encode_dialog(dialogs, store, encoder)
         tri_out = triplet_pass(dialogs, encoding.contextual, config, class_w, rng)
-        if tri_out is None:
-            logger.info("triplet step skipped: insufficient label diversity in batch")
-        else:
+        skipped = tri_out is None
+        if not skipped:
             tri_loss, active, d_tri = tri_out
             if summed:
                 d_tri = config.summed_lambda * d_tri
             d_ctx = d_tri if d_ctx is None else d_ctx + d_tri
     if d_ctx is not None:
         enc_opt.step(encode_dialog_backward(d_ctx, encoding, encoder))
-    return ce_loss, tri_loss, active
+    return {"ce": ce_loss, "triplet": tri_loss, "active": active, "triplet_skipped": skipped}
 
 
 def predict(model: ContextualModel, dialog: Dialog, store: SentenceEmbeddingStore) -> list[int]:
@@ -525,7 +519,6 @@ def train_isolated(
     ))
     for step, epoch, chunk in steps:
         loss, active = _isolated_batch_update(chunk.T, model, table, utts, opt, tri_cfg)
-        logger.info("step=%d epoch=%d triplet=%.6f active=%d", step, epoch, loss, active)
         if log_hook is not None:
             log_hook({"step": step, "epoch": epoch, "triplet": loss, "active": active})
     return model

@@ -188,6 +188,12 @@ class TestPretrain:
         acc = np.mean([p == t for p, t in zip(preds, targets)])
         assert acc >= 0.9
 
+    def test_step_records_count_from_one(self, train_corpus, store16):
+        records = []
+        pretrain_classifier(train_corpus, store16, steps=3, seed=0, log_hook=records.append)
+        assert [r["step"] for r in records] == [1, 2, 3]
+        assert all(set(r) == {"step", "ce"} and math.isfinite(r["ce"]) for r in records)
+
     def test_seed_determinism(self, train_corpus, store16):
         a = pretrain_classifier(train_corpus, store16, steps=30, seed=11)
         b = pretrain_classifier(train_corpus, store16, steps=30, seed=11)

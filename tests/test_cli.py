@@ -13,9 +13,9 @@ import pytest
 from ercml.checkpoint import load_checkpoint, save_checkpoint
 from ercml.cli import build_parser, main, read_config_file
 from ercml.corpus import Corpus, load_split
-from ercml.embeddings import hash_store_for_corpus, save_sentence_embeddings
+from ercml.embeddings import hash_store_for_corpus, load_sentence_embeddings, save_sentence_embeddings
 from ercml.errors import ConfigError
-from ercml.training import TrainConfig
+from ercml.training import TrainConfig, train_contextual
 
 DATA = str(Path(__file__).parent / "data" / "mini")
 
@@ -73,8 +73,11 @@ class TestTrainEval:
                       "confusion", "n_scored", "config_echo", "seed"):
             assert field in doc
         assert doc["config_echo"]["train_config"]["seed"] == 0
-        log_lines = (out / "train.log").read_text().strip().split("\n")
-        assert any("ce=" in line and "triplet=" in line for line in log_lines)
+        records = [json.loads(line) for line in (out / "train.log").read_text().splitlines()]
+        assert records[0] == {"config_echo": doc["config_echo"]}
+        assert [r["step"] for r in records[1:]] == [1, 2]
+        for r in records[1:]:
+            assert set(r) == {"step", "epoch", "ce", "triplet", "active", "triplet_skipped"}
 
     def test_train_byte_identical_metrics(self, store_file, tmp_path):
         out = tmp_path / "run"
@@ -106,7 +109,7 @@ class TestTrainEval:
         metrics_path = tmp_path / "eval_n.json"
         rc = main([
             "eval", "--model", str(out / "model.npz"), "--data", DATA,
-            "--store", store_file, "--split", "test", "--include-neutral",
+            "--store", store_file, "--split", "test", "--neutral-policy", "include",
             "--out", str(metrics_path),
         ])
         assert rc == 0
@@ -123,12 +126,34 @@ class TestTrainEval:
         capsys.readouterr()
         rc = main([
             "eval", "--model", str(out / "model.npz"), "--data", DATA,
-            "--store", store_file, "--split", "test", "--include-neutral",
+            "--store", store_file, "--split", "test", "--neutral-policy", "include",
             "--out", str(metrics_path),
         ])
         assert rc == 1
         assert "NoNeutralInSpace" in capsys.readouterr().err
         assert not metrics_path.exists()
+
+    def test_retired_include_neutral_flag_exits_two(self, store_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["train", "--data", DATA, "--store", store_file, "--out", str(out), *FAST_TRAIN])
+        metrics_path = tmp_path / "eval_n.json"
+        capsys.readouterr()
+        rc = main([
+            "eval", "--model", str(out / "model.npz"), "--data", DATA,
+            "--store", store_file, "--include-neutral", "--out", str(metrics_path),
+        ])
+        assert rc == 2
+        assert "unrecognized arguments: --include-neutral" in capsys.readouterr().err
+        assert not metrics_path.exists()
+
+    def test_train_refuses_include_policy(self, store_file, tmp_path, capsys):
+        # `include` would fail only after training on a 6-label run
+        out = tmp_path / "run"
+        rc = main(["train", "--data", DATA, "--store", store_file, "--out", str(out),
+                   "--neutral-policy", "include", *FAST_TRAIN])
+        assert rc == 2
+        assert "invalid choice: 'include'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_model_exits_one(self, store_file, tmp_path):
         rc = main([
@@ -179,9 +204,9 @@ class TestTrainEval:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        steps = [line for line in (out / "train.log").read_text().splitlines() if line.startswith("step=")]
-        assert len(steps) == 2
-        assert "step=" not in proc.stderr
+        steps = [json.loads(line) for line in (out / "train.log").read_text().splitlines()[1:]]
+        assert [r["step"] for r in steps] == [1, 2]
+        assert proc.stderr == ""
 
     @pytest.mark.parametrize("flag, value", [
         ("--model-kind", "isolated"), ("--word-table", "vectors.txt"),
@@ -194,6 +219,38 @@ class TestTrainEval:
         assert rc == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not out.exists()
+
+
+# The C13 recipe on the fixture corpus
+C13_TRAIN = ["--epochs", "1", "--max-steps", "5", "--pretrain-steps", "10", "--seed", "7"]
+
+
+class TestRunRecords:
+    """`train.log` is the JSON lines of the config echo and the step
+    records `train_contextual` hands its `log_hook`."""
+
+    def train(self, store_file, out, *flags) -> list[dict]:
+        assert main(["train", "--data", DATA, "--store", store_file, "--out", str(out), *flags]) == 0
+        return [json.loads(line) for line in (out / "train.log").read_text().splitlines()]
+
+    def test_config_echo_then_the_library_records(self, store_file, tmp_path):
+        out = tmp_path / "run"
+        records = self.train(store_file, out, *C13_TRAIN)
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert records[0] == {"config_echo": metrics["config_echo"]}
+        config = TrainConfig(**metrics["config_echo"]["train_config"])
+        library: list[dict] = []
+        train_contextual(load_split(DATA, "train"), load_sentence_embeddings(store_file), config,
+                         log_hook=library.append)
+        assert records[1:] == library
+        assert len(library) == 3  # 20 dialogs in batches of 8
+
+    def test_skipped_triplet_step_is_recorded(self, store_file, tmp_path):
+        records = self.train(store_file, tmp_path / "run", *C13_TRAIN,
+                             "--label-space", "6", "--sampling-strategy", "batch-hard")
+        skipped = [r["step"] for r in records[1:] if r["triplet_skipped"]]
+        assert skipped == [3]
+        assert records[3]["triplet"] == 0.0 and records[3]["active"] == 0
 
 
 class TestPretrain:

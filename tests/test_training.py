@@ -129,10 +129,19 @@ class TestContextualTraining:
         cfg = TrainConfig(epochs=2, batch_size=1, pretrain_steps=5, seed=0, smooth_counts=1)
         model = train_contextual(corpus, store, cfg, log_hook=records.append)
         assert len(records) == 2
-        assert all(r["triplet"] == 0.0 and r["active"] == 0 for r in records)
+        assert all(r["triplet"] == 0.0 and r["active"] == 0 and r["triplet_skipped"] for r in records)
         # CE step still applied: encoder moved
         from ercml.encoder import init_encoder_stack
         assert not params_equal(model.encoder, init_encoder_stack(16, heads=cfg.heads, seed=0))
+
+    def test_steps_report_through_log_hook_only(self, train_corpus, store16, caplog):
+        records = []
+        with caplog.at_level("DEBUG"):
+            train_contextual(train_corpus, store16, self.small_cfg(), log_hook=records.append)
+            table = WordEmbeddingTable(vocabulary={}, dim=6, oov_policy="hashed")
+            train_isolated(train_corpus, table, TrainConfig(epochs=1, seed=0), rep_dim=4)
+        assert records and not any(r["triplet_skipped"] for r in records)
+        assert [r for r in caplog.records if r.name in ("ercml.training", "ercml.classifier")] == []
 
     def test_loss_decreases_over_epochs(self, train_corpus, store16):
         records = []
