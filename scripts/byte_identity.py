@@ -23,8 +23,11 @@ with the parent's code, and the replay fixture is written by this
 script. Every file the runs leave is then compared between the trees,
 with each command's exit code, stdout and stderr. An `.npz` is compared
 member by member, since the zip container stamps each member with its
-write time. Prints every difference and exits 1 on any, or when a
-command fails; exits 0 when the trees agree byte for byte.
+write time; a differing numeric member is printed with its largest
+absolute difference and that difference relative to the parent's
+largest entry, which is the tolerance a change of summation order needs.
+Prints every difference and exits 1 on any, or when a command fails;
+exits 0 when the trees agree byte for byte.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ import sys
 import tempfile
 import zipfile
 from pathlib import Path
+
+import numpy as np
 
 from bench_pairs import SIDES, export_rev, export_worktree, git
 
@@ -114,6 +119,21 @@ def npz_members(data: bytes) -> dict[str, bytes]:
         return {name: archive.read(name) for name in archive.namelist()}
 
 
+def member_difference(a: bytes | None, b: bytes | None) -> str:
+    """" (max abs X, max rel Y)" for two numeric `.npy` members of one
+    shape, Y being X over the parent member's largest absolute entry;
+    "" for anything else."""
+    try:
+        x, y = (np.load(io.BytesIO(m), allow_pickle=False) for m in (a, b))
+    except (TypeError, ValueError, EOFError):
+        return ""
+    if x.shape != y.shape or x.size == 0 or x.dtype.kind not in "fiu" or y.dtype.kind not in "fiu":
+        return ""
+    diff = float(np.abs(x.astype(float) - y).max())
+    scale = float(np.abs(x).max())
+    return f" (max abs {diff:.3g}, max rel {diff / scale if scale else float('inf'):.3g})"
+
+
 def compare(parent: Path, change: Path) -> list[str]:
     """One message per file that is missing on a side or differs."""
     names = {p.relative_to(root) for root in (parent, change) for p in root.rglob("*") if p.is_file()}
@@ -128,7 +148,8 @@ def compare(parent: Path, change: Path) -> list[str]:
             ma, mb = npz_members(da), npz_members(db)
             bad = sorted(k for k in ma.keys() | mb.keys() if ma.get(k) != mb.get(k))
             if bad:
-                diffs.append(f"{name}: members differ: {', '.join(bad)}")
+                diffs.append(f"{name}: members differ: "
+                             + ", ".join(k + member_difference(ma.get(k), mb.get(k)) for k in bad))
         elif da != db:
             lines = difflib.unified_diff(
                 da.decode("utf-8", "replace").splitlines(), db.decode("utf-8", "replace").splitlines(),

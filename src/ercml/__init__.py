@@ -88,7 +88,6 @@ from .training import (
     TrainConfig,
     evaluate_model,
     predict,
-    run_experiment,
     train_contextual,
     train_isolated,
 )

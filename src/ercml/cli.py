@@ -22,10 +22,10 @@ from . import __version__
 from .classifier import classifier_from_tensors, classifier_to_tensors
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import (
-    ALL_LABEL_IDS, EMOTION_IDS, LABEL_NAMES, corpus_stats, format_stats, label_weights, load_split, utt_key,
+    ALL_LABEL_IDS, EMOTION_IDS, LABEL_NAMES, Corpus, corpus_stats, format_stats, label_weights, load_split, utt_key,
 )
-from .embeddings import load_sentence_embeddings
-from .errors import ConfigError, ErcmlError
+from .embeddings import SentenceEmbeddingStore, load_sentence_embeddings
+from .errors import ConfigError, ErcmlError, ProviderMismatch
 from .llm import HttpGenerationClient, ReplayClient, evaluate_llm, resolve_template, write_generation_log
 from .metrics import NEUTRAL_POLICIES, format_report
 from .training import (
@@ -228,11 +228,28 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _load_scoring_inputs(args) -> tuple[ContextualModel, Corpus, SentenceEmbeddingStore]:
+    """The model, split and store that `eval` and `predict` score.
+
+    Raises:
+        ProviderMismatch: the store's provider is not the one the model's
+            checkpoint records.
+        MissingEmbedding: the store does not cover the split.
+    """
     model = ContextualModel.load(args.model)
     corpus = load_split(args.data, args.split)
     store = load_sentence_embeddings(args.store)
+    if store.provider_name != model.provider_name:
+        raise ProviderMismatch(
+            f"store {args.store} has provider {store.provider_name!r}; "
+            f"model {args.model} was trained on {model.provider_name!r}"
+        )
     store.check_covers(corpus)
+    return model, corpus, store
+
+
+def cmd_eval(args) -> int:
+    model, corpus, store = _load_scoring_inputs(args)
     echo = _config_echo(args)
     report = evaluate_model(model, corpus, store, neutral_policy=args.neutral_policy)
     doc = report.to_dict(config_echo=echo)
@@ -245,10 +262,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = ContextualModel.load(args.model)
-    corpus = load_split(args.data, args.split)
-    store = load_sentence_embeddings(args.store)
-    store.check_covers(corpus)
+    model, corpus, store = _load_scoring_inputs(args)
     lines = []
     for dialog in corpus.dialogs:
         for utt, pred in zip(dialog.utterances, predict(model, dialog, store)):

@@ -4,8 +4,10 @@ A dialog's frozen sentence embeddings are interleaved with a learned
 separator vector (leading and trailing separator, 2U+1 rows for U
 utterances) and sinusoidal positional encodings are added. A batch of
 dialogs is packed into one sequence whose attention mask keeps every
-dialog to itself, the trainable attention-encoder layers run over it
-once, and the utterance rows are the per-utterance contextual vectors.
+dialog to itself, and the trainable attention-encoder layers run over it
+once. The last layer's output holds the utterance rows only, the
+per-utterance contextual vectors: its keys and values cover every row,
+while its queries and row-wise half run over the utterance rows alone.
 
 Forward and backward passes are written out explicitly in numpy; the
 test suite verifies every parameter gradient against central finite
@@ -231,7 +233,7 @@ def build_dialog_sequence(
     return build_batch_sequence([dialog], store, params)
 
 
-# --- layer norm / gelu primitives --------------------------------------------
+# --- layer norm primitives ---------------------------------------------------
 
 def _layer_norm_forward(x, gain, bias):
     mu = x.mean(axis=1, keepdims=True)
@@ -254,14 +256,6 @@ def _layer_norm_backward(dy, xhat, inv, gain):
     return dx, dgain, dbias
 
 
-def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
-
-
-def _gelu_grad(x):
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-
-
 def _split_heads(m: np.ndarray, heads: int) -> np.ndarray:
     n, d = m.shape
     return m.reshape(n, heads, d // heads).transpose(1, 0, 2)
@@ -279,7 +273,9 @@ def _merge_heads(m: np.ndarray) -> np.ndarray:
 # layer norm, feed-forward, residual, layer norm) treats every row on its
 # own. The full layer is attention plus the row-wise half; on length-1
 # sequences attention is the value projection, which is the emotion
-# head's path.
+# head's path. A layer may emit a subset of its rows: keys and values
+# still cover every input row, and the queries and the row-wise half run
+# over the emitted rows only.
 
 @dataclass
 class RowwiseCache:
@@ -289,6 +285,7 @@ class RowwiseCache:
     inv1: np.ndarray
     n1: np.ndarray
     pre: np.ndarray
+    cdf: np.ndarray    # standard normal CDF of `pre`, GELU's gate
     act: np.ndarray
     xhat2: np.ndarray
     inv2: np.ndarray
@@ -296,6 +293,8 @@ class RowwiseCache:
 
 @dataclass
 class EncoderCache:
+    x: np.ndarray  # the whole layer input, which keys and values read
+    rows: slice | np.ndarray  # the input rows the layer emitted
     qh: np.ndarray
     kh: np.ndarray
     vh: np.ndarray
@@ -314,11 +313,12 @@ def _rowwise_forward(x: np.ndarray, mixed: np.ndarray, p: SingletonLayerParams):
     r1 = x + (mixed @ p.w_o + p.b_o)
     n1, xhat1, inv1 = _layer_norm_forward(r1, p.ln1_gain, p.ln1_bias)
     pre = n1 @ p.w_ff1 + p.b_ff1
-    act = _gelu(pre)
+    cdf = 0.5 * (1.0 + erf(pre / np.sqrt(2.0)))
+    act = pre * cdf
     r2 = n1 + (act @ p.w_ff2 + p.b_ff2)
     out, xhat2, inv2 = _layer_norm_forward(r2, p.ln2_gain, p.ln2_bias)
     return out, RowwiseCache(
-        x=x, mixed=mixed, xhat1=xhat1, inv1=inv1, n1=n1, pre=pre, act=act,
+        x=x, mixed=mixed, xhat1=xhat1, inv1=inv1, n1=n1, pre=pre, cdf=cdf, act=act,
         xhat2=xhat2, inv2=inv2,
     )
 
@@ -330,7 +330,8 @@ def _rowwise_backward(d_out: np.ndarray, c: RowwiseCache, p: SingletonLayerParam
     )
     grads["w_ff2"] = c.act.T @ dr2
     grads["b_ff2"] = dr2.sum(axis=0)
-    dpre = (dr2 @ p.w_ff2.T) * _gelu_grad(c.pre)
+    gelu_grad = c.cdf + c.pre * np.exp(-0.5 * c.pre * c.pre) / np.sqrt(2.0 * np.pi)
+    dpre = (dr2 @ p.w_ff2.T) * gelu_grad
     grads["w_ff1"] = c.n1.T @ dpre
     grads["b_ff1"] = dpre.sum(axis=0)
     dn1 = dr2 + dpre @ p.w_ff1.T
@@ -343,42 +344,51 @@ def _rowwise_backward(d_out: np.ndarray, c: RowwiseCache, p: SingletonLayerParam
     return dr1, dr1 @ p.w_o.T
 
 
-def encoder_forward(x: np.ndarray, params: EncoderLayerParams, mask: np.ndarray | None = None):
+def encoder_forward(
+    x: np.ndarray,
+    params: EncoderLayerParams,
+    mask: np.ndarray | None = None,
+    rows: slice | np.ndarray = slice(None),
+):
     """Full bidirectional self-attention block over one sequence.
 
-    x: (n, d) -> (output (n, d), cache for the backward pass).
-    Post-norm layout: attention, residual, layer norm, feed-forward,
-    residual, layer norm. `mask` (n, n) is added to the attention
-    scores; a -inf entry gives that key a weight of exactly 0, so
-    :func:`encoder_backward` needs no mask.
+    x: (n, d) -> (output (m, d) for the m input rows `rows` selects, in
+    that order; cache for the backward pass). Every row attends to all n
+    rows whatever `rows` is, so the output equals the full (n, d) output
+    indexed by `rows`. Post-norm layout: attention, residual, layer norm,
+    feed-forward, residual, layer norm. `mask` (n, n) is added to the
+    attention scores; a -inf entry gives that key a weight of exactly 0,
+    so :func:`encoder_backward` needs no mask.
     """
     x = _checked_input(x, params)
     p = params
-    q = x @ p.w_q + p.b_q
+    x_rows = x[rows]
+    q = x_rows @ p.w_q + p.b_q
     k = x @ p.w_k
     v = x @ p.w_v + p.b_v
     qh, kh, vh = (_split_heads(m, p.heads) for m in (q, k, v))
     scale = 1.0 / np.sqrt(p.head_dim())
     scores = (qh @ kh.transpose(0, 2, 1)) * scale
     if mask is not None:
-        scores += mask
+        scores += mask[rows]
     scores -= scores.max(axis=2, keepdims=True)
     attn = np.exp(scores)
     attn /= attn.sum(axis=2, keepdims=True)
-    out, rowwise = _rowwise_forward(x, _merge_heads(attn @ vh), p)
-    return out, EncoderCache(qh=qh, kh=kh, vh=vh, attn=attn, rowwise=rowwise)
+    out, rowwise = _rowwise_forward(x_rows, _merge_heads(attn @ vh), p)
+    return out, EncoderCache(x=x, rows=rows, qh=qh, kh=kh, vh=vh, attn=attn, rowwise=rowwise)
 
 
 def encoder_backward(d_out: np.ndarray, cache: EncoderCache, params: EncoderLayerParams):
     """Gradients of a scalar loss through :func:`encoder_forward`.
 
-    Returns (d_input (n, d), grads dict keyed like `params.tensors()`).
+    `d_out` holds the emitted rows' gradients. Returns (d_input (n, d)
+    over every input row, grads dict keyed like `params.tensors()`).
     The `sep` entry is zero here; separator gradients are collected from
     d_input rows by :func:`sep_gradient`.
     """
     p = params
     grads = dict.fromkeys(p.TENSOR_NAMES)
-    dx, dhcat = _rowwise_backward(d_out, cache.rowwise, p, grads)
+    d_rows, dhcat = _rowwise_backward(d_out, cache.rowwise, p, grads)
 
     dheads = _split_heads(dhcat, p.heads)
     dattn = dheads @ cache.vh.transpose(0, 2, 1)
@@ -388,12 +398,15 @@ def encoder_backward(d_out: np.ndarray, cache: EncoderCache, params: EncoderLaye
     dqh = (dscores @ cache.kh) * scale
     dkh = (dscores.transpose(0, 2, 1) @ cache.qh) * scale
 
-    x = cache.rowwise.x
     dq, dk, dv = (_merge_heads(m) for m in (dqh, dkh, dvh))
     grads["b_q"] = dq.sum(axis=0)
     grads["b_v"] = dv.sum(axis=0)
-    for name, dm in (("w_q", dq), ("w_k", dk), ("w_v", dv)):
-        grads[name] = x.T @ dm
+    grads["w_q"] = cache.rowwise.x.T @ dq
+    d_rows += dq @ p.w_q.T
+    dx = np.zeros_like(cache.x)
+    dx[cache.rows] = d_rows
+    for name, dm in (("w_k", dk), ("w_v", dv)):
+        grads[name] = cache.x.T @ dm
         dx += dm @ getattr(p, name).T
 
     grads["sep"] = np.zeros_like(p.sep)
@@ -431,7 +444,9 @@ def sep_gradient(d_input: np.ndarray, sep_positions: tuple[int, ...]) -> np.ndar
 # The encoder is a list of layers. One layer is the default and the
 # published configuration. The separator vector of the FIRST layer is the
 # one interleaved into dialog sequences; `sep` tensors of deeper layers
-# are unused.
+# are unused. Every layer but the last emits all rows, since the next
+# layer's keys and values read them; the last emits only the rows the
+# caller reads, for a dialog batch its utterance rows.
 
 EncoderStack = list[EncoderLayerParams]
 
@@ -457,19 +472,26 @@ def stack_tensors(stack: EncoderStack) -> dict[str, np.ndarray]:
     }
 
 
-def stack_forward(x: np.ndarray, stack: EncoderStack, mask: np.ndarray | None = None):
+def stack_forward(
+    x: np.ndarray,
+    stack: EncoderStack,
+    mask: np.ndarray | None = None,
+    rows: slice | np.ndarray = slice(None),
+):
     """Layers applied in sequence, each under the same attention `mask`;
-    returns (out, per-layer caches)."""
+    returns (the last layer's output at `rows`, per-layer caches)."""
     caches = []
     out = x
     for layer in stack:
-        out, cache = encoder_forward(out, layer, mask)
+        out, cache = encoder_forward(out, layer, mask, rows if layer is stack[-1] else slice(None))
         caches.append(cache)
     return out, caches
 
 
 def stack_backward(d_out: np.ndarray, caches: list[EncoderCache], stack: EncoderStack):
-    """Returns (d_input, flattened grads keyed like stack_tensors)."""
+    """`d_out` holds the gradients of the rows :func:`stack_forward`
+    emitted. Returns (d_input over every input row, flattened grads keyed
+    like stack_tensors)."""
     grads: dict[str, np.ndarray] = {}
     d = d_out
     for i in range(len(stack) - 1, -1, -1):
@@ -492,11 +514,11 @@ class DialogEncoding:
 
 
 def encode_dialog(dialogs: list[Dialog], store: SentenceEmbeddingStore, encoder: EncoderStack) -> DialogEncoding:
-    """Pack the dialogs -> one pass of the encoder layers -> utterance rows,
-    with caches retained."""
+    """Pack the dialogs -> one pass of the encoder layers, the last one
+    emitting the utterance rows only; caches retained."""
     seq = build_batch_sequence(dialogs, store, encoder[0])
-    out, caches = stack_forward(seq.encoder_input(), encoder, seq.mask)
-    return DialogEncoding(sequence=seq, caches=caches, contextual=out[seq.utterance_rows])
+    out, caches = stack_forward(seq.encoder_input(), encoder, seq.mask, seq.utterance_rows)
+    return DialogEncoding(sequence=seq, caches=caches, contextual=out)
 
 
 def encode_dialog_backward(
@@ -509,8 +531,6 @@ def encode_dialog_backward(
     accumulate into the first layer's `sep` entry. Grads are keyed
     "<layer>.<name>" like `stack_tensors`.
     """
-    d_encoded = np.zeros_like(encoding.sequence.tokens)
-    d_encoded[encoding.sequence.utterance_rows] = d_contextual
-    d_input, grads = stack_backward(d_encoded, encoding.caches, encoder)
+    d_input, grads = stack_backward(d_contextual, encoding.caches, encoder)
     grads["0.sep"] = sep_gradient(d_input, encoding.sequence.sep_positions)
     return grads

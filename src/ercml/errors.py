@@ -60,6 +60,11 @@ class MissingEmbedding(ErcmlError):
     """Embedding store has no vector for a required utterance key."""
 
 
+class ProviderMismatch(ErcmlError):
+    """Embedding store comes from another provider than the one a model
+    was trained on."""
+
+
 # --- encoder --------------------------------------------------------------
 
 class ShapeMismatch(ErcmlError):

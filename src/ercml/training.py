@@ -17,7 +17,7 @@ ablation runs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -540,24 +540,3 @@ def _isolated_batch_update(block: np.ndarray, model, table, utts, opt, tri_cfg) 
     opt.step(grads)
     return loss, active
 
-
-def run_experiment(
-    train_corpus: Corpus,
-    eval_corpus: Corpus,
-    store: SentenceEmbeddingStore,
-    config: TrainConfig,
-    n_runs: int = 1,
-    neutral_policy: str = "attribute",
-) -> list[MetricsReport]:
-    """Repeat the full pretrain -> train -> evaluate pipeline with seeds
-    seed, seed+1, ..., returning one report per run in order."""
-    if n_runs < 1:
-        raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
-    reports = []
-    for i in range(n_runs):
-        run_cfg = replace(config, seed=config.seed + i)
-        model = train_contextual(train_corpus, store, run_cfg)
-        report = evaluate_model(model, eval_corpus, store, neutral_policy)
-        report = replace(report, extras={**report.extras, "seed": run_cfg.seed})
-        reports.append(report)
-    return reports

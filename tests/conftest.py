@@ -21,10 +21,5 @@ def train_corpus():
 
 
 @pytest.fixture(scope="session")
-def test_corpus():
-    return load_split(DATA_DIR, "test")
-
-
-@pytest.fixture(scope="session")
 def store16(train_corpus):
     return hash_store_for_corpus(train_corpus, dim=16, seed=0)

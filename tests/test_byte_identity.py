@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import io
 import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -34,6 +36,18 @@ class TestCompare:
 
         write_npz(change / "run" / "model.npz", {**members, "t::w.npy": b"\x01\x03"}, (2020, 1, 1, 0, 0, 0))
         assert byte_identity.compare(parent, change) == ["run/model.npz: members differ: t::w.npy"]
+
+        # a numeric member is reported with how far apart it is
+        def npy(arr) -> bytes:
+            buf = io.BytesIO()
+            np.save(buf, np.asarray(arr))
+            return buf.getvalue()
+
+        write_npz(parent / "run" / "model.npz", {**members, "t::w.npy": npy([-4.0, 1.0])}, (2020, 1, 1, 0, 0, 0))
+        write_npz(change / "run" / "model.npz", {**members, "t::w.npy": npy([-4.0, 1.5])}, (2020, 1, 1, 0, 0, 0))
+        assert byte_identity.compare(parent, change) == [
+            "run/model.npz: members differ: t::w.npy (max abs 0.5, max rel 0.125)"
+        ]
 
     def test_text_difference_and_missing_files(self, byte_identity, tmp_path):
         parent, change = tmp_path / "parent", tmp_path / "change"

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import typing
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -192,6 +192,25 @@ class TestTrainEval:
             captured = capsys.readouterr()
             assert "MissingEmbedding" in captured.err
             assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_store_of_another_provider_exits_one(self, store_file, tmp_path, capsys, command):
+        # same dim and keys, vectors from another model: nothing but the
+        # provider name tells the stores apart
+        out = tmp_path / "run"
+        main(["train", "--data", DATA, "--store", store_file, "--out", str(out), *FAST_TRAIN])
+        other = replace(load_sentence_embeddings(store_file), provider_name="other")
+        other_path = save_sentence_embeddings(other, tmp_path / "other.jsonl")
+        result = tmp_path / "result"
+        capsys.readouterr()
+        rc = main([command, "--model", str(out / "model.npz"), "--data", DATA,
+                   "--store", str(other_path), "--split", "test", "--out", str(result)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "ProviderMismatch" in captured.err
+        assert "'other'" in captured.err and "'hash'" in captured.err
+        assert captured.out == ""
+        assert not result.exists()
 
     def test_step_lines_go_to_train_log_only(self, store_file, tmp_path):
         # A fresh interpreter, so the root handler is the CLI's own

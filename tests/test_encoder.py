@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from ercml.corpus import Dialog, Utterance
 from ercml.embeddings import SentenceEmbeddingStore
 from ercml.encoder import (
     SingletonLayerParams,
+    _layer_norm_backward,
     build_batch_sequence,
     build_dialog_sequence,
     encode_dialog,
@@ -27,6 +29,17 @@ from ercml.encoder import (
 )
 from ercml.errors import BadHeadCount, MissingEmbedding, ShapeMismatch
 from ercml.gradcheck import fd_gradients, group_relative_error
+
+
+# GELU and its derivative as separate formulas, each computing the normal
+# CDF itself: the reference for the encoder's row-wise half, which
+# computes the CDF once in the forward and keeps it for the backward.
+def reference_gelu(x):
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def reference_gelu_grad(x):
+    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
 
 
 def make_dialog(n_utts: int, dialog_id: str = "d") -> Dialog:
@@ -228,6 +241,61 @@ class TestEncoderGradients:
         for name in params.TENSOR_NAMES:
             err = group_relative_error(grads[f"0.{name}"], numeric[name])
             assert err < 1e-3, f"{name}: rel err {err:.3e}"
+
+    @pytest.mark.parametrize("path", ["layer", "singleton"])
+    def test_gelu_matches_reference_formulas_bit_for_bit(self, path):
+        rng = np.random.default_rng(17)
+        params = random_stack(rng, 1)[0]
+        x = 3.0 * rng.standard_normal((11, 8))
+        d_out = rng.standard_normal((11, 8))
+        if path == "layer":
+            mask = np.where(np.arange(11)[:, None] // 4 == np.arange(11)[None, :] // 4, 0.0, -np.inf)
+            _, cache = encoder_forward(x, params, mask)
+            _, grads = encoder_backward(d_out, cache, params)
+            c = cache.rowwise
+        else:
+            single = singleton_layer(params)
+            _, c = singleton_forward(x, single)
+            _, grads = singleton_backward(d_out, c, single)
+        np.testing.assert_array_equal(c.act, reference_gelu(c.pre))
+        dr2, _, _ = _layer_norm_backward(d_out, c.xhat2, c.inv2, params.ln2_gain)
+        dpre = (dr2 @ params.w_ff2.T) * reference_gelu_grad(c.pre)
+        np.testing.assert_array_equal(grads["w_ff1"], c.n1.T @ dpre)
+        np.testing.assert_array_equal(grads["b_ff1"], dpre.sum(axis=0))
+
+    @pytest.mark.parametrize("lengths", [[1], [1, 1], [3, 1, 4, 1], [2, 5], None])
+    def test_emitted_rows_match_full_width_layer(self, lengths):
+        # a layer emitting some rows against the full-width layer
+        # followed by selecting them: output, every weight gradient and
+        # the input gradient over all rows
+        rng = np.random.default_rng(sum(lengths or [0]))
+        for _ in range(6):
+            if lengths is None:
+                dialogs, store = random_dialogs(rng, int(rng.integers(1, 9)), 8)
+            else:
+                dialogs = [make_dialog(n, f"b{i}") for i, n in enumerate(lengths)]
+                store = SentenceEmbeddingStore(
+                    entries={f"{d.id}#{u.index}": rng.standard_normal(8) for d in dialogs for u in d.utterances},
+                    dim=8,
+                )
+            params = random_stack(rng, 1)[0]
+            seq = build_batch_sequence(dialogs, store, params)
+            x = seq.encoder_input()
+            full, full_cache = encoder_forward(x, params, seq.mask)
+            some_rows = rng.permutation(len(x))[: int(rng.integers(1, len(x) + 1))]
+            for rows in (seq.utterance_rows, some_rows):
+                d_out = rng.standard_normal((len(rows), 8))
+                d_full = np.zeros_like(full)
+                d_full[rows] = d_out
+                d_input, want = encoder_backward(d_full, full_cache, params)
+                want.update(out=full[rows], d_input=d_input)
+                out, cache = encoder_forward(x, params, seq.mask, rows)
+                d_input, got = encoder_backward(d_out.copy(), cache, params)
+                got.update(out=out, d_input=d_input)
+                assert set(got) == set(want)
+                for name, g in got.items():
+                    assert g.shape == want[name].shape, name
+                    assert np.abs(g - want[name]).max() <= 1e-12 * np.abs(want[name]).max(), name
 
 
 class TestEncoderStack:

@@ -15,7 +15,6 @@ from ercml.training import (
     TrainConfig,
     evaluate_model,
     predict,
-    run_experiment,
     train_contextual,
     train_isolated,
 )
@@ -252,30 +251,6 @@ class TestEvaluate:
             1 for _, u in train_corpus.iter_utterances() if u.label in EMOTION_IDS
         )
         assert report.n_scored == n_emotional
-
-
-class TestRunExperiment:
-    def test_single_run(self, train_corpus, test_corpus, store16):
-        # the store must cover both splits
-        both = Corpus(split="train", dialogs=train_corpus.dialogs + test_corpus.dialogs)
-        store = hash_store_for_corpus(both, dim=16, seed=0)
-        cfg = TrainConfig(epochs=1, max_steps=2, pretrain_steps=5, seed=3)
-        reports = run_experiment(train_corpus, test_corpus, store, cfg, n_runs=1)
-        assert len(reports) == 1
-        assert reports[0].extras["seed"] == 3
-
-    def test_repeatability_and_seed_laddering(self, train_corpus, test_corpus, store16):
-        both = Corpus(split="train", dialogs=train_corpus.dialogs + test_corpus.dialogs)
-        store = hash_store_for_corpus(both, dim=16, seed=0)
-        cfg = TrainConfig(epochs=1, max_steps=2, pretrain_steps=5, seed=0)
-        first = run_experiment(train_corpus, test_corpus, store, cfg, n_runs=3)
-        second = run_experiment(train_corpus, test_corpus, store, cfg, n_runs=3)
-        assert [r.extras["seed"] for r in first] == [0, 1, 2]
-        for a, b in zip(first, second):
-            assert a.macro_f1_star == b.macro_f1_star
-            assert a.micro_f1_star == b.micro_f1_star
-            assert a.mcc == b.mcc
-            np.testing.assert_array_equal(a.confusion.counts, b.confusion.counts)
 
 
 def separable_corpus_and_table(n_per_label=12, words_per_utt=4, dim=12, seed=0):
