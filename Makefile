@@ -57,4 +57,4 @@ paper-run:
 # The Tier-1 check named in ROADMAP.md: the whole suite, collection errors
 # reported per file instead of stopping the run.
 tier1:
-	$(SRC_PATH) python -m pytest -q --continue-on-collection-errors
+	$(SRC_PATH) $(PY) -m pytest -q --continue-on-collection-errors

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Utterance vector providers: frozen stores, word tables, hash embedder.
+"""Utterance vector providers: frozen stores and the hash embedder.
 
 The training code never runs an embedding model; it reads vectors from
 an exported store (or, for dependency-free experiments, from the
@@ -12,17 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from ercml import (
-    WordEmbeddingTable,
-    embed_words,
     hash_embed,
     hash_store_for_corpus,
     load_sentence_embeddings,
     load_split,
-    mean_pool,
     save_sentence_embeddings,
-    tokenize,
 )
-from ercml.corpus import Utterance
 
 DATA = Path(__file__).parent.parent / "tests" / "data" / "mini"
 
@@ -45,16 +40,3 @@ with tempfile.TemporaryDirectory() as td:
     print(f"reloaded {len(reloaded)} vectors, dim {reloaded.dim}, "
           f"provider {reloaded.provider_name!r}")
 
-# Word vectors for the isolated baseline: tokenizer plus table lookup.
-print(f"\ntokenize('Why did you scratch my car?!') -> "
-      f"{tokenize('Why did you scratch my car?!')}")
-rng = np.random.default_rng(1)
-table = WordEmbeddingTable(
-    vocabulary={w: rng.standard_normal(8) for w in ("why", "did", "you", "my", "car")},
-    dim=8,
-    oov_policy="hashed",  # unseen tokens get stable hash vectors
-)
-utt = Utterance(index=0, text="Why did you scratch my car ?", label=1)
-vectors = embed_words(utt, table)
-print(f"embed_words -> {vectors.shape[0]} vectors of dim {vectors.shape[1]}")
-print(f"mean_pool   -> first coords {np.round(mean_pool(vectors)[:4], 3)}")

@@ -29,15 +29,10 @@ from .corpus import (
 )
 from .embeddings import (
     SentenceEmbeddingStore,
-    WordEmbeddingTable,
-    embed_words,
     hash_embed,
     hash_store_for_corpus,
     load_sentence_embeddings,
-    load_word_table,
-    mean_pool,
     save_sentence_embeddings,
-    tokenize,
 )
 from .encoder import (
     DialogSequence,
@@ -89,9 +84,7 @@ from .training import (
     evaluate_model,
     predict,
     train_contextual,
-    train_isolated,
 )
-from .isolated import IsolatedModel
 from .llm import (
     BUILTIN_TEMPLATES,
     UNPARSABLE,

@@ -54,6 +54,10 @@ _CHOICES = {
     "sampling_strategy": SAMPLING_STRATEGIES,
     "loss_mode": LOSS_MODES,
 }
+# Config-file keys besides the TrainConfig fields: the paths that
+# `_resolve_path_option` reads.
+_PATH_KEYS = ("data", "store")
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True), **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 def _parse_config_value(key: str, raw: str):
@@ -61,17 +65,19 @@ def _parse_config_value(key: str, raw: str):
     if raw.lower() in ("none", ""):
         return None
     kind = _TRAIN_FIELDS[key]
-    if kind is bool:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"config key {key}: cannot parse boolean from {raw!r}")
-    return kind(raw)
+    try:
+        return _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"config key {key}: cannot parse {kind.__name__} from {raw!r}") from None
 
 
 def read_config_file(path: str | Path) -> dict:
-    """Flat key=value file with sections; section names are cosmetic."""
+    """Flat key=value file with sections; section names are cosmetic.
+
+    Raises:
+        ConfigError: a key that is neither a TrainConfig field nor a path
+            option, or a value that does not parse as its field's type.
+    """
     parser = configparser.ConfigParser()
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -82,12 +88,14 @@ def read_config_file(path: str | Path) -> dict:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
     merged: dict = {}
     for section in parser.sections():
-        for key, raw in parser.items(section):
-            key = key.replace("-", "_")
+        for name, raw in parser.items(section):
+            key = name.replace("-", "_")
             if key in _TRAIN_FIELDS:
                 merged[key] = _parse_config_value(key, raw)
-            else:
+            elif key in _PATH_KEYS:
                 merged[key] = raw.strip()
+            else:
+                raise ConfigError(f"config {path}: unknown key {name!r}")
     return merged
 
 

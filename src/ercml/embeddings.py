@@ -1,11 +1,9 @@
 """Per-utterance vector providers.
 
-Three sources, all frozen with respect to training:
+Two sources, both frozen with respect to training:
 
 * sentence-embedding stores loaded from offline JSON-lines exports
   (the contextual model's input; embedding models are never run here),
-* word-vector tables for the isolated baseline (FastText-style text
-  format: token followed by its coordinates),
 * a deterministic hash embedder used as a dependency-free stand-in for
   desk-scale tests and demos.
 """
@@ -14,24 +12,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-import string
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Utterance, utt_key
+from .corpus import Corpus, utt_key
 from .errors import (
     DimMismatch,
     DuplicateKey,
-    EmptySequence,
     MalformedRecord,
     MissingEmbedding,
 )
 
 STORE_FORMAT_VERSION = 1
-
-_PUNCT = set(string.punctuation)
 
 
 def hash_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
@@ -53,98 +47,6 @@ def hash_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
         vec[0] = 1.0
         norm = 1.0
     return vec / norm
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase whitespace tokenizer that detaches trailing punctuation.
-
-    "Hello!!" -> ["hello", "!", "!"]. Pure-punctuation tokens are kept
-    as-is ("!" stays one token).
-    """
-    tokens: list[str] = []
-    for raw in text.lower().split():
-        tail: list[str] = []
-        while len(raw) > 1 and raw[-1] in _PUNCT:
-            tail.append(raw[-1])
-            raw = raw[:-1]
-        tokens.append(raw)
-        tokens.extend(reversed(tail))
-    return tokens
-
-
-@dataclass(frozen=True)
-class WordEmbeddingTable:
-    """Token -> vector lookup with a declared out-of-vocabulary policy."""
-
-    vocabulary: dict[str, np.ndarray]
-    dim: int
-    oov_policy: str = "hashed"  # "zero" or "hashed"
-    oov_seed: int = 0
-
-    def __post_init__(self):
-        if self.oov_policy not in ("zero", "hashed"):
-            raise ValueError(f"oov_policy must be 'zero' or 'hashed', got {self.oov_policy!r}")
-        for token, vec in self.vocabulary.items():
-            if vec.shape != (self.dim,):
-                raise DimMismatch(
-                    f"token {token!r} has dim {vec.shape}, table dim is {self.dim}"
-                )
-            vec.flags.writeable = False
-
-    def lookup(self, token: str) -> np.ndarray:
-        vec = self.vocabulary.get(token)
-        if vec is not None:
-            return vec
-        if self.oov_policy == "zero":
-            return np.zeros(self.dim)
-        return hash_embed(token, self.dim, seed=self.oov_seed)
-
-
-def load_word_table(
-    path: str | Path, oov_policy: str = "hashed", oov_seed: int = 0
-) -> WordEmbeddingTable:
-    """Read the common word-vector text format: token then d floats per line."""
-    path = Path(path)
-    vocabulary: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                raise MalformedRecord(f"{path.name}:{lineno}: expected token and floats")
-            token, values = parts[0], parts[1:]
-            try:
-                vec = np.array([float(v) for v in values])
-            except ValueError:
-                raise MalformedRecord(f"{path.name}:{lineno}: non-numeric coordinate") from None
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise DimMismatch(f"{path.name}:{lineno}: dim {vec.shape[0]} != {dim}")
-            if token in vocabulary:
-                raise DuplicateKey(f"{path.name}:{lineno}: duplicate token {token!r}")
-            vocabulary[token] = vec
-    if dim is None:
-        raise MalformedRecord(f"{path.name}: empty word table")
-    return WordEmbeddingTable(vocabulary=vocabulary, dim=dim, oov_policy=oov_policy, oov_seed=oov_seed)
-
-
-def embed_words(utterance: Utterance, table: WordEmbeddingTable) -> np.ndarray:
-    """One vector per token, in token order; OOV handled per table policy.
-
-    Returns shape (n_tokens, dim). The Utterance invariant (non-empty
-    text) guarantees at least one token.
-    """
-    tokens = tokenize(utterance.text)
-    return np.stack([table.lookup(tok) for tok in tokens])
-
-
-def mean_pool(vectors: np.ndarray) -> np.ndarray:
-    """Coordinate-wise arithmetic mean of a (n, d) stack of vectors."""
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.ndim != 2 or vectors.shape[0] == 0:
-        raise EmptySequence("mean_pool requires a non-empty (n, d) array")
-    return vectors.mean(axis=0)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 """Training procedures.
 
-Two trainables: the isolated-utterance Siamese baseline (triplet loss
-only), and the contextual model where each batch of whole dialogs goes
+One trainable, the contextual model: each batch of whole dialogs goes
 through a three-step cycle — forward (build sequence, encode, split),
 a weighted cross-entropy update through classifier and encoder, and a
 triplet update through the encoder over the same batch's
@@ -34,7 +33,7 @@ from .classifier import (
     pretrain_classifier,
 )
 from .corpus import ALL_LABEL_IDS, EMOTION_IDS, LABEL_NAMES, Corpus, Dialog, label_weights
-from .embeddings import SentenceEmbeddingStore, WordEmbeddingTable
+from .embeddings import SentenceEmbeddingStore
 from .encoder import (
     EncoderLayerParams,
     encode_dialog,
@@ -45,9 +44,8 @@ from .encoder import (
     stack_tensors,
 )
 from .errors import CheckpointError, ConfigError, DimMismatch, InsufficientDiversity
-from .isolated import IsolatedModel, init_linear_subnet, init_lstm
 from .metrics import MetricsReport, report_from_predictions
-from .optim import Adam, add_grads
+from .optim import Adam
 from .triplets import (
     DISTANCES,
     TripletLossConfig,
@@ -57,13 +55,13 @@ from .triplets import (
     pairwise_distances,
     sample_triplet_indices,
 )
-# Unused here since both trainers mine index arrays, but perfbench's
-# traced run wraps the list-returning miners at these names.
+# Unused here since training mines index arrays and sums gradients in place,
+# but perfbench's traced run wraps these names.
+from .optim import add_grads  # noqa: F401
 from .triplets import batch_all_triplets, batch_hard_triplets, sample_triplets  # noqa: F401
 
 SAMPLING_STRATEGIES = ("weighted-random", "batch-all", "batch-hard")
 LOSS_MODES = ("alternating", "summed")
-SUBNETWORKS = ("linear", "lstm")
 
 
 # Numeric TrainConfig fields -> whether the bound is strict (> 0) or not
@@ -471,72 +469,4 @@ def evaluate_model(
     preds, golds = predict_corpus(model, corpus, store)
     label_names = tuple(LABEL_NAMES[i] for i in model.classifier.label_space)
     return report_from_predictions(preds, golds, label_names, neutral_policy)
-
-
-def train_isolated(
-    corpus: Corpus,
-    table: WordEmbeddingTable,
-    config: TrainConfig,
-    *,
-    subnetwork: str = "linear",
-    rep_dim: int = 16,
-    log_hook=None,
-) -> IsolatedModel:
-    """Siamese baseline on isolated utterances, triplet loss only; a
-    library baseline that no checkpoint or CLI command carries.
-
-    The sub-network is an affine map over mean-pooled word vectors
-    (`subnetwork="linear"`) or an LSTM over the word sequence ("lstm"),
-    with `rep_dim`-wide representations. Each epoch draws one
-    weighted-random triplet per in-space utterance, consumed in batches
-    of `config.batch_size` triplets.
-
-    Raises:
-        ConfigError: unknown `subnetwork` or `rep_dim` < 1, before any step.
-    """
-    if subnetwork not in SUBNETWORKS:
-        raise ConfigError(f"subnetwork must be one of {SUBNETWORKS}, got {subnetwork!r}")
-    check_lower_bound("rep_dim", rep_dim, strict=True)
-    label_space = config.label_space()
-    rng = np.random.default_rng(config.seed)
-    utts = [u for _, u in corpus.iter_utterances() if u.label in label_space]
-    labels = [u.label for u in utts]
-    class_w = config.class_weights(corpus)
-    init = init_linear_subnet if subnetwork == "linear" else init_lstm
-    params = init(table.dim, rep_dim, seed=config.seed)
-    model = IsolatedModel(kind=subnetwork, params=params)
-    tensors = params.tensors()
-    if subnetwork == "linear" and config.distance == "euclidean":
-        # A euclidean triplet loss is blind to a shared shift of all reps, so
-        # b's gradient is rounding noise that Adam would turn into real steps;
-        # b stays at its zero init.
-        del tensors["b"]
-    opt = Adam(tensors, lr=config.learning_rate, clip_norm=config.grad_clip)
-    tri_cfg = config.triplet_cfg()
-
-    steps = _steps(config, lambda: _chunks(
-        np.stack(sample_triplet_indices(labels, len(utts), class_w, rng), axis=1), config.batch_size
-    ))
-    for step, epoch, chunk in steps:
-        loss, active = _isolated_batch_update(chunk.T, model, table, utts, opt, tri_cfg)
-        if log_hook is not None:
-            log_hook({"step": step, "epoch": epoch, "triplet": loss, "active": active})
-    return model
-
-
-def _isolated_batch_update(block: np.ndarray, model, table, utts, opt, tri_cfg) -> tuple[float, int]:
-    """One triplet update over the (3, T) block of (a, p, n) positions in
-    `utts`: each distinct utterance is represented once, and the loss and
-    its gradient come from one distance matrix over those rows."""
-    rows, inverse = np.unique(block, return_inverse=True)
-    reps, caches = zip(*(model.represent_with_cache(utts[r], table) for r in rows))
-    x = np.stack(reps)
-    loss, active, dx = batch_triplet_loss_grads(
-        x, pairwise_distances(x, tri_cfg.distance), tuple(inverse.reshape(block.shape)), tri_cfg
-    )
-    grads = {name: np.zeros_like(arr) for name, arr in opt.tensors.items()}
-    for d_rep, cache in zip(dx, caches):
-        add_grads(grads, model.backward(d_rep, cache))
-    opt.step(grads)
-    return loss, active
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -435,11 +436,43 @@ class TestConfigFile:
         assert opts == {"epochs": 3, "learning_rate": 0.01,
                         "triplet_enabled": False, "ffn_dim": None}
 
-    def test_bad_bool_raises(self, tmp_path):
+    @pytest.mark.parametrize("line", ["weighted_ce=maybe", "epochs=abc", "learning_rate=fast", "batch_size=1.5"])
+    def test_bad_value_raises(self, tmp_path, line):
         cfg = tmp_path / "t.cfg"
-        cfg.write_text("[a]\nweighted_ce=maybe\n")
-        with pytest.raises(ConfigError):
+        cfg.write_text(f"[a]\n{line}\n")
+        key, raw = line.split("=")
+        with pytest.raises(ConfigError, match=f"config key {key}: cannot parse .* from '{re.escape(raw)}'"):
             read_config_file(cfg)
+
+    def test_bad_value_exits_one_without_traceback(self, store_file, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {DATA}\nstore = {store_file}\nepochs = abc\n")
+        out = tmp_path / "run"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ercml.cli", "train", "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "ConfigError: config key epochs: cannot parse int from 'abc'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / "model.npz").exists()
+
+    @pytest.mark.parametrize("key, value", [("label-space", 6), ("epoch", 2)])
+    def test_unknown_key_exits_one_before_loading_data(self, store_file, tmp_path, capsys, monkeypatch, key, value):
+        from ercml import cli
+
+        def no_loading(*args, **kwargs):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(cli, "load_split", no_loading)
+        monkeypatch.setattr(cli, "load_sentence_embeddings", no_loading)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {DATA}\nstore = {store_file}\n{key} = {value}\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out), *FAST_TRAIN]) == 1
+        assert f"ConfigError: config {cfg}: unknown key '{key}'" in capsys.readouterr().err
+        assert not (out / "model.npz").exists()
 
     def test_every_train_field_has_a_flag_and_parses_to_its_type(self, tmp_path):
         hints = typing.get_type_hints(TrainConfig)

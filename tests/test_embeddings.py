@@ -5,23 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from ercml.corpus import Utterance, utt_key
+from ercml.corpus import utt_key
 from ercml.embeddings import (
     SentenceEmbeddingStore,
-    WordEmbeddingTable,
-    embed_words,
     hash_embed,
     hash_store_for_corpus,
     load_sentence_embeddings,
-    load_word_table,
-    mean_pool,
     save_sentence_embeddings,
-    tokenize,
 )
 from ercml.errors import (
     DimMismatch,
     DuplicateKey,
-    EmptySequence,
     MalformedRecord,
     MissingEmbedding,
 )
@@ -53,94 +47,6 @@ class TestHashEmbed:
     def test_bad_dim(self):
         with pytest.raises(DimMismatch):
             hash_embed("x", 0)
-
-
-class TestTokenize:
-    def test_lowercase_whitespace(self):
-        assert tokenize("Hello There") == ["hello", "there"]
-
-    def test_detaches_trailing_punctuation(self):
-        assert tokenize("worry!!") == ["worry", "!", "!"]
-        assert tokenize("Hi !") == ["hi", "!"]
-
-    def test_pure_punctuation_token_kept(self):
-        assert tokenize("well ...") == ["well", ".", ".", "."]
-
-    def test_interior_apostrophe_kept(self):
-        assert tokenize("don't panic.") == ["don't", "panic", "."]
-
-
-class TestEmbedWords:
-    def table(self, policy="zero"):
-        vocab = {
-            "hi": np.array([1.0, 0.0]),
-            "!": np.array([0.0, 1.0]),
-        }
-        return WordEmbeddingTable(vocabulary=vocab, dim=2, oov_policy=policy)
-
-    def test_in_vocab_order(self):
-        utt = Utterance(index=0, text="Hi !", label=0)
-        out = embed_words(utt, self.table())
-        assert out.shape == (2, 2)
-        np.testing.assert_array_equal(out[0], [1.0, 0.0])
-        np.testing.assert_array_equal(out[1], [0.0, 1.0])
-
-    def test_oov_zero_policy(self):
-        utt = Utterance(index=0, text="unknown hi", label=0)
-        out = embed_words(utt, self.table("zero"))
-        np.testing.assert_array_equal(out[0], [0.0, 0.0])
-
-    def test_oov_hashed_deterministic(self):
-        utt = Utterance(index=0, text="unknownword", label=0)
-        a = embed_words(utt, self.table("hashed"))
-        b = embed_words(utt, self.table("hashed"))
-        np.testing.assert_array_equal(a, b)
-        assert np.linalg.norm(a[0]) == pytest.approx(1.0, abs=1e-9)
-
-    def test_bad_policy(self):
-        with pytest.raises(ValueError):
-            WordEmbeddingTable(vocabulary={}, dim=2, oov_policy="drop")
-
-
-class TestMeanPool:
-    def test_two_vectors(self):
-        out = mean_pool(np.array([[1.0, 3.0], [3.0, 1.0]]))
-        np.testing.assert_array_equal(out, [2.0, 2.0])
-
-    def test_single_vector_identity(self):
-        v = np.array([[0.5, -1.5, 2.0]])
-        np.testing.assert_array_equal(mean_pool(v), v[0])
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(5)
-        vecs = rng.standard_normal((3, 8))
-        expected = (vecs[0] + vecs[1] + vecs[2]) / 3.0
-        np.testing.assert_allclose(mean_pool(vecs), expected, atol=1e-12)
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptySequence):
-            mean_pool(np.zeros((0, 4)))
-
-
-class TestWordTableFile:
-    def test_load(self, tmp_path):
-        path = tmp_path / "vectors.txt"
-        path.write_text("hello 1.0 2.0 3.0\nworld 0.5 0.5 0.5\n")
-        table = load_word_table(path)
-        assert table.dim == 3
-        np.testing.assert_array_equal(table.lookup("world"), [0.5, 0.5, 0.5])
-
-    def test_dim_mismatch(self, tmp_path):
-        path = tmp_path / "vectors.txt"
-        path.write_text("a 1.0 2.0\nb 1.0 2.0 3.0\n")
-        with pytest.raises(DimMismatch):
-            load_word_table(path)
-
-    def test_duplicate_token(self, tmp_path):
-        path = tmp_path / "vectors.txt"
-        path.write_text("a 1.0\na 2.0\n")
-        with pytest.raises(DuplicateKey):
-            load_word_table(path)
 
 
 class TestSentenceStore:

@@ -8,7 +8,7 @@ from ercml import checkpoint
 from ercml.checkpoint import load_checkpoint, save_checkpoint
 from ercml.cli import main
 from ercml.classifier import pretrain_classifier
-from ercml.embeddings import SentenceEmbeddingStore, WordEmbeddingTable, hash_store_for_corpus
+from ercml.embeddings import SentenceEmbeddingStore, hash_store_for_corpus
 from ercml.errors import CheckpointError, ConfigError, MissingEmbedding, NonFinite
 from ercml.training import (
     ContextualModel,
@@ -16,10 +16,7 @@ from ercml.training import (
     evaluate_model,
     predict,
     train_contextual,
-    train_isolated,
 )
-from ercml.triplets import pairwise_distances
-from reference_triplets import reference_train_isolated
 
 
 def params_equal(a, b) -> bool:
@@ -137,8 +134,6 @@ class TestContextualTraining:
         records = []
         with caplog.at_level("DEBUG"):
             train_contextual(train_corpus, store16, self.small_cfg(), log_hook=records.append)
-            table = WordEmbeddingTable(vocabulary={}, dim=6, oov_policy="hashed")
-            train_isolated(train_corpus, table, TrainConfig(epochs=1, seed=0), rep_dim=4)
         assert records and not any(r["triplet_skipped"] for r in records)
         assert [r for r in caplog.records if r.name in ("ercml.training", "ercml.classifier")] == []
 
@@ -251,125 +246,6 @@ class TestEvaluate:
             1 for _, u in train_corpus.iter_utterances() if u.label in EMOTION_IDS
         )
         assert report.n_scored == n_emotional
-
-
-def separable_corpus_and_table(n_per_label=12, words_per_utt=4, dim=12, seed=0):
-    """Two-label corpus whose word vectors are linearly separable."""
-    rng = np.random.default_rng(seed)
-    direction = np.zeros(dim)
-    direction[0] = 1.0
-    vocab = {}
-    for w in range(40):
-        vocab[f"red{w}"] = direction * 2.0 + 0.3 * rng.standard_normal(dim)
-        vocab[f"blue{w}"] = -direction * 2.0 + 0.3 * rng.standard_normal(dim)
-    table = WordEmbeddingTable(vocabulary=vocab, dim=dim, oov_policy="zero")
-
-    dialogs = []
-    for i in range(n_per_label):
-        for label, color in ((1, "red"), (4, "blue")):
-            words = " ".join(
-                f"{color}{rng.integers(0, 40)}" for _ in range(words_per_utt)
-            )
-            dialogs.append(Dialog(
-                id=f"sep:{label}:{i}",
-                utterances=(Utterance(index=0, text=words, label=label),),
-            ))
-    return Corpus(split="train", dialogs=tuple(dialogs)), table
-
-
-def separation_ratio(model, corpus, table):
-    reps, labels = [], []
-    for d, u in corpus.iter_utterances():
-        reps.append(model.represent(u, table))
-        labels.append(u.label)
-    reps = np.stack(reps)
-    intra, inter = [], []
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            dist = float(np.linalg.norm(reps[i] - reps[j]))
-            (intra if labels[i] == labels[j] else inter).append(dist)
-    return np.mean(intra), np.mean(inter)
-
-
-class TestIsolatedTraining:
-    def test_seed_determinism_loss_trajectory(self):
-        corpus, table = separable_corpus_and_table()
-        cfg = TrainConfig(epochs=2, max_steps=10, seed=0, smooth_counts=1)
-        runs = []
-        for _ in range(2):
-            records = []
-            train_isolated(corpus, table, cfg, rep_dim=8, log_hook=records.append)
-            runs.append([r["triplet"] for r in records])
-        assert runs[0] == runs[1]
-
-    def test_linear_separation(self):
-        corpus, table = separable_corpus_and_table()
-        cfg = TrainConfig(epochs=20, max_steps=100, seed=0, smooth_counts=1)
-        model = train_isolated(corpus, table, cfg, rep_dim=8)
-        intra, inter = separation_ratio(model, corpus, table)
-        assert intra < inter
-
-    def test_lstm_separation(self):
-        corpus, table = separable_corpus_and_table()
-        cfg = TrainConfig(epochs=20, max_steps=100, seed=0, smooth_counts=1)
-        model = train_isolated(corpus, table, cfg, subnetwork="lstm", rep_dim=8)
-        intra, inter = separation_ratio(model, corpus, table)
-        assert intra < inter
-
-    @pytest.mark.parametrize("name, bad, message", [
-        ("rep_dim", 0, "rep_dim must be > 0, got 0"),
-        ("subnetwork", "gru", "subnetwork must be one of"),
-    ], ids=["rep_dim", "subnetwork"])
-    def test_bad_argument_raises_before_any_step(self, name, bad, message):
-        corpus, table = separable_corpus_and_table()
-        records = []
-        with pytest.raises(ConfigError, match=message):
-            train_isolated(corpus, table, TrainConfig(epochs=1, seed=0), log_hook=records.append, **{name: bad})
-        assert records == []
-
-
-class TestIsolatedOracle:
-    """`train_isolated` against the per-triplet trainer it replaced
-    (`reference_triplets.reference_train_isolated`): same mined triplets,
-    one loss and gradient per triplet, one backward per ref."""
-
-    @pytest.mark.parametrize("label_space_size", [7, 6])
-    @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
-    @pytest.mark.parametrize("subnetwork", ["linear", "lstm"])
-    def test_matches_per_triplet_trainer(self, train_corpus, subnetwork, kind, label_space_size):
-        table = WordEmbeddingTable(vocabulary={}, dim=6, oov_policy="hashed")
-        cfg = TrainConfig(epochs=10, max_steps=60, seed=3, distance=kind, margin=0.5,
-                          label_space_size=label_space_size)
-        runs = []
-        for trainer in (train_isolated, reference_train_isolated):
-            logs = []
-            model = trainer(train_corpus, table, cfg, subnetwork=subnetwork, rep_dim=5, log_hook=logs.append)
-            runs.append((logs, model.params.tensors()))
-        (logs, tensors), (ref_logs, ref_tensors) = runs
-        assert len(logs) == len(ref_logs) == 60
-        assert [r["active"] for r in logs] == [r["active"] for r in ref_logs]
-        assert 0 < sum(r["active"] for r in logs) < 60 * cfg.batch_size
-        for rec, ref in zip(logs, ref_logs, strict=True):
-            assert rec["triplet"] == pytest.approx(ref["triplet"], rel=1e-10, abs=1e-300)
-        for name, arr in tensors.items():
-            np.testing.assert_allclose(arr, ref_tensors[name], rtol=0, atol=1e-9)
-
-    @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
-    def test_linear_bias_trained_only_where_the_loss_sees_it(self, train_corpus, kind):
-        table = WordEmbeddingTable(vocabulary={}, dim=6, oov_policy="hashed")
-        cfg = TrainConfig(epochs=10, max_steps=60, seed=3, distance=kind, margin=0.5)
-        model = train_isolated(train_corpus, table, cfg, rep_dim=5)
-        ref = reference_train_isolated(train_corpus, table, cfg, subnetwork="linear", rep_dim=5)
-        b = model.params.b
-        if kind == "euclidean":
-            np.testing.assert_array_equal(b, np.zeros_like(b))
-            assert np.any(ref.params.b != 0)  # the reference moves it with rounding noise
-        else:
-            assert np.any(b != 0)
-        np.testing.assert_allclose(model.params.w, ref.params.w, rtol=0, atol=1e-9)
-        utts = [u for _, u in train_corpus.iter_utterances()][:12]
-        dists = [pairwise_distances(np.stack([m.represent(u, table) for u in utts]), kind) for m in (model, ref)]
-        np.testing.assert_allclose(dists[0], dists[1], rtol=1e-10, atol=1e-9)
 
 
 class TestContextualCheckpoint:
