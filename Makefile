@@ -49,10 +49,10 @@ byte-identity:
 paper-run:
 	set -e; for seed in $(SEEDS); do \
 	  echo "== paper-run seed $$seed"; \
-	  $(PY) -m ercml.cli train --data $(DATA) --store $(STORE) \
+	  $(SRC_PATH) $(PY) -m ercml.cli train --data $(DATA) --store $(STORE) \
 	    --out $(RUNS)/seed-$$seed --seed $$seed --epochs 5 --heads 6; \
 	done
-	$(PY) scripts/aggregate_paper_runs.py $(RUNS)
+	$(SRC_PATH) $(PY) scripts/aggregate_paper_runs.py $(RUNS)
 
 # The Tier-1 check named in ROADMAP.md: the whole suite, collection errors
 # reported per file instead of stopping the run.

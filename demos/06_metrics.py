@@ -55,7 +55,7 @@ print("per-label rows:", [(s.label, round(s.f1, 2)) for s in report.per_label])
 runs = [report_from_predictions(
     [g if rng.random() < 0.6 else names[rng.integers(0, 7)] for g in golds],
     golds, LABEL_NAMES,
-) for _ in range(5)]
+).to_dict() for _ in range(5)]
 summary = aggregate_runs(runs)
 print(f"\n5 runs: macroF1* {summary.mean['macro_f1_star']:.3f} "
       f"+/- {summary.std['macro_f1_star']:.3f}")

@@ -62,7 +62,6 @@ from .classifier import (
     ClassifierParams,
     batch_class_weights,
     init_classifier,
-    predicted_label,
     pretrain_classifier,
     weighted_cross_entropy,
 )

@@ -108,11 +108,6 @@ def classifier_backward(d_logits: np.ndarray, cache: ClassifierCache, params: Cl
     return d_reps, grads
 
 
-def predicted_label(logits: np.ndarray, label_space: tuple[int, ...]) -> int:
-    """Argmax label id; ties break to the lowest label-space index."""
-    return label_space[int(np.argmax(logits))]
-
-
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

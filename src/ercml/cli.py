@@ -25,7 +25,7 @@ from .corpus import (
     ALL_LABEL_IDS, EMOTION_IDS, LABEL_NAMES, Corpus, corpus_stats, format_stats, label_weights, load_split, utt_key,
 )
 from .embeddings import SentenceEmbeddingStore, load_sentence_embeddings
-from .errors import ConfigError, ErcmlError, ProviderMismatch
+from .errors import ConfigError, ErcmlError, MissingFile, ProviderMismatch
 from .llm import HttpGenerationClient, ReplayClient, evaluate_llm, resolve_template, write_generation_log
 from .metrics import NEUTRAL_POLICIES, format_report
 from .training import (
@@ -37,7 +37,7 @@ from .training import (
     TrainConfig,
     check_lower_bound,
     evaluate_model,
-    predict,
+    predict_dialogs,
     pretrain_from_config,
     train_contextual,
 )
@@ -75,11 +75,15 @@ def read_config_file(path: str | Path) -> dict:
     """Flat key=value file with sections; section names are cosmetic.
 
     Raises:
+        MissingFile: no file at `path`.
         ConfigError: a key that is neither a TrainConfig field nor a path
             option, or a value that does not parse as its field's type.
     """
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFile(f"config file not found: {path}")
     parser = configparser.ConfigParser()
-    text = Path(path).read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
     try:
         parser.read_string(text)
     except configparser.MissingSectionHeaderError:
@@ -271,14 +275,13 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model, corpus, store = _load_scoring_inputs(args)
-    lines = []
-    for dialog in corpus.dialogs:
-        for utt, pred in zip(dialog.utterances, predict(model, dialog, store)):
-            lines.append(json.dumps({
-                "key": utt_key(dialog.id, utt.index),
-                "pred": LABEL_NAMES[pred],
-                "gold": LABEL_NAMES[utt.label],
-            }, sort_keys=True))
+    lines = [
+        json.dumps({
+            "key": utt_key(dialog.id, utt.index), "pred": LABEL_NAMES[pred], "gold": LABEL_NAMES[utt.label],
+        }, sort_keys=True)
+        for dialog, labels in predict_dialogs(model, corpus.dialogs, store)
+        for utt, pred in zip(dialog.utterances, labels)
+    ]
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -23,9 +23,8 @@ from .errors import (
     DuplicateKey,
     MalformedRecord,
     MissingEmbedding,
+    MissingFile,
 )
-
-STORE_FORMAT_VERSION = 1
 
 
 def hash_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
@@ -104,11 +103,16 @@ def load_sentence_embeddings(path: str | Path) -> SentenceEmbeddingStore:
     line is `{"key": "...", "vector": [...]}`.
 
     Raises:
-        MalformedRecord: missing header, bad JSON, or missing fields.
+        MissingFile: no file at `path`.
+        MalformedRecord: missing header, a `dim` that is not a positive
+            JSON integer, bad JSON, missing fields, or a non-numeric or
+            non-finite coordinate.
         DimMismatch: a vector disagrees with the header dim.
         DuplicateKey: the same utterance key appears twice.
     """
     path = Path(path)
+    if not path.is_file():
+        raise MissingFile(f"embedding store not found: {path}")
     entries: dict[str, np.ndarray] = {}
     provider = "unknown"
     dim: int | None = None
@@ -122,15 +126,20 @@ def load_sentence_embeddings(path: str | Path) -> SentenceEmbeddingStore:
             except json.JSONDecodeError:
                 raise MalformedRecord(f"{path.name}:{lineno}: invalid JSON") from None
             if lineno == 0:
-                if "dim" not in record:
+                if not isinstance(record, dict) or "dim" not in record:
                     raise MalformedRecord(f"{path.name}: first line must be a header with 'dim'")
-                dim = int(record["dim"])
+                dim = record["dim"]
+                if type(dim) is not int or dim < 1:
+                    raise MalformedRecord(f"{path.name}: header dim {dim!r} is not a positive integer")
                 provider = str(record.get("provider", "unknown"))
                 continue
-            if "key" not in record or "vector" not in record:
+            if not isinstance(record, dict) or "key" not in record or "vector" not in record:
                 raise MalformedRecord(f"{path.name}:{lineno}: record needs 'key' and 'vector'")
             key = str(record["key"])
-            vec = np.asarray(record["vector"], dtype=float)
+            try:
+                vec = np.asarray(record["vector"], dtype=float)
+            except (TypeError, ValueError):
+                raise MalformedRecord(f"{path.name}:{lineno}: non-numeric coordinate") from None
             if vec.ndim != 1 or vec.shape[0] != dim:
                 raise DimMismatch(f"{path.name}:{lineno}: vector dim {vec.shape} != header dim {dim}")
             if not np.all(np.isfinite(vec)):

@@ -23,7 +23,7 @@ class BadLabel(ErcmlError):
 
 
 class MissingFile(ErcmlError):
-    """Expected corpus file not found."""
+    """Expected input file (corpus, store, config, replay) not found."""
 
 
 class LineCountMismatch(ErcmlError):
@@ -49,7 +49,7 @@ class DuplicateKey(ErcmlError):
 
 
 class MalformedRecord(ErcmlError):
-    """Embedding file record cannot be parsed."""
+    """Embedding-store or replay-fixture record cannot be parsed."""
 
 
 class EmptySequence(ErcmlError):

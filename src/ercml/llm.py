@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .corpus import LABEL_NAMES, Corpus, Dialog
-from .errors import BadTemplate, EmptyDialog, EndpointFailure
+from .errors import BadTemplate, EmptyDialog, EndpointFailure, MalformedRecord, MissingFile
 from .metrics import MetricsReport, confusion, report_from_confusion
 
 logger = logging.getLogger(__name__)
@@ -130,14 +130,24 @@ class ReplayClient:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayClient":
+        """Raises MissingFile when `path` is absent, MalformedRecord on a
+        line that is not a JSON object with `key` and `text`."""
+        path = Path(path)
+        if not path.is_file():
+            raise MissingFile(f"replay fixture not found: {path}")
         responses: dict[str, str] = {}
         default = None
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for line in fh:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                record = json.loads(line)
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    raise MalformedRecord(f"{path.name}:{lineno}: invalid JSON") from None
+                if not isinstance(record, dict) or "key" not in record or "text" not in record:
+                    raise MalformedRecord(f"{path.name}:{lineno}: record needs 'key' and 'text'")
                 if record["key"] == "*":
                     default = str(record["text"])
                 else:

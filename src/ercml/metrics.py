@@ -17,6 +17,7 @@ MCC forms).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -304,19 +305,18 @@ class RunSummary:
         return asdict(self)
 
 
-def aggregate_runs(reports: list[MetricsReport]) -> RunSummary:
+def aggregate_runs(runs: list[Mapping[str, float]]) -> RunSummary:
     """Per-metric mean and (n-1) standard deviation; std 0 for one run.
 
+    Each run is a mapping holding the metrics by name, such as
+    `MetricsReport.to_dict()` or a loaded `metrics.json`.
+
     Raises:
-        EmptySequence: no reports given.
+        EmptySequence: no runs given.
     """
-    if not reports:
-        raise EmptySequence("aggregate_runs needs at least one report")
-    metrics = {
-        "macro_f1_star": [r.macro_f1_star for r in reports],
-        "micro_f1_star": [r.micro_f1_star for r in reports],
-        "mcc": [r.mcc for r in reports],
-    }
+    if not runs:
+        raise EmptySequence("aggregate_runs needs at least one run")
+    metrics = {k: [float(r[k]) for r in runs] for k in ("macro_f1_star", "micro_f1_star", "mcc")}
     mean = {k: float(np.mean(v)) for k, v in metrics.items()}
     std = {}
     for k, values in metrics.items():
@@ -324,7 +324,7 @@ def aggregate_runs(reports: list[MetricsReport]) -> RunSummary:
             std[k] = 0.0  # exact zero for identical runs, no roundoff
         else:
             std[k] = float(np.std(values, ddof=1))
-    return RunSummary(n_runs=len(reports), mean=mean, std=std)
+    return RunSummary(n_runs=len(runs), mean=mean, std=std)
 
 
 def format_report(report: MetricsReport) -> str:

@@ -16,6 +16,7 @@ ablation runs.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -430,33 +431,28 @@ def _train_cycle(
     return {"ce": ce_loss, "triplet": tri_loss, "active": active, "triplet_skipped": skipped}
 
 
-def predict(model: ContextualModel, dialog: Dialog, store: SentenceEmbeddingStore) -> list[int]:
-    """One label id per utterance: argmax of the emotion head over each
-    contextual representation."""
-    encoding = encode_dialog([dialog], store, model.encoder)
-    logits, _ = classify_batch(encoding.contextual, model.classifier)
+PREDICT_BATCH = 8  # dialogs per packed prediction pass; batches of 32 ran slower
+
+
+def predict_dialogs(
+    model: ContextualModel, dialogs: Sequence[Dialog], store: SentenceEmbeddingStore
+) -> Iterator[tuple[Dialog, list[int]]]:
+    """Yields (dialog, one label id per utterance) for each of `dialogs`,
+    in order. Dialogs are encoded `PREDICT_BATCH` to a packed pass, whose
+    block mask keeps each to its own rows. A label is the argmax of the
+    emotion head; a tie goes to the lowest label-space index."""
     space = model.classifier.label_space
-    return [space[int(i)] for i in np.argmax(logits, axis=1)]
+    for batch in _chunks(dialogs, PREDICT_BATCH):
+        encoding = encode_dialog(batch, store, model.encoder)
+        logits, _ = classify_batch(encoding.contextual, model.classifier)
+        labels = iter([space[int(i)] for i in np.argmax(logits, axis=1)])
+        for dialog in batch:
+            yield dialog, [next(labels) for _ in dialog.utterances]
 
 
-def predict_corpus(
-    model: ContextualModel, corpus: Corpus, store: SentenceEmbeddingStore
-) -> tuple[list[str], list[str]]:
-    """(predicted, gold) label names over all scorable utterances.
-
-    For a 6-label model, gold-neutral utterances are not scored (they
-    are excluded from both training and evaluation in that mode).
-    """
-    space = set(model.classifier.label_space)
-    preds: list[str] = []
-    golds: list[str] = []
-    for dialog in corpus.dialogs:
-        labels = predict(model, dialog, store)
-        for utt, pred in zip(dialog.utterances, labels):
-            if utt.label in space:
-                preds.append(LABEL_NAMES[pred])
-                golds.append(LABEL_NAMES[utt.label])
-    return preds, golds
+def predict(model: ContextualModel, dialog: Dialog, store: SentenceEmbeddingStore) -> list[int]:
+    """:func:`predict_dialogs` on one dialog."""
+    return next(predict_dialogs(model, [dialog], store))[1]
 
 
 def evaluate_model(
@@ -465,8 +461,14 @@ def evaluate_model(
     store: SentenceEmbeddingStore,
     neutral_policy: str = "attribute",
 ) -> MetricsReport:
-    """Score a corpus split with the shared metrics conventions."""
-    preds, golds = predict_corpus(model, corpus, store)
-    label_names = tuple(LABEL_NAMES[i] for i in model.classifier.label_space)
-    return report_from_predictions(preds, golds, label_names, neutral_policy)
-
+    """Score a corpus split with the shared metrics conventions; a 6-label
+    model leaves gold-neutral utterances unscored, as training does."""
+    space = model.classifier.label_space
+    scored = [
+        (LABEL_NAMES[pred], LABEL_NAMES[utt.label])
+        for dialog, labels in predict_dialogs(model, corpus.dialogs, store)
+        for utt, pred in zip(dialog.utterances, labels)
+        if utt.label in space
+    ]
+    label_names = tuple(LABEL_NAMES[i] for i in space)
+    return report_from_predictions([p for p, _ in scored], [g for _, g in scored], label_names, neutral_policy)

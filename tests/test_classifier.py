@@ -13,7 +13,6 @@ from ercml.classifier import (
     classifier_to_tensors,
     classify_batch,
     init_classifier,
-    predicted_label,
     pretrain_classifier,
     weighted_cross_entropy,
 )
@@ -58,18 +57,6 @@ class TestClassify:
         params = init_classifier(8, seed=2)
         x = np.random.default_rng(1).standard_normal(8)
         np.testing.assert_array_equal(classify(x, params), classify(x.copy(), params))
-
-    def test_argmax_shift_invariance(self):
-        rng = np.random.default_rng(3)
-        space = tuple(range(7))
-        for _ in range(50):
-            logits = rng.standard_normal(7)
-            shifted = logits + rng.uniform(-100, 100)
-            assert predicted_label(logits, space) == predicted_label(shifted, space)
-
-    def test_tie_breaks_to_lowest_index(self):
-        logits = np.array([1.0, 2.0, 2.0])
-        assert predicted_label(logits, (0, 5, 6)) == 5
 
 
 class TestWeightedCrossEntropy:

@@ -328,6 +328,68 @@ class TestPredict:
         record = json.loads(lines[0])
         assert set(record) == {"key", "pred", "gold"}
 
+    @pytest.mark.parametrize("label_space", ["7", "6"])
+    def test_lines_agree_with_eval_confusion(self, store_file, tmp_path, label_space):
+        out = tmp_path / "run"
+        main(["train", "--data", DATA, "--store", store_file, "--out", str(out),
+              "--label-space", label_space, *FAST_TRAIN])
+        scoring = ["--model", str(out / "model.npz"), "--data", DATA, "--store", store_file, "--split", "test"]
+        assert main(["predict", *scoring, "--out", str(tmp_path / "preds.jsonl")]) == 0
+        assert main(["eval", *scoring, "--out", str(tmp_path / "eval.json")]) == 0
+        doc = json.loads((tmp_path / "eval.json").read_text())
+        names = doc["label_space"]
+        counts = [[0] * len(names) for _ in names]
+        for line in (tmp_path / "preds.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            if record["gold"] in names:  # a 6-label model scores no gold neutral
+                counts[names.index(record["gold"])][names.index(record["pred"])] += 1
+        assert counts == doc["confusion"]
+        assert sum(map(sum, counts)) == doc["n_scored"] > 0
+
+
+STORE_HEADER = json.dumps({"provider": "hash", "dim": 2}) + "\n"
+
+
+class TestUnreadableInputs:
+    """A missing or malformed file named on the command line exits 1 with
+    the error's type, raised where the file is read."""
+
+    COMMANDS = {
+        "train": ["train", "--data", DATA],
+        "pretrain": ["pretrain", "--data", DATA],
+        "llm-eval": ["llm-eval", "--data", DATA, "--parallelism", "1"],
+    }
+
+    @pytest.mark.parametrize("command, flag, text, error", [
+        ("train", "--config", None, "MissingFile"),
+        ("pretrain", "--store", None, "MissingFile"),
+        ("llm-eval", "--replay", None, "MissingFile"),
+        ("pretrain", "--store", STORE_HEADER + '{"key": "k", "vector": ["x", 1.0]}\n', "MalformedRecord"),
+        ("pretrain", "--store", STORE_HEADER + '{"key": "k", "vector": [{}, 1.0]}\n', "MalformedRecord"),
+        ("pretrain", "--store", '{"provider": "hash", "dim": "two"}\n', "MalformedRecord"),
+        ("pretrain", "--store", '{"provider": "hash", "dim": 1.5}\n', "MalformedRecord"),
+        ("pretrain", "--store", '{"provider": "hash", "dim": null}\n', "MalformedRecord"),
+        ("llm-eval", "--replay", "not json\n", "MalformedRecord"),
+        ("llm-eval", "--replay", '{"text": "joy"}\n', "MalformedRecord"),
+        ("llm-eval", "--replay", '{"key": "*"}\n', "MalformedRecord"),
+        ("llm-eval", "--replay", '["*", "joy"]\n', "MalformedRecord"),
+    ], ids=[
+        "no-config", "no-store", "no-replay", "store-string-coordinate", "store-object-coordinate",
+        "store-string-dim", "store-float-dim", "store-null-dim", "replay-not-json", "replay-no-key",
+        "replay-no-text", "replay-not-object",
+    ])
+    def test_exits_one_with_typed_error(self, tmp_path, capsys, command, flag, text, error):
+        path = tmp_path / "input"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "out"
+        rc = main([*self.COMMANDS[command], "--out", str(out), flag, str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert f"error: {error}: " in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
 
 class TestSampleTriplets:
     def test_jsonl_and_determinism(self, tmp_path, capsys):

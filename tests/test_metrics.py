@@ -235,7 +235,7 @@ class TestAggregateRuns:
     def report(self, macro, micro=0.5, mcc=0.2):
         m = confusion(["anger"], ["anger"], SEVEN)
         base = report_from_confusion(m)
-        return replace(base, macro_f1_star=macro, micro_f1_star=micro, mcc=mcc)
+        return replace(base, macro_f1_star=macro, micro_f1_star=micro, mcc=mcc).to_dict()
 
     def test_identical_reports_zero_std(self):
         summary = aggregate_runs([self.report(0.4)] * 3)

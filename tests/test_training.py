@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from ercml.corpus import Corpus, Dialog, EMOTION_IDS, Utterance
-from ercml import checkpoint
+from ercml import checkpoint, training
 from ercml.checkpoint import load_checkpoint, save_checkpoint
 from ercml.cli import main
-from ercml.classifier import pretrain_classifier
+from ercml.classifier import classify_batch, pretrain_classifier
 from ercml.embeddings import SentenceEmbeddingStore, hash_store_for_corpus
+from ercml.encoder import encode_dialog
 from ercml.errors import CheckpointError, ConfigError, MissingEmbedding, NonFinite
 from ercml.training import (
     ContextualModel,
     TrainConfig,
     evaluate_model,
     predict,
+    predict_dialogs,
     train_contextual,
 )
 
@@ -221,6 +223,23 @@ class TestPredict:
         dialog = train_corpus.dialogs[0]
         assert predict(model, dialog, store16) == predict(model, dialog, store16)
 
+    def test_tie_goes_to_lowest_label_space_index(self, train_corpus, store16):
+        cfg = TrainConfig(epochs=1, max_steps=1, pretrain_steps=2, seed=0, label_space_size=6)
+        model = train_contextual(train_corpus, store16, cfg)
+        # w_out = 0: every utterance gets the logits b_out, over label
+        # space (1, ..., 6), where indices 2 and 4 tie for the maximum
+        model.classifier.w_out[...] = 0.0
+        model.classifier.b_out[...] = [0.1, 0.3, 0.7, 0.2, 0.7, -1.0]
+        for dialog in train_corpus.dialogs[:3]:
+            assert predict(model, dialog, store16) == [EMOTION_IDS[2]] * len(dialog)
+
+    def test_constant_logit_shift_keeps_labels(self, train_corpus, store16):
+        model = train_contextual(train_corpus, store16, TrainConfig(epochs=1, max_steps=2, pretrain_steps=5, seed=0))
+        dialog = train_corpus.dialogs[0]
+        before = predict(model, dialog, store16)
+        model.classifier.b_out[...] += 37.5
+        assert predict(model, dialog, store16) == before
+
     def test_memorized_tiny_corpus_predicts_gold(self):
         corpus = make_corpus([[0, 4, 1], [4, 0, 5], [1, 5, 4, 0]], prefix="tiny")
         store = hash_store_for_corpus(corpus, dim=16, seed=0)
@@ -228,6 +247,54 @@ class TestPredict:
         model = train_contextual(corpus, store, cfg)
         for dialog in corpus.dialogs:
             assert predict(model, dialog, store) == list(dialog.labels)
+
+
+def unpacked_logits(model, dialog, store) -> np.ndarray:
+    encoding = encode_dialog([dialog], store, model.encoder)
+    return classify_batch(encoding.contextual, model.classifier)[0]
+
+
+def predict_unpacked(model, dialog, store) -> list[int]:
+    """Reference for the packed prediction path: one dialog per encoder
+    pass, argmax of the head over each utterance row."""
+    space = model.classifier.label_space
+    return [space[int(i)] for i in np.argmax(unpacked_logits(model, dialog, store), axis=1)]
+
+
+class TestPackedPrediction:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        # 19 dialogs: two full packed batches of 8 and a partial one of 3,
+        # with 1-utterance dialogs among them
+        rng = np.random.default_rng(5)
+        lengths = [1, 4, 2, 7, 1, 3, 5, 1, 6, 2, 3, 1, 4, 2, 5, 1, 3, 6, 1]
+        return make_corpus([rng.integers(0, 7, n).tolist() for n in lengths], prefix="packed")
+
+    @pytest.mark.parametrize("label_space_size", [7, 6])
+    @pytest.mark.parametrize("encoder_layers", [1, 2])
+    def test_matches_one_dialog_per_pass(self, corpus, monkeypatch, label_space_size, encoder_layers):
+        store = hash_store_for_corpus(corpus, dim=16, seed=0)
+        cfg = TrainConfig(epochs=1, max_steps=2, pretrain_steps=5, seed=0,
+                          label_space_size=label_space_size, encoder_layers=encoder_layers)
+        model = train_contextual(corpus, store, cfg)
+        # centre each label's mean logit, so the argmax is not one label
+        # everywhere and the comparison can tell rows apart
+        logits = np.concatenate([unpacked_logits(model, d, store) for d in corpus.dialogs])
+        model.classifier.b_out[...] -= logits.mean(axis=0)
+        expected = [predict_unpacked(model, d, store) for d in corpus.dialogs]
+        assert len({lab for labels in expected for lab in labels}) >= 4
+
+        batches = []
+
+        def spy(dialogs, *args):
+            batches.append(len(dialogs))
+            return encode_dialog(dialogs, *args)
+
+        monkeypatch.setattr(training, "encode_dialog", spy)
+        got = list(predict_dialogs(model, corpus.dialogs, store))
+        assert batches == [8, 8, 3]
+        assert [d for d, _ in got] == list(corpus.dialogs)
+        assert [labels for _, labels in got] == expected
 
 
 class TestEvaluate:
