@@ -3,17 +3,26 @@
 Two sources, both frozen with respect to training:
 
 * sentence-embedding stores loaded from offline JSON-lines exports
-  (the contextual model's input; embedding models are never run here),
+  (the contextual model's input; embedding models are never run here).
+  The first load parses the JSONL and writes a binary sidecar,
+  `<store>.jsonl.npz`, which later loads read while it records the
+  JSONL's current size and SHA-256. Either way a store's vectors are
+  the read-only rows of one contiguous `(N, dim)` array,
 * a deterministic hash embedder used as a dependency-free stand-in for
   desk-scale tests and demos.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import zipfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -97,59 +106,158 @@ class SentenceEmbeddingStore:
 
 
 def load_sentence_embeddings(path: str | Path) -> SentenceEmbeddingStore:
-    """Load the JSON-lines exchange format.
+    """Load the JSON-lines exchange format, from its sidecar when that is current.
 
-    First line is a header object with `provider` and `dim`; every other
-    line is `{"key": "...", "vector": [...]}`.
+    The first non-blank line is a header object with `provider` and `dim`;
+    every other non-blank line is `{"key": "...", "vector": [...]}`.
+
+    The sidecar `<path>.npz` (`store.jsonl.npz` beside `store.jsonl`) is
+    used when it records this file's size and SHA-256, its `dim` and
+    `provider` equal the header's, and it holds unique keys and finite
+    float64 vectors of that dim. Otherwise the JSONL is parsed, and the
+    sidecar is written for the next load if its directory allows.
 
     Raises:
         MissingFile: no file at `path`.
         MalformedRecord: missing header, a `dim` that is not a positive
-            JSON integer, bad JSON, missing fields, or a non-numeric or
-            non-finite coordinate.
+            JSON integer, bad JSON, missing fields, a non-numeric or
+            non-finite coordinate, or a file that grew while it was
+            read. Messages count lines from 1.
         DimMismatch: a vector disagrees with the header dim.
         DuplicateKey: the same utterance key appears twice.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"embedding store not found: {path}")
-    entries: dict[str, np.ndarray] = {}
-    provider = "unknown"
-    dim: int | None = None
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                raise MalformedRecord(f"{path.name}:{lineno}: invalid JSON") from None
-            if lineno == 0:
-                if not isinstance(record, dict) or "dim" not in record:
-                    raise MalformedRecord(f"{path.name}: first line must be a header with 'dim'")
-                dim = record["dim"]
-                if type(dim) is not int or dim < 1:
-                    raise MalformedRecord(f"{path.name}: header dim {dim!r} is not a positive integer")
-                provider = str(record.get("provider", "unknown"))
-                continue
+    sidecar = path.with_name(path.name + ".npz")
+    store = _load_sidecar(path, sidecar)
+    if store is not None:
+        return store
+    keys, vectors, dim, provider, size, digest = _parse_jsonl(path)
+    names = np.array(keys, dtype=str)
+    if names.tolist() == keys:  # false only for a key ending in NUL, which the array drops
+        _write_sidecar(sidecar, keys=names, vectors=vectors, dim=dim, provider=provider,
+                       size=size, sha256=digest)
+    return _contiguous_store(keys, vectors, dim, provider)
+
+
+def _contiguous_store(keys: list[str], vectors: np.ndarray, dim: int, provider: str) -> SentenceEmbeddingStore:
+    """A store whose entries are the read-only rows of one `(N, dim)` array."""
+    vectors.flags.writeable = False
+    return SentenceEmbeddingStore(entries=dict(zip(keys, vectors)), dim=dim, provider_name=provider)
+
+
+def _chunks(fh: BinaryIO) -> Iterator[bytes]:
+    return iter(lambda: fh.read(1 << 20), b"")
+
+
+def _non_blank(fh: BinaryIO, sha) -> Iterator[tuple[int, bytes]]:
+    """`(line number from 1, stripped line)` of each non-blank line; every
+    line read, blank ones too, is fed to `sha`."""
+    for lineno, raw in enumerate(fh, start=1):
+        sha.update(raw)
+        if line := raw.strip():
+            yield lineno, line
+
+
+def _decode(line: bytes, name: str, lineno: int):
+    try:
+        return json.loads(line)
+    except ValueError:  # not JSON, or not UTF-8
+        raise MalformedRecord(f"{name}:{lineno}: invalid JSON") from None
+
+
+def _header(lines: Iterator[tuple[int, bytes]], name: str) -> tuple[int, str]:
+    """`(dim, provider)` from the first of `lines`."""
+    first = next(lines, None)
+    if first is None:
+        raise MalformedRecord(f"{name}: empty embedding file (header required)")
+    lineno, line = first
+    record = _decode(line, name, lineno)
+    if not isinstance(record, dict) or "dim" not in record:
+        raise MalformedRecord(f"{name}:{lineno}: first non-blank line must be a header with 'dim'")
+    dim = record["dim"]
+    if type(dim) is not int or dim < 1:
+        raise MalformedRecord(f"{name}:{lineno}: header dim {dim!r} is not a positive integer")
+    return dim, str(record.get("provider", "unknown"))
+
+
+def _parse_jsonl(path: Path) -> tuple[list[str], np.ndarray, int, str, int, str]:
+    """The validating parse: `(keys, vectors, dim, provider, size, sha256)`,
+    where size and digest are those of the bytes parsed."""
+    name, sha = path.name, hashlib.sha256()
+    with path.open("rb") as fh:
+        capacity = sum(chunk.count(b"\n") for chunk in _chunks(fh))  # records < lines <= newlines + 1
+        fh.seek(0)
+        lines = _non_blank(fh, sha)
+        dim, provider = _header(lines, name)
+        vectors = np.empty((capacity, dim))
+        keys: dict[str, None] = {}  # insertion-ordered set
+        for lineno, line in lines:
+            record = _decode(line, name, lineno)
             if not isinstance(record, dict) or "key" not in record or "vector" not in record:
-                raise MalformedRecord(f"{path.name}:{lineno}: record needs 'key' and 'vector'")
+                raise MalformedRecord(f"{name}:{lineno}: record needs 'key' and 'vector'")
             key = str(record["key"])
             try:
                 vec = np.asarray(record["vector"], dtype=float)
             except (TypeError, ValueError):
-                raise MalformedRecord(f"{path.name}:{lineno}: non-numeric coordinate") from None
+                raise MalformedRecord(f"{name}:{lineno}: non-numeric coordinate") from None
             if vec.ndim != 1 or vec.shape[0] != dim:
-                raise DimMismatch(f"{path.name}:{lineno}: vector dim {vec.shape} != header dim {dim}")
+                raise DimMismatch(f"{name}:{lineno}: vector dim {vec.shape} != header dim {dim}")
             if not np.all(np.isfinite(vec)):
-                raise MalformedRecord(f"{path.name}:{lineno}: non-finite coordinate")
-            if key in entries:
-                raise DuplicateKey(f"{path.name}:{lineno}: duplicate key {key!r}")
-            entries[key] = vec
-    if dim is None:
-        raise MalformedRecord(f"{path.name}: empty embedding file (header required)")
-    return SentenceEmbeddingStore(entries=entries, dim=dim, provider_name=provider)
+                raise MalformedRecord(f"{name}:{lineno}: non-finite coordinate")
+            if key in keys:
+                raise DuplicateKey(f"{name}:{lineno}: duplicate key {key!r}")
+            if len(keys) == capacity:
+                raise MalformedRecord(f"{name}:{lineno}: the file grew while it was read")
+            vectors[len(keys)] = vec
+            keys[key] = None
+        size = fh.tell()
+    return list(keys), vectors[:len(keys)], dim, provider, size, sha.hexdigest()
+
+
+def _load_sidecar(path: Path, sidecar: Path) -> SentenceEmbeddingStore | None:
+    """The store held by `sidecar`, or None when there is none, it cannot
+    be read, it was written from other bytes than `path` holds now, or it
+    fails a check. A malformed header raises what the parse would."""
+    try:
+        with np.load(sidecar, allow_pickle=False) as npz:
+            keys, vectors, dim, provider, size, digest = (
+                npz[member] for member in ("keys", "vectors", "dim", "provider", "size", "sha256"))
+    except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
+        return None
+    if size.tolist() != path.stat().st_size:
+        return None
+    sha = hashlib.sha256()
+    with path.open("rb") as fh:
+        header = _header(_non_blank(fh, sha), path.name)
+        for chunk in _chunks(fh):
+            sha.update(chunk)
+    if (digest.tolist() != sha.hexdigest() or (dim.tolist(), provider.tolist()) != header
+            or keys.dtype.kind != "U" or keys.ndim != 1
+            or vectors.dtype != np.float64 or vectors.shape != (len(keys), header[0])
+            or not np.isfinite(vectors).all()):
+        return None
+    keys = keys.tolist()
+    if len(set(keys)) != len(keys):
+        return None
+    return _contiguous_store(keys, vectors, dim.tolist(), provider.tolist())
+
+
+def _write_sidecar(sidecar: Path, **members: object) -> None:
+    """Write `members` to `sidecar` atomically, or not at all: when the
+    directory is read-only or the disk full, the load goes on and the
+    next one parses again. No temporary file is left behind."""
+    tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("xb") as fh:
+            np.savez(fh, **members)
+        os.replace(tmp, sidecar)
+    except OSError:
+        pass
+    finally:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
 
 
 def save_sentence_embeddings(store: SentenceEmbeddingStore, path: str | Path) -> Path:
