@@ -19,8 +19,6 @@ from .corpus import (
     Dialog,
     Utterance,
     corpus_stats,
-    label_id,
-    label_name,
     label_weights,
     load_split,
     parse_dialog_line,

@@ -45,8 +45,9 @@ def load_checkpoint(path: str | Path, expect_kind: str | None = None):
     """Read a checkpoint; returns (kind, tensors dict, meta dict).
 
     Raises:
-        CheckpointError: file absent/unreadable, not a checkpoint, or of
-            a different kind than expected.
+        CheckpointError: file absent/unreadable, not a checkpoint, its
+            metadata not a JSON object, or of a different kind than
+            expected.
     """
     path = Path(path)
     if not path.exists():
@@ -61,6 +62,8 @@ def load_checkpoint(path: str | Path, expect_kind: str | None = None):
             }
     except (ValueError, OSError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata is a JSON {type(meta).__name__}, not an object")
     if meta.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format version {meta.get('format_version')} != {FORMAT_VERSION}; "
@@ -102,13 +105,18 @@ def checked_tensor(tensors: dict[str, np.ndarray], name: str, shape: tuple[int, 
     """A copy of `tensors[name]`.
 
     Raises:
-        CheckpointError: the tensor is absent or not of `shape`.
+        CheckpointError: the tensor is absent, not of `shape`, not
+            float64, or holds a NaN or an infinity.
     """
     arr = tensors.get(name)
     if arr is None:
         raise CheckpointError(f"checkpoint lacks tensor {name!r}")
     if arr.shape != shape:
         raise CheckpointError(f"checkpoint tensor {name!r} has shape {arr.shape}, expected {shape}")
+    if arr.dtype != np.float64:
+        raise CheckpointError(f"checkpoint tensor {name!r} has dtype {arr.dtype}, expected float64")
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"checkpoint tensor {name!r} holds a NaN or an infinity")
     return arr.copy()
 
 

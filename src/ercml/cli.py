@@ -14,6 +14,7 @@ import json
 import logging
 import sys
 import typing
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +23,12 @@ from . import __version__
 from .classifier import classifier_from_tensors, classifier_to_tensors
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import (
-    ALL_LABEL_IDS, EMOTION_IDS, LABEL_NAMES, Corpus, corpus_stats, format_stats, label_weights, load_split, utt_key,
+    ALL_LABEL_IDS, EMOTION_IDS, LABEL_NAMES, Corpus, corpus_stats, format_stats, label_weights, load_split, read_utf8,
+    utt_key,
 )
 from .embeddings import SentenceEmbeddingStore, load_sentence_embeddings
 from .errors import ConfigError, ErcmlError, MissingFile, ProviderMismatch
-from .llm import HttpGenerationClient, ReplayClient, evaluate_llm, resolve_template, write_generation_log
+from .llm import HttpGenerationClient, ReplayClient, evaluate_llm, resolve_template
 from .metrics import NEUTRAL_POLICIES, format_report
 from .training import (
     DISTANCES,
@@ -76,14 +78,15 @@ def read_config_file(path: str | Path) -> dict:
 
     Raises:
         MissingFile: no file at `path`.
-        ConfigError: a key that is neither a TrainConfig field nor a path
-            option, or a value that does not parse as its field's type.
+        ConfigError: a file that is not UTF-8 text, a key that is neither
+            a TrainConfig field nor a path option, or a value that does
+            not parse as its field's type.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"config file not found: {path}")
     parser = configparser.ConfigParser()
-    text = path.read_text(encoding="utf-8")
+    text = read_utf8(path, ConfigError)
     try:
         parser.read_string(text)
     except configparser.MissingSectionHeaderError:
@@ -305,6 +308,9 @@ def cmd_sample_triplets(args) -> int:
 
 
 def cmd_llm_eval(args) -> int:
+    check_lower_bound("parallelism", args.parallelism, strict=True)
+    check_lower_bound("max_retries", args.max_retries, strict=False)
+    check_lower_bound("max_new_tokens", args.max_new_tokens, strict=True)
     corpus = load_split(args.data, args.split)
     template = resolve_template(args.template)
     if args.replay:
@@ -326,7 +332,8 @@ def cmd_llm_eval(args) -> int:
     echo = _config_echo(args)
     doc = result.report.to_dict(config_echo=echo)
     _write_json(out / "llm_metrics.json", doc)
-    write_generation_log(result.records, out / "generations.jsonl")
+    lines = [json.dumps(asdict(record), sort_keys=True) + "\n" for record in result.records]
+    _write_text(out / "generations.jsonl", "".join(lines))
     sys.stdout.write(format_report(result.report))
     print(
         f"dialogs={result.n_dialogs} failed={result.n_failed} unparsable={result.n_unparsable} "

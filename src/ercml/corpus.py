@@ -19,7 +19,9 @@ from .errors import (
     BadLabel,
     CountMismatch,
     EmptyCorpus,
+    ErcmlError,
     LineCountMismatch,
+    MalformedRecord,
     MissingFile,
     ZeroCount,
 )
@@ -37,7 +39,6 @@ LABEL_NAMES: tuple[str, ...] = (
     "sadness",
     "surprise",
 )
-NAME_TO_ID: dict[str, int] = {name: i for i, name in enumerate(LABEL_NAMES)}
 NEUTRAL_ID = 0
 EMOTION_IDS: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
 EMOTION_NAMES: tuple[str, ...] = LABEL_NAMES[1:]
@@ -49,19 +50,12 @@ SPLITS = ("train", "validation", "test")
 MAX_EXPECTED_DIALOG_LEN = 35
 
 
-def label_name(label_id: int) -> str:
-    """Map a label id to its canonical name."""
-    if not 0 <= label_id < len(LABEL_NAMES):
-        raise BadLabel(f"label id {label_id} outside [0, {len(LABEL_NAMES) - 1}]")
-    return LABEL_NAMES[label_id]
-
-
-def label_id(name: str) -> int:
-    """Map a canonical label name to its id."""
+def read_utf8(path: Path, error: type[ErcmlError]) -> str:
+    """The text of the file `path`; raises `error` when it is not UTF-8."""
     try:
-        return NAME_TO_ID[name]
-    except KeyError:
-        raise BadLabel(f"unknown label name {name!r}") from None
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.object[exc.start:exc.end]!r}: {exc.reason})") from None
 
 
 def utt_key(dialog_id: str, index: int) -> str:
@@ -187,11 +181,9 @@ def _resolve_split_files(directory: Path, split: str) -> tuple[Path, Path]:
          directory / split / f"dialogues_emotion_{split}.txt"),
         (directory / f"dialogues_{split}.txt",
          directory / f"dialogues_emotion_{split}.txt"),
-        (directory / split / "dialogues_text.txt",
-         directory / split / "dialogues_emotion.txt"),
     ]
     for text_path, label_path in candidates:
-        if text_path.exists() and label_path.exists():
+        if text_path.is_file() and label_path.is_file():
             return text_path, label_path
     tried = ", ".join(str(c[0]) for c in candidates)
     raise MissingFile(f"no dialog/label file pair for split {split!r} under {directory} (tried {tried})")
@@ -202,14 +194,15 @@ def load_split(directory: str | Path, split: str) -> Corpus:
 
     Raises:
         MissingFile: split files absent.
+        MalformedRecord: a split file is not UTF-8 text.
         LineCountMismatch: text and label files differ in line count.
     """
     if split not in SPLITS:
         raise MissingFile(f"unknown split {split!r}; expected one of {SPLITS}")
     directory = Path(directory)
     text_path, label_path = _resolve_split_files(directory, split)
-    text_lines = text_path.read_text(encoding="utf-8").splitlines()
-    label_lines = label_path.read_text(encoding="utf-8").splitlines()
+    text_lines = read_utf8(text_path, MalformedRecord).splitlines()
+    label_lines = read_utf8(label_path, MalformedRecord).splitlines()
     # Trailing blank lines are a packaging artifact, not dialogs.
     while text_lines and not text_lines[-1].strip():
         text_lines.pop()

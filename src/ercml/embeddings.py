@@ -50,11 +50,7 @@ def hash_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
     ).digest()
     rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "big")))
     vec = rng.standard_normal(dim)
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:  # unreachable in practice; standard_normal of dim>=1
-        vec[0] = 1.0
-        norm = 1.0
-    return vec / norm
+    return vec / np.linalg.norm(vec)
 
 
 @dataclass(frozen=True)
@@ -151,11 +147,16 @@ def _chunks(fh: BinaryIO) -> Iterator[bytes]:
     return iter(lambda: fh.read(1 << 20), b"")
 
 
-def _non_blank(fh: BinaryIO, sha) -> Iterator[tuple[int, bytes]]:
+def _non_blank(fh: BinaryIO, sha=None) -> Iterator[tuple[int, bytes]]:
     """`(line number from 1, stripped line)` of each non-blank line; every
-    line read, blank ones too, is fed to `sha`."""
+    line read, blank ones too, is fed to `sha` when one is given.
+
+    The store and the LLM harness's replay fixture both read their
+    JSON-lines files through this and `_decode`.
+    """
     for lineno, raw in enumerate(fh, start=1):
-        sha.update(raw)
+        if sha is not None:
+            sha.update(raw)
         if line := raw.strip():
             yield lineno, line
 

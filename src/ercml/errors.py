@@ -49,7 +49,7 @@ class DuplicateKey(ErcmlError):
 
 
 class MalformedRecord(ErcmlError):
-    """Embedding-store or replay-fixture record cannot be parsed."""
+    """Embedding-store, replay-fixture or corpus record cannot be parsed."""
 
 
 class EmptySequence(ErcmlError):

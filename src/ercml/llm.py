@@ -1,26 +1,33 @@
 """Zero-shot generation baseline over dialog prompts.
 
 Builds a prompt asking for the last utterance's emotion, sends it to a
-pluggable text-generation endpoint (HTTP JSON or an offline replay
-fixture), parses the first mentioned emotion out of the raw output, and
-scores predictions with the shared metrics. A modal-share detector
-flags degenerate generators that collapse onto one label.
+pluggable text-generation endpoint, parses the first mentioned emotion
+out of the raw output, and scores predictions with the shared metrics.
+A modal-share detector flags degenerate generators that collapse onto
+one label.
+
+Two endpoints: an HTTP JSON client, whose malformed responses count as
+failed attempts, and an offline replay fixture, read by the embedding
+store's JSON-lines reader (lines counted from 1, blank lines skipped,
+a line that is not UTF-8 JSON raises MalformedRecord). Every dialog runs
+through one thread pool, whose map keeps corpus order.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import time
-import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
-from dataclasses import asdict, dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import LABEL_NAMES, Corpus, Dialog
+from .corpus import LABEL_NAMES, Corpus, Dialog, read_utf8
+from .embeddings import _decode, _non_blank
 from .errors import BadTemplate, EmptyDialog, EndpointFailure, MalformedRecord, MissingFile
 from .metrics import MetricsReport, confusion, report_from_confusion
 
@@ -29,6 +36,9 @@ logger = logging.getLogger(__name__)
 UNPARSABLE = "__unparsable__"
 
 PLACEHOLDERS = ("{dialog}", "{labels}", "{last_utterance}")
+
+# A modal share at or above this flags the run as collapsed onto one label.
+COLLAPSE_THRESHOLD = 0.8
 
 # Shipped defaults. These are reconstructions of the chat-style prompt
 # skeletons used with instruction-tuned models, not replicas of any
@@ -67,9 +77,10 @@ class PromptTemplate:
                 raise BadTemplate(f"template {self.name!r} has {n} occurrences of {ph} (need 1)")
 
     @classmethod
-    def from_file(cls, path: str | Path, name: str | None = None) -> "PromptTemplate":
+    def from_file(cls, path: str | Path) -> "PromptTemplate":
+        """Raises BadTemplate on a file that is not UTF-8 text."""
         path = Path(path)
-        return cls(name=name or path.stem, template=path.read_text(encoding="utf-8"))
+        return cls(name=path.stem, template=read_utf8(path, BadTemplate))
 
 
 BUILTIN_TEMPLATES = {
@@ -131,28 +142,18 @@ class ReplayClient:
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayClient":
         """Raises MissingFile when `path` is absent, MalformedRecord on a
-        line that is not a JSON object with `key` and `text`."""
+        line that is not a UTF-8 JSON object with `key` and `text`."""
         path = Path(path)
         if not path.is_file():
             raise MissingFile(f"replay fixture not found: {path}")
         responses: dict[str, str] = {}
-        default = None
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    raise MalformedRecord(f"{path.name}:{lineno}: invalid JSON") from None
+        with path.open("rb") as fh:
+            for lineno, line in _non_blank(fh):
+                record = _decode(line, path.name, lineno)
                 if not isinstance(record, dict) or "key" not in record or "text" not in record:
                     raise MalformedRecord(f"{path.name}:{lineno}: record needs 'key' and 'text'")
-                if record["key"] == "*":
-                    default = str(record["text"])
-                else:
-                    responses[str(record["key"])] = str(record["text"])
-        return cls(responses=responses, default=default)
+                responses[str(record["key"])] = str(record["text"])
+        return cls(responses=responses, default=responses.pop("*", None))
 
     def generate(self, prompt: str, key: str | None = None) -> str:
         self.calls += 1
@@ -168,8 +169,9 @@ class HttpGenerationClient:
     """Minimal HTTP JSON endpoint client.
 
     Request: `{"prompt": str, "max_new_tokens": int}`; response:
-    `{"text": str}`. Retries up to `max_retries` extra attempts before
-    raising EndpointFailure.
+    `{"text": str}`. A transport error or a body that is not UTF-8 JSON
+    with a string `text` is a failed attempt; after `max_retries` extra
+    attempts it raises EndpointFailure.
     """
 
     url: str
@@ -182,16 +184,17 @@ class HttpGenerationClient:
         payload = json.dumps(
             {"prompt": prompt, "max_new_tokens": self.max_new_tokens}
         ).encode("utf-8")
+        request = urllib.request.Request(self.url, data=payload, headers={"Content-Type": "application/json"})
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             try:
-                request = urllib.request.Request(
-                    self.url, data=payload, headers={"Content-Type": "application/json"}
-                )
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
                     body = json.loads(response.read().decode("utf-8"))
-                return str(body["text"])
-            except (urllib.error.URLError, OSError, KeyError, json.JSONDecodeError) as exc:
+                text = body.get("text") if isinstance(body, dict) else None
+                if not isinstance(text, str):
+                    raise ValueError("response is not a JSON object with a string 'text'")
+                return text
+            except (OSError, ValueError, http.client.HTTPException) as exc:
                 last_error = exc
                 logger.warning("generation attempt %d failed: %s", attempt, exc)
                 if attempt < self.max_retries:
@@ -208,9 +211,6 @@ class GenerationRecord:
     raw_output: str
     parsed_label: str
     status: str  # "ok", "unparsable", or "failed"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -238,17 +238,18 @@ def evaluate_llm(
     template: PromptTemplate,
     unparsable_policy: str = "count-as-wrong",
     parallelism: int = 4,
-    collapse_threshold: float = 0.8,
 ) -> LlmEvalResult:
     """One generation per dialog, scored on the last utterance's gold label.
 
     `count-as-wrong` keeps unparsable outputs as a reserved pseudo-label
     that can never match gold; `map-to-neutral` folds them into neutral.
     Endpoint failures (after the client's retries) exclude the dialog
-    from scoring and are counted in the result.
+    from scoring and are counted in the result. `parallelism` is the
+    number of requests in flight.
     """
     if unparsable_policy not in ("count-as-wrong", "map-to-neutral"):
         raise ValueError(f"unknown unparsable policy {unparsable_policy!r}")
+    to_neutral = unparsable_policy == "map-to-neutral"
 
     def run_one(dialog: Dialog) -> GenerationRecord:
         prompt = build_prompt(dialog, template)
@@ -259,68 +260,30 @@ def evaluate_llm(
             logger.warning("dialog %s failed: %s", dialog.id, exc)
             return GenerationRecord(dialog.id, digest, "", UNPARSABLE, "failed")
         parsed = parse_label(raw)
-        status = "ok" if parsed != UNPARSABLE else "unparsable"
-        return GenerationRecord(dialog.id, digest, raw, parsed, status)
+        return GenerationRecord(dialog.id, digest, raw, parsed, "ok" if parsed != UNPARSABLE else "unparsable")
 
-    dialogs = list(corpus.dialogs)
-    if parallelism > 1 and len(dialogs) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            records = list(pool.map(run_one, dialogs))
-    else:
-        records = [run_one(d) for d in dialogs]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        records = list(pool.map(run_one, corpus.dialogs))
 
+    statuses: Counter[str] = Counter()
     preds: list[str] = []
     golds: list[str] = []
-    n_failed = 0
-    n_unparsable = 0
-    for dialog, record in zip(dialogs, records):
-        if record.status == "failed":
-            n_failed += 1
-            continue
-        if record.status == "unparsable":
-            n_unparsable += 1
-            pred = "neutral" if unparsable_policy == "map-to-neutral" else UNPARSABLE
-        else:
-            pred = record.parsed_label
-        preds.append(pred)
-        golds.append(LABEL_NAMES[dialog.utterances[-1].label])
-
-    label_space = LABEL_NAMES if unparsable_policy == "map-to-neutral" else LABEL_NAMES + (UNPARSABLE,)
-    modal_label = None
-    modal_share = 0.0
-    if preds:
-        tally = Counter(preds)
-        modal_label = max(sorted(tally), key=tally.__getitem__)
-        modal_share = tally[modal_label] / len(preds)
-    extras = {
-        "population": "last-utterance-per-dialog",
-        "n_dialogs": len(dialogs),
-        "n_failed": n_failed,
-        "n_unparsable": n_unparsable,
-        "modal_label": modal_label,
-        "modal_share": modal_share,
-        "collapse_flagged": modal_share >= collapse_threshold if preds else False,
-    }
-    report = report_from_confusion(confusion(preds, golds, label_space), extras=extras)
-    return LlmEvalResult(
-        report=report,
-        records=records,
-        n_dialogs=len(dialogs),
-        n_failed=n_failed,
-        n_unparsable=n_unparsable,
-        modal_label=modal_label,
-        modal_share=modal_share,
-        collapse_flagged=extras["collapse_flagged"],
+    for dialog, record in zip(corpus.dialogs, records):
+        statuses[record.status] += 1
+        if record.status != "failed":
+            preds.append("neutral" if to_neutral and record.status == "unparsable" else record.parsed_label)
+            golds.append(LABEL_NAMES[dialog.utterances[-1].label])
+    tally = Counter(preds)
+    modal_label = max(sorted(tally), key=tally.__getitem__) if preds else None
+    modal_share = tally[modal_label] / len(preds) if preds else 0.0
+    counts = dict(
+        n_dialogs=len(records), n_failed=statuses["failed"], n_unparsable=statuses["unparsable"],
+        modal_label=modal_label, modal_share=modal_share, collapse_flagged=modal_share >= COLLAPSE_THRESHOLD,
     )
-
-
-def write_generation_log(records: list[GenerationRecord], path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-    return path
+    label_space = LABEL_NAMES if to_neutral else LABEL_NAMES + (UNPARSABLE,)
+    report = report_from_confusion(
+        confusion(preds, golds, label_space), extras={"population": "last-utterance-per-dialog", **counts})
+    return LlmEvalResult(report=report, records=records, **counts)
 
 
 def resolve_template(name_or_path: str) -> PromptTemplate:
@@ -328,7 +291,7 @@ def resolve_template(name_or_path: str) -> PromptTemplate:
     if name_or_path in BUILTIN_TEMPLATES:
         return BUILTIN_TEMPLATES[name_or_path]
     path = Path(name_or_path)
-    if path.exists():
+    if path.is_file():
         return PromptTemplate.from_file(path)
     raise BadTemplate(
         f"{name_or_path!r} is neither a builtin template "

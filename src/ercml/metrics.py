@@ -301,9 +301,6 @@ class RunSummary:
     mean: dict[str, float]
     std: dict[str, float]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def aggregate_runs(runs: list[Mapping[str, float]]) -> RunSummary:
     """Per-metric mean and (n-1) standard deviation; std 0 for one run.

@@ -53,7 +53,6 @@ class Adam:
         for name, arr in tensors.items():
             if not arr.flags.c_contiguous:
                 raise NonContiguous(f"parameter {name!r} is not C-contiguous; its updates would be lost")
-        self.tensors = tensors
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

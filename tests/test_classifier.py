@@ -253,3 +253,18 @@ class TestCheckpointRoundTrip:
         tensors[name] = tensors[name][..., :-1]
         with pytest.raises(CheckpointError, match=name):
             classifier_from_tensors(tensors, meta)
+
+    @pytest.mark.parametrize("name, value", [("encoder.w_o", np.nan), ("head.b", np.inf)])
+    def test_non_finite_tensor(self, name, value):
+        tensors, meta = classifier_to_tensors(init_classifier(8, seed=3))
+        tensors[name] = tensors[name].copy()
+        tensors[name].flat[0] = value
+        with pytest.raises(CheckpointError, match=f"{name}' holds a NaN or an infinity"):
+            classifier_from_tensors(tensors, meta)
+
+    @pytest.mark.parametrize("name", ["encoder.b_ff1", "head.w"])
+    def test_string_tensor(self, name):
+        tensors, meta = classifier_to_tensors(init_classifier(8, seed=3))
+        tensors[name] = np.full(tensors[name].shape, "0.5")
+        with pytest.raises(CheckpointError, match=f"{name}' has dtype <U3, expected float64"):
+            classifier_from_tensors(tensors, meta)

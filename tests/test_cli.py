@@ -347,41 +347,54 @@ class TestPredict:
         assert sum(map(sum, counts)) == doc["n_scored"] > 0
 
 
-STORE_HEADER = json.dumps({"provider": "hash", "dim": 2}) + "\n"
+STORE_HEADER = json.dumps({"provider": "hash", "dim": 2}).encode() + b"\n"
 
 
 class TestUnreadableInputs:
     """A missing or malformed file named on the command line exits 1 with
-    the error's type, raised where the file is read."""
+    the error's type, raised where the file is read. An input given as a
+    dict is a directory holding those files."""
 
     COMMANDS = {
+        "stats": ["stats", "--split", "test"],
         "train": ["train", "--data", DATA],
         "pretrain": ["pretrain", "--data", DATA],
         "llm-eval": ["llm-eval", "--data", DATA, "--parallelism", "1"],
     }
 
-    @pytest.mark.parametrize("command, flag, text, error", [
+    @pytest.mark.parametrize("command, flag, data, error", [
         ("train", "--config", None, "MissingFile"),
         ("pretrain", "--store", None, "MissingFile"),
         ("llm-eval", "--replay", None, "MissingFile"),
-        ("pretrain", "--store", STORE_HEADER + '{"key": "k", "vector": ["x", 1.0]}\n', "MalformedRecord"),
-        ("pretrain", "--store", STORE_HEADER + '{"key": "k", "vector": [{}, 1.0]}\n', "MalformedRecord"),
-        ("pretrain", "--store", '{"provider": "hash", "dim": "two"}\n', "MalformedRecord"),
-        ("pretrain", "--store", '{"provider": "hash", "dim": 1.5}\n', "MalformedRecord"),
-        ("pretrain", "--store", '{"provider": "hash", "dim": null}\n', "MalformedRecord"),
-        ("llm-eval", "--replay", "not json\n", "MalformedRecord"),
-        ("llm-eval", "--replay", '{"text": "joy"}\n', "MalformedRecord"),
-        ("llm-eval", "--replay", '{"key": "*"}\n', "MalformedRecord"),
-        ("llm-eval", "--replay", '["*", "joy"]\n', "MalformedRecord"),
+        ("pretrain", "--store", STORE_HEADER + b'{"key": "k", "vector": ["x", 1.0]}\n', "MalformedRecord"),
+        ("pretrain", "--store", STORE_HEADER + b'{"key": "k", "vector": [{}, 1.0]}\n', "MalformedRecord"),
+        ("pretrain", "--store", b'{"provider": "hash", "dim": "two"}\n', "MalformedRecord"),
+        ("pretrain", "--store", b'{"provider": "hash", "dim": 1.5}\n', "MalformedRecord"),
+        ("pretrain", "--store", b'{"provider": "hash", "dim": null}\n', "MalformedRecord"),
+        ("llm-eval", "--replay", b"not json\n", "MalformedRecord"),
+        ("llm-eval", "--replay", b'{"text": "joy"}\n', "MalformedRecord"),
+        ("llm-eval", "--replay", b'{"key": "*"}\n', "MalformedRecord"),
+        ("llm-eval", "--replay", b'["*", "joy"]\n', "MalformedRecord"),
+        ("llm-eval", "--replay", b'{"key": "*", "text": "caf\xe9"}\n', "MalformedRecord"),
+        ("train", "--config", b"[run]\n# caf\xe9\nepochs = 1\n", "ConfigError"),
+        ("stats", "--data", {"dialogues_test.txt": b"caf\xe9 __eou__\n", "dialogues_emotion_test.txt": b"0\n"},
+         "MalformedRecord"),
+        ("llm-eval", "--template", {}, "BadTemplate"),
+        ("llm-eval", "--template", b"{dialog} {labels} {last_utterance} caf\xe9\n", "BadTemplate"),
     ], ids=[
         "no-config", "no-store", "no-replay", "store-string-coordinate", "store-object-coordinate",
         "store-string-dim", "store-float-dim", "store-null-dim", "replay-not-json", "replay-no-key",
-        "replay-no-text", "replay-not-object",
+        "replay-no-text", "replay-not-object", "replay-not-utf8", "config-not-utf8", "corpus-not-utf8",
+        "template-directory", "template-not-utf8",
     ])
-    def test_exits_one_with_typed_error(self, tmp_path, capsys, command, flag, text, error):
+    def test_exits_one_with_typed_error(self, tmp_path, capsys, command, flag, data, error):
         path = tmp_path / "input"
-        if text is not None:
-            path.write_text(text)
+        if isinstance(data, dict):
+            path.mkdir()
+            for name, content in data.items():
+                (path / name).write_bytes(content)
+        elif data is not None:
+            path.write_bytes(data)
         out = tmp_path / "out"
         rc = main([*self.COMMANDS[command], "--out", str(out), flag, str(path)])
         captured = capsys.readouterr()
@@ -434,6 +447,21 @@ class TestLlmEval:
         assert doc["collapse_flagged"] is True
         log_lines = (out / "generations.jsonl").read_text().strip().split("\n")
         assert len(log_lines) == len(corpus.dialogs)
+        assert set(json.loads(log_lines[0])) == {"key", "prompt_sha256", "raw_output", "parsed_label", "status"}
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--parallelism", "0", "parallelism must be > 0"),
+        ("--max-retries", "-1", "max_retries must be >= 0"),
+        ("--max-new-tokens", "0", "max_new_tokens must be > 0"),
+    ])
+    def test_out_of_bounds_option_exits_one_with_config_error(self, tmp_path, capsys, flag, value, message):
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text(json.dumps({"key": "*", "text": "happiness"}) + "\n")
+        out = tmp_path / "llm"
+        rc = main(["llm-eval", "--data", DATA, "--replay", str(replay), "--out", str(out), flag, value])
+        assert rc == 1
+        assert f"ConfigError: {message}, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_requires_client_source(self, tmp_path):
         rc = main(["llm-eval", "--data", DATA, "--out", str(tmp_path / "x")])

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from ercml.corpus import Corpus, Dialog, LABEL_NAMES, Utterance
-from ercml.errors import BadTemplate, EmptyDialog, EndpointFailure
+from ercml.embeddings import load_sentence_embeddings
+from ercml.errors import BadTemplate, EmptyDialog, EndpointFailure, MalformedRecord
 from ercml.llm import (
     BUILTIN_TEMPLATES,
     UNPARSABLE,
-    GenerationRecord,
     HttpGenerationClient,
     PromptTemplate,
     ReplayClient,
@@ -20,7 +20,6 @@ from ercml.llm import (
     evaluate_llm,
     parse_label,
     resolve_template,
-    write_generation_log,
 )
 
 FIXTURE_TEMPLATE = PromptTemplate(
@@ -214,19 +213,6 @@ class TestEvaluateLlm:
         assert r1.report.macro_f1_star == r2.report.macro_f1_star
 
 
-class TestGenerationLog:
-    def test_jsonl_round_trip(self, tmp_path):
-        records = [
-            GenerationRecord("d:0", "ab" * 32, "happiness", "happiness", "ok"),
-            GenerationRecord("d:1", "cd" * 32, "", UNPARSABLE, "failed"),
-        ]
-        path = write_generation_log(records, tmp_path / "gen.jsonl")
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 2
-        parsed = json.loads(lines[0])
-        assert set(parsed) == {"key", "prompt_sha256", "raw_output", "parsed_label", "status"}
-
-
 class TestReplayClientFile:
     def test_from_file(self, tmp_path):
         path = tmp_path / "replay.jsonl"
@@ -245,10 +231,23 @@ class TestReplayClientFile:
         with pytest.raises(EndpointFailure):
             client.generate("p", key="other")
 
+    # After two blank lines, a line that is both a store header and a
+    # replay record, then a blank line and the bad line: line 5 of each.
+    @pytest.mark.parametrize("bad", [b"not json", b'{"key": "caf\xff"}', b"[1, 2]"],
+                             ids=["not-json", "not-utf8", "not-object"])
+    def test_bad_line_named_as_the_store_names_it(self, tmp_path, bad):
+        path = tmp_path / "shared.jsonl"
+        path.write_bytes(b'\n  \n{"dim": 2, "key": "*", "text": "joy"}\n\n' + bad + b"\n")
+        for read in (ReplayClient.from_file, load_sentence_embeddings):
+            with pytest.raises(MalformedRecord, match=r"^shared\.jsonl:5: "):
+                read(path)
+
 
 class _Handler(BaseHTTPRequestHandler):
     fail_first = 0
     seen = []
+    body = None  # bytes to answer with instead of a well-formed response
+    missing = 0  # bytes the declared Content-Length promises beyond the body
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -259,10 +258,10 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        body = json.dumps({"text": f"surely {payload['prompt'][:0]}sadness"}).encode()
+        body = type(self).body or json.dumps({"text": f"surely {payload['prompt'][:0]}sadness"}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Length", str(len(body) + type(self).missing))
         self.end_headers()
         self.wfile.write(body)
 
@@ -275,6 +274,8 @@ def http_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     _Handler.fail_first = 0
     _Handler.seen = []
+    _Handler.body = None
+    _Handler.missing = 0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/generate"
@@ -298,3 +299,30 @@ class TestHttpClient:
         client = HttpGenerationClient(url=http_server, max_retries=1, retry_wait=0.01)
         with pytest.raises(EndpointFailure):
             client.generate("x")
+
+    @pytest.mark.parametrize("body", [b"[1, 2]", b'{"text": "caf\xff"}', b'{"text": 3}', b"{}"],
+                             ids=["list", "not-utf8", "text-not-string", "no-text"])
+    def test_malformed_body_is_a_failed_attempt(self, http_server, body):
+        _Handler.body = body
+        client = HttpGenerationClient(url=http_server, max_retries=1, retry_wait=0.01)
+        with pytest.raises(EndpointFailure, match="after 2 attempts"):
+            client.generate("x")
+        assert len(_Handler.seen) == 2
+
+    def test_truncated_body_is_a_failed_attempt(self, http_server):
+        _Handler.missing = 5
+        client = HttpGenerationClient(url=http_server, max_retries=1, retry_wait=0.01)
+        with pytest.raises(EndpointFailure, match="IncompleteRead"):
+            client.generate("x")
+        assert len(_Handler.seen) == 2
+
+    def test_malformed_body_fails_its_dialog_only(self, http_server):
+        class OneBadBody(HttpGenerationClient):
+            def generate(self, prompt, key=None):
+                _Handler.body = b"[1, 2]" if key == "t:3" else None
+                return super().generate(prompt, key)
+
+        client = OneBadBody(url=http_server, max_retries=0, retry_wait=0.01)
+        result = evaluate_llm(client, six_emotion_corpus(), FIXTURE_TEMPLATE, parallelism=1)
+        assert [r.key for r in result.records if r.status == "failed"] == ["t:3"]
+        assert result.n_failed == 1

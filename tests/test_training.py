@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -363,6 +365,39 @@ class TestContextualCheckpoint:
     def test_misshaped_tensor(self, saved, tmp_path, name):
         path = self.resave(saved, tmp_path, lambda t: t.__setitem__(name, t[name][:-1]))
         with pytest.raises(CheckpointError, match=name.split(".", 1)[-1]):
+            ContextualModel.load(path)
+
+    def rewrite(self, saved, tmp_path, **members):
+        """`saved` with archive members replaced as written, bypassing
+        save_checkpoint's float conversion and metadata."""
+        with np.load(saved) as archive:
+            arrays = {**dict(archive), **members}
+        np.savez(tmp_path / "rewritten.npz", **arrays)
+        return tmp_path / "rewritten.npz"
+
+    @pytest.mark.parametrize("name", ["encoder.0.w_v", "classifier.encoder.ln2_bias", "classifier.head.w"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_tensor(self, saved, tmp_path, capsys, name, value):
+        def poison(tensors):
+            tensors[name] = tensors[name].copy()
+            tensors[name].flat[-1] = value
+        path = self.resave(saved, tmp_path, poison)
+        with pytest.raises(CheckpointError, match=f"{name.removeprefix('classifier.')}' holds a NaN or an infinity"):
+            ContextualModel.load(path)
+        assert main(["eval", "--model", str(path), "--data", "unused", "--store", "unused"]) == 1
+        assert "CheckpointError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, dtype", [("encoder.0.w_q", "<U3"), ("classifier.head.b", np.float32)])
+    def test_tensor_of_another_dtype(self, saved, tmp_path, name, dtype):
+        _, tensors, _ = load_checkpoint(saved)
+        path = self.rewrite(saved, tmp_path, **{f"t::{name}": tensors[name].astype(dtype)})
+        with pytest.raises(CheckpointError, match=f"{name.removeprefix('classifier.')}' has dtype"):
+            ContextualModel.load(path)
+
+    @pytest.mark.parametrize("meta", [[1, 2], "text", 3])
+    def test_metadata_not_an_object(self, saved, tmp_path, meta):
+        path = self.rewrite(saved, tmp_path, __meta__=np.array(json.dumps(meta)))
+        with pytest.raises(CheckpointError, match="metadata is a JSON .*, not an object"):
             ContextualModel.load(path)
 
     def test_version_1_rejected(self, saved, tmp_path, monkeypatch, capsys):
