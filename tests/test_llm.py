@@ -3,16 +3,19 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ercml.corpus import Corpus, Dialog, LABEL_NAMES, Utterance
+from ercml.cli import main
+from ercml.corpus import Corpus, Dialog, LABEL_NAMES, Utterance, load_split
 from ercml.embeddings import load_sentence_embeddings
 from ercml.errors import BadTemplate, EmptyDialog, EndpointFailure, MalformedRecord
 from ercml.llm import (
     BUILTIN_TEMPLATES,
     UNPARSABLE,
+    GenerationRecord,
     HttpGenerationClient,
     PromptTemplate,
     ReplayClient,
@@ -211,6 +214,32 @@ class TestEvaluateLlm:
         r2 = evaluate_llm(client, corpus, FIXTURE_TEMPLATE, parallelism=1)
         assert [x.key for x in r1.records] == [x.key for x in r2.records]
         assert r1.report.macro_f1_star == r2.report.macro_f1_star
+
+
+class TestGenerationLog:
+    def test_jsonl_round_trip(self, tmp_path, capsys):
+        data = str(Path(__file__).parent / "data" / "mini")
+        corpus = load_split(data, "test")
+        first = corpus.dialogs[0].id
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text(
+            json.dumps({"key": first, "text": "no idea"}) + "\n"
+            + json.dumps({"key": "*", "text": "happiness"}) + "\n"
+        )
+        out = tmp_path / "llm"
+        rc = main(["llm-eval", "--data", data, "--split", "test", "--template", "falcon-style",
+                   "--replay", str(replay), "--out", str(out), "--parallelism", "2"])
+        assert rc == 0
+        lines = (out / "generations.jsonl").read_text().strip().split("\n")
+        assert len(lines) == len(corpus.dialogs)
+        parsed = [json.loads(line) for line in lines]
+        assert set(parsed[0]) == {"key", "prompt_sha256", "raw_output", "parsed_label", "status"}
+        records = [GenerationRecord(**doc) for doc in parsed]
+        expected = evaluate_llm(
+            ReplayClient.from_file(replay), corpus, resolve_template("falcon-style"), parallelism=1
+        ).records
+        assert records == expected
+        assert records[0].parsed_label == UNPARSABLE and records[0].status == "unparsable"
 
 
 class TestReplayClientFile:
