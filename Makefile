@@ -34,9 +34,12 @@ bench-pairs:
 	$(PY) scripts/bench_pairs.py --parent $(PARENT) --name $(BENCH_NAME) --seeds $(BENCH_SEEDS) --workloads $(BENCH_WORKLOADS)
 
 # Byte-identity check against $(PARENT): the C13 train recipe for every
-# sampling strategy and label space, then eval, predict and llm-eval, run in
-# the exported parent tree and in the working tree; every artifact and each
-# command's output are compared, and any difference exits 1. About a minute.
+# sampling strategy and label space, pretrain, five train runs that each
+# change one setting (2 layers, summed loss, cosine distance, no weighting,
+# a pretrained classifier), then eval, predict, stats, sample-triplets and
+# llm-eval, run in the exported parent tree and in the working tree; every
+# artifact and each command's output are compared, and any difference
+# exits 1. About a minute and a half.
 byte-identity:
 	$(PY) scripts/byte_identity.py --parent $(PARENT)
 

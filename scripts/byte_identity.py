@@ -12,10 +12,15 @@ fixture corpus under tests/data/mini:
 
 - `train --epochs 1 --max-steps 5 --pretrain-steps 10 --seed 7` (the C13
   recipe) for each sampling strategy and `--label-space` 7 and 6;
+- `pretrain` with the same flags, then the C13 recipe with one setting
+  changed: `--encoder-layers 2`, `--loss-mode summed`,
+  `--distance cosine`, `--no-weighted-ce --no-weighted-sampler`, and
+  `--classifier` with the pretrained classifier;
 - on each trained model, `eval` (default and `--neutral-policy drop`)
   and `predict`, and on each 7-label model also
   `eval --neutral-policy include` (a 6-label model has no neutral to
   include, and exits 1 on it);
+- `stats --out` and `sample-triplets --out` on the train split;
 - `llm-eval` on a replay fixture under both unparsable policies.
 
 Both trees get the same inputs: the hash-embedding store is built once
@@ -54,6 +59,15 @@ REPLAY = f"{OUT}/replay.jsonl"
 TRAIN = ["--epochs", "1", "--max-steps", "5", "--pretrain-steps", "10", "--seed", "7"]
 STRATEGIES = ("weighted-random", "batch-all", "batch-hard")
 LABEL_SPACES = ("7", "6")
+PRETRAIN = f"{OUT}/pretrain"
+# Train runs that each change one setting of the C13 recipe.
+VARIANTS = {
+    "layers-2": ["--encoder-layers", "2"],
+    "summed": ["--loss-mode", "summed"],
+    "cosine": ["--distance", "cosine"],
+    "unweighted": ["--no-weighted-ce", "--no-weighted-sampler"],
+    "pretrained": ["--classifier", f"{PRETRAIN}/classifier.npz"],
+}
 LLM_POLICIES = ("count-as-wrong", "map-to-neutral")
 
 # The C13 store: 16-dim hash embeddings of all three fixture splits.
@@ -70,22 +84,34 @@ save_sentence_embeddings(store, {STORE!r})
 REPLAY_TEXTS = ("I think it is happiness.", "ANGER, clearly", "no idea", "Surprise or fear?", "sad-ish")
 
 
+def scored_run(run: str, flags: list[str], space: str = "7") -> list[list[str]]:
+    """`train` with the C13 recipe and `flags` into `run`, then the
+    scoring commands on its model."""
+    model = ["--model", f"{run}/model.npz", "--data", DATA, "--store", STORE, "--split", "test"]
+    out = [
+        ["train", "--data", DATA, "--store", STORE, "--out", run, *TRAIN, *flags, "--label-space", space],
+        ["eval", *model, "--out", f"{run}/eval.json"],
+        ["eval", *model, "--neutral-policy", "drop", "--out", f"{run}/eval_drop.json"],
+        ["predict", *model, "--out", f"{run}/predictions.jsonl"],
+    ]
+    if space == "7":
+        out.append(["eval", *model, "--neutral-policy", "include", "--out", f"{run}/eval_neutral.json"])
+    return out
+
+
 def commands() -> list[list[str]]:
     """Every `ercml` argument list the check runs, in order."""
     out = []
     for strategy in STRATEGIES:
         for space in LABEL_SPACES:
-            run = f"{OUT}/{strategy}-{space}"
-            model = ["--model", f"{run}/model.npz", "--data", DATA, "--store", STORE, "--split", "test"]
-            out += [
-                ["train", "--data", DATA, "--store", STORE, "--out", run, *TRAIN,
-                 "--sampling-strategy", strategy, "--label-space", space],
-                ["eval", *model, "--out", f"{run}/eval.json"],
-                ["eval", *model, "--neutral-policy", "drop", "--out", f"{run}/eval_drop.json"],
-                ["predict", *model, "--out", f"{run}/predictions.jsonl"],
-            ]
-            if space == "7":
-                out.append(["eval", *model, "--neutral-policy", "include", "--out", f"{run}/eval_neutral.json"])
+            out += scored_run(f"{OUT}/{strategy}-{space}", ["--sampling-strategy", strategy], space)
+    out.append(["pretrain", "--data", DATA, "--store", STORE, "--out", PRETRAIN, *TRAIN])
+    for name, flags in VARIANTS.items():
+        out += scored_run(f"{OUT}/{name}", flags)
+    out += [
+        ["stats", "--data", DATA, "--out", f"{OUT}/stats.txt"],
+        ["sample-triplets", "--data", DATA, "--out", f"{OUT}/triplets.jsonl"],
+    ]
     for policy in LLM_POLICIES:
         out.append(["llm-eval", "--data", DATA, "--split", "test", "--replay", REPLAY,
                     "--policy", policy, "--parallelism", "2", "--out", f"{OUT}/llm-{policy}"])

@@ -7,6 +7,10 @@ the seed, and a verbatim config echo. Tensors are namespaced with dots
 cleanly. Version 2 dropped the emotion head's query/key/separator
 tensors, and version 3 the encoder's key bias, which softmax attention
 cannot see; files of any other version are rejected, not converted.
+Within version 3, deeper encoder layers later dropped the separator
+they never read. Single-layer files did not change, so the version did
+not either; an earlier multi-layer file holds `encoder.<i>.sep` for
+i >= 1, which the loader rejects as an unexpected tensor.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ class SingletonLayerParams:
     Softmax over a single key is exactly 1, so attention reduces to the
     value and output projections; the query/key projections and the
     separator could never reach an output and are not held. Field names
-    match :class:`EncoderLayerParams`.
+    match :class:`AttentionLayerParams`.
     """
 
     dim: int
@@ -68,28 +68,39 @@ class SingletonLayerParams:
 
 
 @dataclass
-class EncoderLayerParams(SingletonLayerParams):
+class AttentionLayerParams(SingletonLayerParams):
     """One encoder layer: multi-head self-attention + feed-forward block.
 
-    `sep` is the learned separator vector interleaved between utterance
-    embeddings when a dialog sequence is built. The key projection has
-    no bias: a key bias `c` would add the same `q_i . c` to every score
-    of query row `i`, a per-row constant that softmax cannot see.
+    The key projection has no bias: a key bias `c` would add the same
+    `q_i . c` to every score of query row `i`, a per-row constant that
+    softmax cannot see.
     """
 
     w_q: np.ndarray
     b_q: np.ndarray
     w_k: np.ndarray
-    sep: np.ndarray
 
     TENSOR_NAMES = (
         "w_q", "b_q", "w_k", "w_v", "b_v", "w_o", "b_o",
         "w_ff1", "b_ff1", "w_ff2", "b_ff2",
-        "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias", "sep",
+        "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
     )
 
     def head_dim(self) -> int:
         return self.dim // self.heads
+
+
+@dataclass
+class EncoderLayerParams(AttentionLayerParams):
+    """The first encoder layer, which also holds `sep`: the learned
+    separator vector interleaved between utterance embeddings when a
+    dialog sequence is built. Deeper layers read the previous layer's
+    rows, so they hold no separator.
+    """
+
+    sep: np.ndarray
+
+    TENSOR_NAMES = AttentionLayerParams.TENSOR_NAMES + ("sep",)
 
 
 def init_encoder(dim: int, heads: int = 4, ffn_dim: int | None = None, seed: int = 0) -> EncoderLayerParams:
@@ -346,7 +357,7 @@ def _rowwise_backward(d_out: np.ndarray, c: RowwiseCache, p: SingletonLayerParam
 
 def encoder_forward(
     x: np.ndarray,
-    params: EncoderLayerParams,
+    params: AttentionLayerParams,
     mask: np.ndarray | None = None,
     rows: slice | np.ndarray = slice(None),
 ):
@@ -378,16 +389,17 @@ def encoder_forward(
     return out, EncoderCache(x=x, rows=rows, qh=qh, kh=kh, vh=vh, attn=attn, rowwise=rowwise)
 
 
-def encoder_backward(d_out: np.ndarray, cache: EncoderCache, params: EncoderLayerParams):
+def encoder_backward(d_out: np.ndarray, cache: EncoderCache, params: AttentionLayerParams):
     """Gradients of a scalar loss through :func:`encoder_forward`.
 
     `d_out` holds the emitted rows' gradients. Returns (d_input (n, d)
-    over every input row, grads dict keyed like `params.tensors()`).
-    The `sep` entry is zero here; separator gradients are collected from
-    d_input rows by :func:`sep_gradient`.
+    over every input row, grads dict keyed like
+    `AttentionLayerParams.TENSOR_NAMES`). There is no `sep` entry: the
+    layer never reads `sep`, whose gradient :func:`sep_gradient`
+    collects from the first layer's d_input rows.
     """
     p = params
-    grads = dict.fromkeys(p.TENSOR_NAMES)
+    grads = dict.fromkeys(AttentionLayerParams.TENSOR_NAMES)
     d_rows, dhcat = _rowwise_backward(d_out, cache.rowwise, p, grads)
 
     dheads = _split_heads(dhcat, p.heads)
@@ -408,8 +420,6 @@ def encoder_backward(d_out: np.ndarray, cache: EncoderCache, params: EncoderLaye
     for name, dm in (("w_k", dk), ("w_v", dv)):
         grads[name] = cache.x.T @ dm
         dx += dm @ getattr(p, name).T
-
-    grads["sep"] = np.zeros_like(p.sep)
     return dx, grads
 
 
@@ -442,24 +452,26 @@ def sep_gradient(d_input: np.ndarray, sep_positions: tuple[int, ...]) -> np.ndar
 # --- encoder stacks -----------------------------------------------------------
 #
 # The encoder is a list of layers. One layer is the default and the
-# published configuration. The separator vector of the FIRST layer is the
-# one interleaved into dialog sequences; `sep` tensors of deeper layers
-# are unused. Every layer but the last emits all rows, since the next
-# layer's keys and values read them; the last emits only the rows the
+# published configuration. The first layer is an EncoderLayerParams, whose
+# separator vector is interleaved into dialog sequences; deeper layers are
+# AttentionLayerParams. Every layer but the last emits all rows, since the
+# next layer's keys and values read them; the last emits only the rows the
 # caller reads, for a dialog batch its utterance rows.
 
-EncoderStack = list[EncoderLayerParams]
+EncoderStack = list[AttentionLayerParams]
 
 
 def init_encoder_stack(
     dim: int, heads: int = 4, ffn_dim: int | None = None, layers: int = 1, seed: int = 0
 ) -> EncoderStack:
-    """Independent deterministic initialization per layer."""
+    """Independent deterministic initialization per layer. A deeper
+    layer takes its tensors from a full layer drawn from its own seed, so
+    every value matches that layer's."""
     if layers < 1:
         raise ShapeMismatch(f"need at least one encoder layer, got {layers}")
-    return [
-        init_encoder(dim, heads=heads, ffn_dim=ffn_dim, seed=seed + 101 * i)
-        for i in range(layers)
+    stack = [init_encoder(dim, heads=heads, ffn_dim=ffn_dim, seed=seed + 101 * i) for i in range(layers)]
+    return stack[:1] + [
+        layer_from_tensors(AttentionLayerParams, layer.tensors(), layer_meta(layer)) for layer in stack[1:]
     ]
 
 
@@ -491,7 +503,7 @@ def stack_forward(
 def stack_backward(d_out: np.ndarray, caches: list[EncoderCache], stack: EncoderStack):
     """`d_out` holds the gradients of the rows :func:`stack_forward`
     emitted. Returns (d_input over every input row, flattened grads keyed
-    like stack_tensors)."""
+    like stack_tensors but with no `sep` entry)."""
     grads: dict[str, np.ndarray] = {}
     d = d_out
     for i in range(len(stack) - 1, -1, -1):

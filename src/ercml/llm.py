@@ -20,6 +20,7 @@ import http.client
 import json
 import logging
 import time
+import urllib.parse
 import urllib.request
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +29,7 @@ from pathlib import Path
 
 from .corpus import LABEL_NAMES, Corpus, Dialog, read_utf8
 from .embeddings import _decode, _non_blank
-from .errors import BadTemplate, EmptyDialog, EndpointFailure, MalformedRecord, MissingFile
+from .errors import BadTemplate, ConfigError, EmptyDialog, EndpointFailure, MalformedRecord, MissingFile
 from .metrics import MetricsReport, confusion, report_from_confusion
 
 logger = logging.getLogger(__name__)
@@ -172,6 +173,9 @@ class HttpGenerationClient:
     `{"text": str}`. A transport error or a body that is not UTF-8 JSON
     with a string `text` is a failed attempt; after `max_retries` extra
     attempts it raises EndpointFailure.
+
+    Raises:
+        ConfigError: `url` is not an http or https URL.
     """
 
     url: str
@@ -179,6 +183,10 @@ class HttpGenerationClient:
     max_retries: int = 2
     max_new_tokens: int = 16
     retry_wait: float = 0.5
+
+    def __post_init__(self):
+        if urllib.parse.urlsplit(self.url).scheme not in ("http", "https"):
+            raise ConfigError(f"endpoint {self.url!r} is not an http or https URL")
 
     def generate(self, prompt: str, key: str | None = None) -> str:
         payload = json.dumps(

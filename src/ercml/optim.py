@@ -14,6 +14,11 @@ from .errors import NonContiguous, NonFinite
 # once per step, and no temporary the size of a tensor is allocated.
 CHUNK = 16384
 
+# The moment decay rates and the denominator's floor: Kingma & Ba's defaults.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float | None) -> float:
     """Scale all gradients in place so their joint L2 norm is <= max_norm;
@@ -45,18 +50,12 @@ class Adam:
         self,
         tensors: dict[str, np.ndarray],
         lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
         clip_norm: float | None = 1.0,
     ):
         for name, arr in tensors.items():
             if not arr.flags.c_contiguous:
                 raise NonContiguous(f"parameter {name!r} is not C-contiguous; its updates would be lost")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.clip_norm = clip_norm
         self.t = 0
         self._flat = {name: arr.reshape(-1) for name, arr in tensors.items()}
@@ -76,7 +75,7 @@ class Adam:
             what = f"gradient {bad[0]!r} is not finite" if bad else "the gradient norm overflows"
             raise NonFinite(f"optimizer step {self.t + 1}: {what}")
         self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = BETA1, BETA2, self.lr, EPS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for name, grad in grads.items():

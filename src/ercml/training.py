@@ -36,6 +36,7 @@ from .classifier import (
 from .corpus import ALL_LABEL_IDS, EMOTION_IDS, LABEL_NAMES, Corpus, Dialog, label_weights
 from .embeddings import SentenceEmbeddingStore
 from .encoder import (
+    AttentionLayerParams,
     EncoderLayerParams,
     encode_dialog,
     encode_dialog_backward,
@@ -154,7 +155,7 @@ class TrainConfig:
 class ContextualModel:
     """Shared contextual encoder stack plus the (unfrozen) emotion head."""
 
-    encoder: list[EncoderLayerParams]
+    encoder: list[AttentionLayerParams]
     classifier: ClassifierParams
     config_echo: dict
     provider_name: str = "unknown"
@@ -186,7 +187,9 @@ class ContextualModel:
         _, tensors, meta = load_checkpoint(path, expect_kind="contextual")
         enc_meta = meta_entry(meta, "encoder", dict)
         encoder = [
-            layer_from_tensors(EncoderLayerParams, tensors, enc_meta, prefix=f"encoder.{i}.")
+            layer_from_tensors(
+                AttentionLayerParams if i else EncoderLayerParams, tensors, enc_meta, prefix=f"encoder.{i}."
+            )
             for i in range(meta_entry(enc_meta, "layers"))
         ]
         clf_tensors = {

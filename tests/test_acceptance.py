@@ -239,7 +239,7 @@ class TestC07EncoderGradients:
             worst = max(worst, err)
         elapsed = time.time() - start
         assert elapsed < 60.0
-        ok(f"encoder layer at d=8 U=4 h=2: all 17 parameter groups within 1e-3 "
+        ok(f"encoder layer at d=8 U=4 h=2: all {len(params.TENSOR_NAMES)} parameter groups within 1e-3 "
            f"of finite differences (worst {worst:.1e}, {elapsed:.1f}s)")
 
 

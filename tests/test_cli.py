@@ -9,6 +9,7 @@ import typing
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ercml.checkpoint import load_checkpoint, save_checkpoint
@@ -286,15 +287,19 @@ class TestPretrain:
         assert doc["seed"] == 1
 
     def test_train_with_pretrained_classifier(self, store_file, tmp_path):
+        # pretraining is seeded, so `train --classifier` on what `pretrain`
+        # wrote with the same flags writes the tensors `train` alone does
         pre = tmp_path / "pre"
-        main(["pretrain", "--data", DATA, "--store", store_file,
-              "--out", str(pre), "--pretrain-steps", "4"])
-        out = tmp_path / "run"
-        rc = main([
-            "train", "--data", DATA, "--store", store_file, "--out", str(out),
-            "--classifier", str(pre / "classifier.npz"), *FAST_TRAIN,
-        ])
-        assert rc == 0
+        assert main(["pretrain", "--data", DATA, "--store", store_file, "--out", str(pre), *FAST_TRAIN]) == 0
+        models = []
+        for extra in ([], ["--classifier", str(pre / "classifier.npz")]):
+            out = tmp_path / f"run{len(models)}"
+            assert main(["train", "--data", DATA, "--store", store_file, "--out", str(out), *FAST_TRAIN, *extra]) == 0
+            models.append(load_checkpoint(out / "model.npz")[1])
+        alone, pretrained = models
+        assert alone.keys() == pretrained.keys()
+        for name, arr in alone.items():
+            np.testing.assert_array_equal(pretrained[name], arr, err_msg=name)
 
 
     def test_classifier_of_another_label_space_exits_one(self, store_file, tmp_path, capsys):
@@ -466,6 +471,14 @@ class TestLlmEval:
     def test_requires_client_source(self, tmp_path):
         rc = main(["llm-eval", "--data", DATA, "--out", str(tmp_path / "x")])
         assert rc == 1
+
+    @pytest.mark.parametrize("endpoint", ["notaurl", "file:answers.json"])
+    def test_endpoint_not_http_exits_one_with_config_error(self, tmp_path, capsys, endpoint):
+        out = tmp_path / "llm"
+        rc = main(["llm-eval", "--data", DATA, "--endpoint", endpoint, "--out", str(out)])
+        assert rc == 1
+        assert f"ConfigError: endpoint {endpoint!r} is not an http or https URL" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:

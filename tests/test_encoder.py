@@ -478,7 +478,8 @@ class TestSingletonPath:
 
         # the tensors the singleton layer leaves out are dead on length-1
         # sequences: the full layer's analytic and numeric gradients for
-        # them are exactly zero
+        # them are exactly zero, and the layer's backward has no `sep`
+        # entry at all
         def full_loss():
             outs = [encoder_forward(rows[i:i + 1], params)[0] for i in range(len(rows))]
             return float((coeffs * np.vstack(outs)).sum())
@@ -488,7 +489,8 @@ class TestSingletonPath:
         for i in range(len(rows)):
             _, cache_i = encoder_forward(rows[i:i + 1], params)
             _, grads_i = encoder_backward(coeffs[i:i + 1].copy(), cache_i, params)
-            for name in dead:
+            assert "sep" not in grads_i
+            for name in ("w_q", "b_q", "w_k"):
                 assert not grads_i[name].any(), name
         for name in dead:
             assert not numeric_dead[name].any(), name

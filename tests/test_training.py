@@ -11,8 +11,9 @@ from ercml.checkpoint import load_checkpoint, save_checkpoint
 from ercml.cli import main
 from ercml.classifier import classify_batch, pretrain_classifier
 from ercml.embeddings import SentenceEmbeddingStore, hash_store_for_corpus
-from ercml.encoder import encode_dialog
+from ercml.encoder import AttentionLayerParams, EncoderLayerParams, encode_dialog
 from ercml.errors import CheckpointError, ConfigError, MissingEmbedding, NonFinite
+from ercml.optim import Adam
 from ercml.training import (
     ContextualModel,
     TrainConfig,
@@ -203,6 +204,23 @@ class TestContextualTraining:
         dialog = train_corpus.dialogs[0]
         assert predict(model, dialog, store16) == predict(again, dialog, store16)
 
+    def test_two_layer_stack_holds_one_separator(self, train_corpus, store16, monkeypatch):
+        # only the first layer's separator is interleaved into sequences:
+        # the deeper layer, its checkpoint and the encoder optimizer's
+        # moments hold none
+        optimizers = []
+
+        def recording_adam(tensors, **kwargs):
+            optimizers.append(Adam(tensors, **kwargs))
+            return optimizers[-1]
+
+        monkeypatch.setattr(training, "Adam", recording_adam)
+        model = train_contextual(train_corpus, store16, self.small_cfg(max_steps=2, encoder_layers=2))
+        assert [type(layer) for layer in model.encoder] == [EncoderLayerParams, AttentionLayerParams]
+        assert [name for name in model.tensors() if name.endswith("sep")] == ["encoder.0.sep"]
+        encoder_optimizer = optimizers[0]
+        assert [name for name in encoder_optimizer._m if name.endswith("sep")] == ["0.sep"]
+
     def test_batch_strategies_run(self, train_corpus, store16):
         for strategy in ("batch-all", "batch-hard"):
             cfg = self.small_cfg(max_steps=2, sampling_strategy=strategy)
@@ -359,6 +377,17 @@ class TestContextualCheckpoint:
     def test_extra_tensor(self, saved, tmp_path, name):
         path = self.resave(saved, tmp_path, lambda t: t.__setitem__(name, np.zeros(16)))
         with pytest.raises(CheckpointError, match=name.split(".", 1)[-1]):
+            ContextualModel.load(path)
+
+    def test_deeper_layer_separator_rejected(self, train_corpus, store16, tmp_path):
+        # the layout of a multi-layer file whose deeper layers still
+        # carried the separator they never read
+        cfg = TrainConfig(epochs=1, max_steps=1, pretrain_steps=2, seed=0, encoder_layers=2)
+        path = train_contextual(train_corpus, store16, cfg).save(tmp_path / "deep.npz")
+        kind, tensors, meta = load_checkpoint(path)
+        tensors["encoder.1.sep"] = tensors["encoder.0.sep"]
+        save_checkpoint(path, kind, tensors, meta)
+        with pytest.raises(CheckpointError, match=r"unexpected tensors \['encoder\.1\.sep'\]"):
             ContextualModel.load(path)
 
     @pytest.mark.parametrize("name", ["encoder.0.w_ff1", "encoder.0.sep", "classifier.encoder.w_o"])
