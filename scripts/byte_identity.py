@@ -30,7 +30,9 @@ with each command's exit code, stdout and stderr. An `.npz` is compared
 member by member, since the zip container stamps each member with its
 write time; a differing numeric member is printed with its largest
 absolute difference and that difference relative to the parent's
-largest entry, which is the tolerance a change of summation order needs.
+largest entry, which is the tolerance a change of summation order needs;
+a differing `__meta__.npy` is printed with the top-level metadata keys
+whose values differ.
 Prints every difference and exits 1 on any, or when a command fails;
 exits 0 when the trees agree byte for byte.
 """
@@ -145,14 +147,19 @@ def npz_members(data: bytes) -> dict[str, bytes]:
         return {name: archive.read(name) for name in archive.namelist()}
 
 
-def member_difference(a: bytes | None, b: bytes | None) -> str:
+def member_difference(name: str, a: bytes | None, b: bytes | None) -> str:
     """" (max abs X, max rel Y)" for two numeric `.npy` members of one
     shape, Y being X over the parent member's largest absolute entry;
-    "" for anything else."""
+    " (meta keys: K, ...)" for two checkpoint metadata members, naming
+    the top-level keys whose values differ; "" for anything else."""
     try:
         x, y = (np.load(io.BytesIO(m), allow_pickle=False) for m in (a, b))
     except (TypeError, ValueError, EOFError):
         return ""
+    if name == "__meta__.npy":  # a checkpoint's JSON metadata object
+        mx, my = (json.loads(str(m)) for m in (x, y))
+        keys = sorted(k for k in mx.keys() | my.keys() if k not in mx or k not in my or mx[k] != my[k])
+        return f" (meta keys: {', '.join(keys)})"
     if x.shape != y.shape or x.size == 0 or x.dtype.kind not in "fiu" or y.dtype.kind not in "fiu":
         return ""
     diff = float(np.abs(x.astype(float) - y).max())
@@ -175,7 +182,7 @@ def compare(parent: Path, change: Path) -> list[str]:
             bad = sorted(k for k in ma.keys() | mb.keys() if ma.get(k) != mb.get(k))
             if bad:
                 diffs.append(f"{name}: members differ: "
-                             + ", ".join(k + member_difference(ma.get(k), mb.get(k)) for k in bad))
+                             + ", ".join(k + member_difference(k, ma.get(k), mb.get(k)) for k in bad))
         elif da != db:
             lines = difflib.unified_diff(
                 da.decode("utf-8", "replace").splitlines(), db.decode("utf-8", "replace").splitlines(),

@@ -10,7 +10,9 @@ cannot see; files of any other version are rejected, not converted.
 Within version 3, deeper encoder layers later dropped the separator
 they never read. Single-layer files did not change, so the version did
 not either; an earlier multi-layer file holds `encoder.<i>.sep` for
-i >= 1, which the loader rejects as an unexpected tensor.
+i >= 1, which the loader rejects as an unexpected tensor. A pretrained
+head (kind "classifier") later began to record its store provider; an
+earlier one reads as provider "unknown", as does a store header without one.
 """
 
 from __future__ import annotations

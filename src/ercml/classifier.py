@@ -10,10 +10,11 @@ sentence embeddings and left unfrozen for the contextual trainer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import checked_tensor, json_int, meta_entry, reject_unknown_tensors
+from .checkpoint import checked_tensor, json_int, load_checkpoint, meta_entry, reject_unknown_tensors, save_checkpoint
 from .corpus import ALL_LABEL_IDS, Corpus, label_weights
 from .embeddings import SentenceEmbeddingStore
 from .encoder import (
@@ -54,6 +55,10 @@ class ClassifierParams:
         out["head.w"] = self.w_out
         out["head.b"] = self.b_out
         return out
+
+    def meta(self) -> dict:
+        """The sizes and label space a checkpoint records beside tensors()."""
+        return {**layer_meta(self.encoder), "label_space": list(self.label_space)}
 
 
 def init_classifier(
@@ -183,7 +188,7 @@ def pretrain_classifier(
     store: SentenceEmbeddingStore,
     *,
     label_space: tuple[int, ...] = ALL_LABEL_IDS,
-    steps: int = 200,
+    steps: int,
     batch_size: int = 32,
     learning_rate: float = 1e-3,
     seed: int = 0,
@@ -238,11 +243,6 @@ def pretrain_classifier(
     return params
 
 
-def classifier_to_tensors(params: ClassifierParams) -> tuple[dict[str, np.ndarray], dict]:
-    """Flatten to (tensors, meta) for the checkpoint container."""
-    return params.tensors(), {**layer_meta(params.encoder), "label_space": list(params.label_space)}
-
-
 def _label_ids(ids) -> tuple[int, ...]:
     """A checkpoint's label space: one or more distinct label ids in 0..6.
 
@@ -255,23 +255,41 @@ def _label_ids(ids) -> tuple[int, ...]:
     return space
 
 
-def classifier_from_tensors(tensors: dict[str, np.ndarray], meta: dict) -> ClassifierParams:
-    """Rebuild from a checkpoint's (tensors, meta).
+def classifier_from_tensors(tensors: dict[str, np.ndarray], meta: dict, prefix: str = "") -> ClassifierParams:
+    """Rebuild from a checkpoint's metadata and its tensors named
+    `prefix` + a name of tensors(). Names outside those are left for the
+    file's reader to reject, once over the whole file.
 
     Raises:
         CheckpointError: `meta` is missing an entry or malformed (a size
             that is not an integer, a label space that is not distinct
-            ids in 0..6), or a tensor is missing, unexpected, or shaped
-            unlike `meta` says.
+            ids in 0..6), or a tensor is missing or shaped unlike `meta`
+            says.
     """
     label_space = meta_entry(meta, "label_space", _label_ids)
     k = len(label_space)
-    encoder = layer_from_tensors(SingletonLayerParams, tensors, meta, prefix="encoder.")
-    params = ClassifierParams(
+    encoder = layer_from_tensors(SingletonLayerParams, tensors, meta, prefix=f"{prefix}encoder.")
+    return ClassifierParams(
         encoder=encoder,
-        w_out=checked_tensor(tensors, "head.w", (encoder.dim, k)),
-        b_out=checked_tensor(tensors, "head.b", (k,)),
+        w_out=checked_tensor(tensors, f"{prefix}head.w", (encoder.dim, k)),
+        b_out=checked_tensor(tensors, f"{prefix}head.b", (k,)),
         label_space=label_space,
     )
+
+
+def save_classifier(path: str | Path, params: ClassifierParams, provider: str, config_echo: dict, seed: int) -> Path:
+    """Write a standalone head (the `pretrain` output) as a `classifier`
+    checkpoint recording the store provider it was trained on."""
+    meta = {**params.meta(), "provider": provider, "config_echo": config_echo, "seed": seed}
+    return save_checkpoint(path, "classifier", params.tensors(), meta)
+
+
+def load_classifier(path: str | Path) -> tuple[ClassifierParams, str]:
+    """(params, store provider) from a `classifier` checkpoint; a file
+    recording no provider reads as "unknown". Raises CheckpointError as
+    load_checkpoint and classifier_from_tensors do, or on a tensor the
+    head does not hold."""
+    _, tensors, meta = load_checkpoint(path, expect_kind="classifier")
+    params = classifier_from_tensors(tensors, meta)
     reject_unknown_tensors(tensors, params.tensors())
-    return params
+    return params, meta.get("provider", "unknown")

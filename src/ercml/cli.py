@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifier import classifier_from_tensors, classifier_to_tensors
-from .checkpoint import load_checkpoint, save_checkpoint
+from .classifier import load_classifier, save_classifier
 from .corpus import (
     ALL_LABEL_IDS, EMOTION_IDS, LABEL_NAMES, Corpus, corpus_stats, format_stats, label_weights, load_split, read_utf8,
     utt_key,
@@ -196,11 +195,8 @@ def cmd_pretrain(args) -> int:
     store = load_sentence_embeddings(args.store)
     params = pretrain_from_config(corpus, store, config)
     out = _out_dir(args)
-    tensors, meta = classifier_to_tensors(params)
     echo = _config_echo(args, config)
-    meta["config_echo"] = echo
-    meta["seed"] = config.seed
-    save_checkpoint(out / "classifier.npz", "classifier", tensors, meta)
+    save_classifier(out / "classifier.npz", params, store.provider_name, echo, config.seed)
     _write_json(out / "pretrain.json", {
         "steps": config.resolved_pretrain_steps(corpus), "config_echo": echo, "seed": config.seed,
     })
@@ -228,8 +224,8 @@ def cmd_train(args) -> int:
         store.check_covers(eval_corpus)
         classifier = None
         if args.classifier:
-            _, tensors, meta = load_checkpoint(args.classifier, expect_kind="classifier")
-            classifier = classifier_from_tensors(tensors, meta)
+            classifier, provider = load_classifier(args.classifier)
+            _check_provider(store, args.store, provider, args.classifier)
         model = train_contextual(train_corpus, store, config, classifier=classifier, log_hook=log_hook)
     model.config_echo = echo
     model.save(out / "model.npz")
@@ -243,6 +239,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_provider(store: SentenceEmbeddingStore, store_path, provider: str, model_path) -> None:
+    """Raises ProviderMismatch unless `store` comes from `provider`, the
+    provider the checkpoint at `model_path` records."""
+    if store.provider_name != provider:
+        raise ProviderMismatch(
+            f"store {store_path} has provider {store.provider_name!r}; "
+            f"model {model_path} was trained on {provider!r}"
+        )
+
+
 def _load_scoring_inputs(args) -> tuple[ContextualModel, Corpus, SentenceEmbeddingStore]:
     """The model, split and store that `eval` and `predict` score.
 
@@ -254,11 +260,7 @@ def _load_scoring_inputs(args) -> tuple[ContextualModel, Corpus, SentenceEmbeddi
     model = ContextualModel.load(args.model)
     corpus = load_split(args.data, args.split)
     store = load_sentence_embeddings(args.store)
-    if store.provider_name != model.provider_name:
-        raise ProviderMismatch(
-            f"store {args.store} has provider {store.provider_name!r}; "
-            f"model {args.model} was trained on {model.provider_name!r}"
-        )
+    _check_provider(store, args.store, model.provider_name, args.model)
     store.check_covers(corpus)
     return model, corpus, store
 

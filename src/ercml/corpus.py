@@ -99,7 +99,7 @@ class Corpus:
 
     split: str
     dialogs: tuple[Dialog, ...]
-    label_histogram: dict[int, int] = field(default_factory=dict)
+    label_histogram: dict[int, int] = field(init=False)
 
     def __post_init__(self):
         hist = {lid: 0 for lid in ALL_LABEL_IDS}

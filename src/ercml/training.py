@@ -29,7 +29,6 @@ from .classifier import (
     ce_loss_and_grad,
     classifier_backward,
     classifier_from_tensors,
-    classifier_to_tensors,
     classify_batch,
     pretrain_classifier,
 )
@@ -45,7 +44,7 @@ from .encoder import (
     layer_meta,
     stack_tensors,
 )
-from .errors import CheckpointError, ConfigError, DimMismatch, InsufficientDiversity
+from .errors import ConfigError, DimMismatch, InsufficientDiversity
 from .metrics import MetricsReport, report_from_predictions
 from .optim import Adam
 from .triplets import (
@@ -70,8 +69,8 @@ LOSS_MODES = ("alternating", "summed")
 # (>= 0); an optional field left at None is not checked.
 LOWER_BOUNDS = {
     **dict.fromkeys(
-        ("epochs", "batch_size", "learning_rate", "margin", "pretrain_epochs", "pretrain_batch_size",
-         "heads", "ffn_dim", "encoder_layers", "triplets_per_batch", "grad_clip"),
+        ("epochs", "batch_size", "learning_rate", "margin", "summed_lambda", "pretrain_epochs",
+         "pretrain_batch_size", "heads", "ffn_dim", "encoder_layers", "triplets_per_batch", "grad_clip"),
         True,
     ),
     **dict.fromkeys(("seed", "pretrain_steps", "smooth_counts", "max_steps"), False),
@@ -115,14 +114,17 @@ class TrainConfig:
     def __post_init__(self):
         for name, strict in LOWER_BOUNDS.items():
             check_lower_bound(name, getattr(self, name), strict)
+        # an infinite margin or lambda reaches every logged loss; an
+        # infinite grad_clip is the flag spelling of "no clipping"
+        for name in ("margin", "summed_lambda"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.label_space_size not in (6, 7):
             raise ConfigError(f"label_space_size must be 6 or 7, got {self.label_space_size}")
         if self.sampling_strategy not in SAMPLING_STRATEGIES:
             raise ConfigError(f"sampling_strategy must be one of {SAMPLING_STRATEGIES}")
         if self.loss_mode not in LOSS_MODES:
             raise ConfigError(f"loss_mode must be one of {LOSS_MODES}")
-        if self.loss_mode == "summed" and self.summed_lambda <= 0:
-            raise ConfigError(f"summed_lambda must be > 0, got {self.summed_lambda}")
         if self.distance not in DISTANCES:
             raise ConfigError(f"distance must be one of {DISTANCES}, got {self.distance!r}")
 
@@ -173,7 +175,7 @@ class ContextualModel:
     def save(self, path: str | Path) -> Path:
         meta = {
             "encoder": {**layer_meta(self.encoder[0]), "layers": len(self.encoder)},
-            "classifier": classifier_to_tensors(self.classifier)[1],
+            "classifier": self.classifier.meta(),
             "provider": self.provider_name,
             "config_echo": self.config_echo,
         }
@@ -192,18 +194,9 @@ class ContextualModel:
             )
             for i in range(meta_entry(enc_meta, "layers"))
         ]
-        clf_tensors = {
-            name[len("classifier."):]: arr
-            for name, arr in tensors.items()
-            if name.startswith("classifier.")
-        }
-        try:
-            classifier = classifier_from_tensors(clf_tensors, meta_entry(meta, "classifier", dict))
-        except CheckpointError as exc:
-            raise CheckpointError(f"{path}: classifier part: {exc}") from None
         model = cls(
             encoder=encoder,
-            classifier=classifier,
+            classifier=classifier_from_tensors(tensors, meta_entry(meta, "classifier", dict), prefix="classifier."),
             config_echo=meta.get("config_echo", {}),
             provider_name=meta.get("provider", "unknown"),
         )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ALL_LABEL_IDS, Corpus
+from .corpus import ALL_LABEL_IDS, Corpus, utt_key
 from .errors import DimMismatch, InsufficientDiversity, ZeroVector
 
 DISTANCES = ("euclidean", "cosine")
@@ -29,7 +29,7 @@ class UttRef:
 
     @property
     def key(self) -> str:
-        return f"{self.dialog_id}#{self.index}"
+        return utt_key(self.dialog_id, self.index)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 import zipfile
 from pathlib import Path
 
@@ -47,6 +48,27 @@ class TestCompare:
         write_npz(change / "run" / "model.npz", {**members, "t::w.npy": npy([-4.0, 1.5])}, (2020, 1, 1, 0, 0, 0))
         assert byte_identity.compare(parent, change) == [
             "run/model.npz: members differ: t::w.npy (max abs 0.5, max rel 0.125)"
+        ]
+
+    def test_metadata_member_names_the_keys_that_differ(self, byte_identity, tmp_path):
+        parent, change = tmp_path / "parent", tmp_path / "change"
+
+        def meta(doc) -> bytes:
+            buf = io.BytesIO()
+            np.save(buf, np.array(json.dumps(doc, sort_keys=True)))
+            return buf.getvalue()
+
+        before = {"format_version": 3, "kind": "classifier", "seed": 7}
+        write_npz(parent / "pre" / "classifier.npz", {"__meta__.npy": meta(before)}, (2020, 1, 1, 0, 0, 0))
+        write_npz(change / "pre" / "classifier.npz", {"__meta__.npy": meta({**before, "provider": "hash"})},
+                  (2020, 1, 1, 0, 0, 0))
+        assert byte_identity.compare(parent, change) == [
+            "pre/classifier.npz: members differ: __meta__.npy (meta keys: provider)"
+        ]
+        write_npz(change / "pre" / "classifier.npz", {"__meta__.npy": meta({**before, "seed": 8, "kind": "x"})},
+                  (2020, 1, 1, 0, 0, 0))
+        assert byte_identity.compare(parent, change) == [
+            "pre/classifier.npz: members differ: __meta__.npy (meta keys: kind, seed)"
         ]
 
     def test_text_difference_and_missing_files(self, byte_identity, tmp_path):

@@ -10,12 +10,14 @@ from ercml.classifier import (
     ce_loss_and_grad,
     classifier_backward,
     classifier_from_tensors,
-    classifier_to_tensors,
     classify_batch,
     init_classifier,
+    load_classifier,
     pretrain_classifier,
+    save_classifier,
     weighted_cross_entropy,
 )
+from ercml.checkpoint import load_checkpoint, save_checkpoint
 from ercml.corpus import EMOTION_IDS
 from ercml.encoder import SingletonLayerParams, init_encoder
 from ercml.errors import BadTarget, CheckpointError, EmptyBatch
@@ -218,45 +220,69 @@ class TestInit:
 class TestCheckpointRoundTrip:
     def test_to_from_tensors(self):
         params = init_classifier(8, seed=3)
-        tensors, meta = classifier_to_tensors(params)
-        again = classifier_from_tensors(tensors, meta)
+        again = classifier_from_tensors(params.tensors(), params.meta())
         assert again.label_space == params.label_space
         for name, arr in params.tensors().items():
             np.testing.assert_array_equal(arr, again.tensors()[name])
 
     def test_missing_tensor(self):
-        tensors, meta = classifier_to_tensors(init_classifier(8, seed=3))
+        params = init_classifier(8, seed=3)
+        tensors, meta = params.tensors(), params.meta()
         del tensors["encoder.w_ff1"]
         with pytest.raises(CheckpointError, match="encoder.w_ff1"):
             classifier_from_tensors(tensors, meta)
 
-    def test_extra_tensor(self):
+    def test_extra_tensor(self, tmp_path):
         # a head written with the dead query projection is not silently accepted
-        tensors, meta = classifier_to_tensors(init_classifier(8, seed=3))
-        tensors["encoder.w_q"] = np.zeros((8, 8))
+        params = init_classifier(8, seed=3)
+        tensors = {**params.tensors(), "encoder.w_q": np.zeros((8, 8))}
+        path = save_checkpoint(tmp_path / "head.npz", "classifier", tensors, {**params.meta(), "provider": "hash"})
         with pytest.raises(CheckpointError, match="encoder.w_q"):
-            classifier_from_tensors(tensors, meta)
+            load_classifier(path)
+
+    def test_file_round_trip_records_provider(self, tmp_path):
+        params = init_classifier(8, seed=3)
+        path = save_classifier(tmp_path / "head.npz", params, "hash", {"command": "pretrain"}, 3)
+        again, provider = load_classifier(path)
+        assert provider == "hash"
+        assert again.label_space == params.label_space
+        for name, arr in params.tensors().items():
+            np.testing.assert_array_equal(arr, again.tensors()[name])
+        # the metadata is the head's sizes and label space plus the provider, echo and seed
+        _, _, meta = load_checkpoint(path)
+        assert {k: meta[k] for k in meta.keys() - {"format_version", "kind", "tensor_names"}} == {
+            **params.meta(), "provider": "hash", "config_echo": {"command": "pretrain"}, "seed": 3,
+        }
+
+    def test_file_without_provider_reads_unknown(self, tmp_path):
+        # a head file written before the provider was recorded
+        params = init_classifier(8, seed=3)
+        path = save_checkpoint(tmp_path / "head.npz", "classifier", params.tensors(), params.meta())
+        assert load_classifier(path)[1] == "unknown"
 
     @pytest.mark.parametrize("label_space", [
         [0, 1, 2, 3, 4, 5, 9], [0, 1, 2, 3, 4, 5, 5], [-1, 1, 2, 3, 4, 5, 6],
         [0, 1, 2, 3, 4, 5, 6.0], [0, 1, 2, 3, 4, 5, "6"], [0, 1, 2, 3, 4, 5, True], 7,
     ])
     def test_bad_label_ids(self, label_space):
-        tensors, meta = classifier_to_tensors(init_classifier(8, seed=3))
+        params = init_classifier(8, seed=3)
+        tensors, meta = params.tensors(), params.meta()
         meta["label_space"] = label_space
         with pytest.raises(CheckpointError, match="'label_space' is malformed"):
             classifier_from_tensors(tensors, meta)
 
     @pytest.mark.parametrize("name", ["encoder.w_ff2", "encoder.ln1_gain", "head.w", "head.b"])
     def test_misshaped_tensor(self, name):
-        tensors, meta = classifier_to_tensors(init_classifier(8, seed=3))
+        params = init_classifier(8, seed=3)
+        tensors, meta = params.tensors(), params.meta()
         tensors[name] = tensors[name][..., :-1]
         with pytest.raises(CheckpointError, match=name):
             classifier_from_tensors(tensors, meta)
 
     @pytest.mark.parametrize("name, value", [("encoder.w_o", np.nan), ("head.b", np.inf)])
     def test_non_finite_tensor(self, name, value):
-        tensors, meta = classifier_to_tensors(init_classifier(8, seed=3))
+        params = init_classifier(8, seed=3)
+        tensors, meta = params.tensors(), params.meta()
         tensors[name] = tensors[name].copy()
         tensors[name].flat[0] = value
         with pytest.raises(CheckpointError, match=f"{name}' holds a NaN or an infinity"):
@@ -264,7 +290,8 @@ class TestCheckpointRoundTrip:
 
     @pytest.mark.parametrize("name", ["encoder.b_ff1", "head.w"])
     def test_string_tensor(self, name):
-        tensors, meta = classifier_to_tensors(init_classifier(8, seed=3))
+        params = init_classifier(8, seed=3)
+        tensors, meta = params.tensors(), params.meta()
         tensors[name] = np.full(tensors[name].shape, "0.5")
         with pytest.raises(CheckpointError, match=f"{name}' has dtype <U3, expected float64"):
             classifier_from_tensors(tensors, meta)

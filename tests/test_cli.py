@@ -214,6 +214,14 @@ class TestTrainEval:
         assert captured.out == ""
         assert not result.exists()
 
+    @pytest.mark.parametrize("flags", [["--loss-mode", "summed", "--summed-lambda", "nan"], ["--margin", "inf"]])
+    def test_non_finite_loss_setting_exits_one_before_any_work(self, store_file, tmp_path, capsys, flags):
+        out = tmp_path / "run"
+        rc = main(["train", "--data", DATA, "--store", store_file, "--out", str(out), *FAST_TRAIN, *flags])
+        assert rc == 1
+        assert "ConfigError" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_step_lines_go_to_train_log_only(self, store_file, tmp_path):
         # A fresh interpreter, so the root handler is the CLI's own
         # stderr one and not the test runner's capture.
@@ -301,6 +309,41 @@ class TestPretrain:
         for name, arr in alone.items():
             np.testing.assert_array_equal(pretrained[name], arr, err_msg=name)
 
+
+    def test_classifier_of_another_provider_exits_one(self, store_file, tmp_path, capsys):
+        # the head was pretrained on the `hash` store; a store of the same
+        # dim and keys from another provider is refused before any step
+        pre = tmp_path / "pre"
+        main(["pretrain", "--data", DATA, "--store", store_file, "--out", str(pre), "--pretrain-steps", "4"])
+        other = replace(load_sentence_embeddings(store_file), provider_name="other")
+        other_path = save_sentence_embeddings(other, tmp_path / "other.jsonl")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = main(["train", "--data", DATA, "--store", str(other_path), "--out", str(out),
+                   "--classifier", str(pre / "classifier.npz"), *FAST_TRAIN])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ProviderMismatch" in err
+        assert "'other'" in err and "'hash'" in err
+        assert not (out / "model.npz").exists()
+        assert (out / "train.log").read_text().count("\n") == 1  # the config echo, no step
+
+    def test_classifier_without_provider_exits_one(self, store_file, tmp_path, capsys):
+        # a head file written before the provider was recorded
+        pre = tmp_path / "pre"
+        main(["pretrain", "--data", DATA, "--store", store_file, "--out", str(pre), "--pretrain-steps", "4"])
+        kind, tensors, meta = load_checkpoint(pre / "classifier.npz")
+        del meta["provider"]
+        old = save_checkpoint(tmp_path / "old.npz", kind, tensors, meta)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = main(["train", "--data", DATA, "--store", store_file, "--out", str(out),
+                   "--classifier", str(old), *FAST_TRAIN])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ProviderMismatch" in err
+        assert "'hash'" in err and "'unknown'" in err
+        assert not (out / "model.npz").exists()
 
     def test_classifier_of_another_label_space_exits_one(self, store_file, tmp_path, capsys):
         pre = tmp_path / "pre"

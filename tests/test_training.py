@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,10 @@ class TestTrainConfig:
         ("learning_rate", -1.0, 1e-6),
         ("learning_rate", float("nan"), 1e-6),
         ("margin", 0.0, 0.1),
+        ("margin", float("inf"), 0.1),  # would write `Infinity` into train.log
+        ("summed_lambda", 0.0, 0.5),  # in every loss mode, not only summed
+        ("summed_lambda", float("nan"), 0.5),
+        ("summed_lambda", float("inf"), 0.5),
         ("pretrain_epochs", 0, 1),
         ("pretrain_batch_size", 0, 1),
         ("heads", 0, 1),
@@ -80,6 +85,7 @@ class TestTrainConfig:
         ("encoder_layers", 0, 1),
         ("triplets_per_batch", 0, 1),
         ("grad_clip", 0.0, 0.5),
+        ("grad_clip", float("-inf"), float("inf")),  # inf is the flag spelling of "no clipping"
         ("seed", -1, 0),
         ("pretrain_steps", -3, 0),
         ("smooth_counts", -1, 0),
@@ -377,6 +383,15 @@ class TestContextualCheckpoint:
     def test_extra_tensor(self, saved, tmp_path, name):
         path = self.resave(saved, tmp_path, lambda t: t.__setitem__(name, np.zeros(16)))
         with pytest.raises(CheckpointError, match=name.split(".", 1)[-1]):
+            ContextualModel.load(path)
+
+    @pytest.mark.parametrize("edit, name", [
+        (lambda t: t.__setitem__("classifier.encoder.w_q", np.zeros((16, 16))), "classifier.encoder.w_q"),
+        (lambda t: t.pop("classifier.head.w"), "classifier.head.w"),
+    ], ids=["extra", "missing"])
+    def test_classifier_errors_name_the_file_member(self, saved, tmp_path, edit, name):
+        path = self.resave(saved, tmp_path, edit)
+        with pytest.raises(CheckpointError, match=re.escape(f"'{name}'")):
             ContextualModel.load(path)
 
     def test_deeper_layer_separator_rejected(self, train_corpus, store16, tmp_path):
