@@ -36,7 +36,8 @@ bench-pairs:
 # Byte-identity check against $(PARENT): the C13 train recipe for every
 # sampling strategy and label space, pretrain, five train runs that each
 # change one setting (2 layers, summed loss, cosine distance, no weighting,
-# a pretrained classifier), then eval, predict, stats, sample-triplets and
+# a pretrained classifier), a train run read from a config file with one
+# flag overriding it, then eval, predict, stats, sample-triplets and
 # llm-eval, run in the exported parent tree and in the working tree; every
 # artifact and each command's output are compared, and any difference
 # exits 1. About a minute and a half.

@@ -16,6 +16,9 @@ fixture corpus under tests/data/mini:
   changed: `--encoder-layers 2`, `--loss-mode summed`,
   `--distance cosine`, `--no-weighted-ce --no-weighted-sampler`, and
   `--classifier` with the pretrained classifier;
+- `train --config` on a config file that sets the paths, the C13
+  settings and `grad_clip = none`, with `--seed 8` overriding the file's
+  seed;
 - on each trained model, `eval` (default and `--neutral-policy drop`)
   and `predict`, and on each 7-label model also
   `eval --neutral-policy include` (a 6-label model has no neutral to
@@ -24,15 +27,15 @@ fixture corpus under tests/data/mini:
 - `llm-eval` on a replay fixture under both unparsable policies.
 
 Both trees get the same inputs: the hash-embedding store is built once
-with the parent's code, and the replay fixture is written by this
-script. Every file the runs leave is then compared between the trees,
-with each command's exit code, stdout and stderr. An `.npz` is compared
-member by member, since the zip container stamps each member with its
-write time; a differing numeric member is printed with its largest
-absolute difference and that difference relative to the parent's
-largest entry, which is the tolerance a change of summation order needs;
-a differing `__meta__.npy` is printed with the top-level metadata keys
-whose values differ.
+with the parent's code, and the replay fixture and the config file are
+written by this script. Every file the runs leave is then compared
+between the trees, with each command's exit code, stdout and stderr. An
+`.npz` is compared member by member, since the zip container stamps each
+member with its write time; a differing numeric member is printed with
+its largest absolute difference and that difference relative to the
+parent's largest entry, which is the tolerance a change of summation
+order needs; a differing `__meta__.npy` is printed with the top-level
+metadata keys whose values differ.
 Prints every difference and exits 1 on any, or when a command fails;
 exits 0 when the trees agree byte for byte.
 """
@@ -58,6 +61,7 @@ DATA = "tests/data/mini"
 OUT = "byte-identity"
 STORE = f"{OUT}/store.jsonl"
 REPLAY = f"{OUT}/replay.jsonl"
+CONFIG = f"{OUT}/run.cfg"
 TRAIN = ["--epochs", "1", "--max-steps", "5", "--pretrain-steps", "10", "--seed", "7"]
 STRATEGIES = ("weighted-random", "batch-all", "batch-hard")
 LABEL_SPACES = ("7", "6")
@@ -71,6 +75,17 @@ VARIANTS = {
     "pretrained": ["--classifier", f"{PRETRAIN}/classifier.npz"],
 }
 LLM_POLICIES = ("count-as-wrong", "map-to-neutral")
+# The C13 recipe as a config file, without gradient clipping.
+CONFIG_TEXT = f"""[paths]
+data = {DATA}
+store = {STORE}
+[train]
+epochs = 1
+max_steps = 5
+pretrain_steps = 10
+seed = 7
+grad_clip = none
+"""
 
 # The C13 store: 16-dim hash embeddings of all three fixture splits.
 MAKE_STORE = f"""
@@ -86,12 +101,12 @@ save_sentence_embeddings(store, {STORE!r})
 REPLAY_TEXTS = ("I think it is happiness.", "ANGER, clearly", "no idea", "Surprise or fear?", "sad-ish")
 
 
-def scored_run(run: str, flags: list[str], space: str = "7") -> list[list[str]]:
-    """`train` with the C13 recipe and `flags` into `run`, then the
-    scoring commands on its model."""
+def scored_run(run: str, train: list[str], space: str = "7") -> list[list[str]]:
+    """`train` with the arguments `train` into `run`, then the scoring
+    commands on its model; `space` is the label space `train` sets."""
     model = ["--model", f"{run}/model.npz", "--data", DATA, "--store", STORE, "--split", "test"]
     out = [
-        ["train", "--data", DATA, "--store", STORE, "--out", run, *TRAIN, *flags, "--label-space", space],
+        ["train", *train, "--out", run],
         ["eval", *model, "--out", f"{run}/eval.json"],
         ["eval", *model, "--neutral-policy", "drop", "--out", f"{run}/eval_drop.json"],
         ["predict", *model, "--out", f"{run}/predictions.jsonl"],
@@ -103,13 +118,16 @@ def scored_run(run: str, flags: list[str], space: str = "7") -> list[list[str]]:
 
 def commands() -> list[list[str]]:
     """Every `ercml` argument list the check runs, in order."""
+    c13 = ["--data", DATA, "--store", STORE, *TRAIN]
     out = []
     for strategy in STRATEGIES:
         for space in LABEL_SPACES:
-            out += scored_run(f"{OUT}/{strategy}-{space}", ["--sampling-strategy", strategy], space)
+            out += scored_run(f"{OUT}/{strategy}-{space}",
+                              [*c13, "--sampling-strategy", strategy, "--label-space", space], space)
     out.append(["pretrain", "--data", DATA, "--store", STORE, "--out", PRETRAIN, *TRAIN])
     for name, flags in VARIANTS.items():
-        out += scored_run(f"{OUT}/{name}", flags)
+        out += scored_run(f"{OUT}/{name}", [*c13, *flags, "--label-space", "7"])
+    out += scored_run(f"{OUT}/config-file", ["--config", CONFIG, "--seed", "8"])
     out += [
         ["stats", "--data", DATA, "--out", f"{OUT}/stats.txt"],
         ["sample-triplets", "--data", DATA, "--out", f"{OUT}/triplets.jsonl"],
@@ -213,6 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         replay.append({"key": "*", "text": "fear"})
         for tree in trees.values():
             (tree / REPLAY).write_text("".join(json.dumps(r) + "\n" for r in replay), encoding="utf-8")
+            (tree / CONFIG).write_text(CONFIG_TEXT, encoding="utf-8")
         failed = [msg for side in SIDES for msg in run_tree(trees[side])]
         diffs = compare(trees["parent"] / OUT, trees["change"] / OUT)
         n_files = sum(1 for p in (trees["change"] / OUT).rglob("*") if p.is_file())

@@ -187,17 +187,17 @@ def pretrain_classifier(
     corpus: Corpus,
     store: SentenceEmbeddingStore,
     *,
-    label_space: tuple[int, ...] = ALL_LABEL_IDS,
+    label_space: tuple[int, ...],
     steps: int,
-    batch_size: int = 32,
-    learning_rate: float = 1e-3,
-    seed: int = 0,
-    heads: int = 4,
-    ffn_dim: int | None = None,
-    weighted_sampler: bool = True,
-    weighted_ce: bool = True,
-    smooth_counts: int | None = 1,
-    grad_clip: float | None = 1.0,
+    batch_size: int,
+    learning_rate: float,
+    seed: int,
+    heads: int,
+    ffn_dim: int | None,
+    weighted_sampler: bool,
+    weighted_ce: bool,
+    smooth_counts: int | None,
+    grad_clip: float | None,
     log_hook=None,
 ) -> ClassifierParams:
     """Train the emotion head standalone on frozen utterance embeddings.
@@ -208,6 +208,8 @@ def pretrain_classifier(
     excluded from training entirely. The returned parameters stay
     unfrozen; the contextual trainer keeps updating them. `log_hook`, if
     given, gets `{"step", "ce"}` per step, steps counted from 1.
+    :func:`ercml.training.pretrain_from_config` takes every other
+    setting from a `TrainConfig`.
     """
     rng = np.random.default_rng(seed)
     items = [

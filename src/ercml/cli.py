@@ -13,7 +13,6 @@ import configparser
 import json
 import logging
 import sys
-import typing
 from dataclasses import asdict
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .llm import HttpGenerationClient, ReplayClient, evaluate_llm, resolve_templ
 from .metrics import NEUTRAL_POLICIES, format_report
 from .training import (
     DISTANCES,
+    FIELD_TYPES,
     LOSS_MODES,
     LOWER_BOUNDS,
     SAMPLING_STRATEGIES,
@@ -44,28 +44,24 @@ from .training import (
 )
 from .triplets import corpus_pool, sample_triplets
 
-# TrainConfig field -> int, float, bool or str, read off its type hint
-# with any `| None` dropped; the flags and the config-file parser follow it.
-_TRAIN_FIELDS = {
-    name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
-    for name, hint in typing.get_type_hints(TrainConfig).items()
-}
 _CHOICES = {
     "distance": DISTANCES,
     "sampling_strategy": SAMPLING_STRATEGIES,
     "loss_mode": LOSS_MODES,
 }
 # Config-file keys besides the TrainConfig fields: the paths that
-# `_resolve_path_option` reads.
+# `_resolve_run` reads.
 _PATH_KEYS = ("data", "store")
 _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True), **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 def _parse_config_value(key: str, raw: str):
+    """`raw` as its field's type; `none` or an empty value is None, which
+    TrainConfig accepts only for its optional fields."""
     raw = raw.strip()
     if raw.lower() in ("none", ""):
         return None
-    kind = _TRAIN_FIELDS[key]
+    kind, _ = FIELD_TYPES[key]
     try:
         return _BOOLS[raw.lower()] if kind is bool else kind(raw)
     except (KeyError, ValueError):
@@ -84,7 +80,7 @@ def read_config_file(path: str | Path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a `%` is read as written
     text = read_utf8(path, ConfigError)
     try:
         parser.read_string(text)
@@ -96,7 +92,7 @@ def read_config_file(path: str | Path) -> dict:
     for section in parser.sections():
         for name, raw in parser.items(section):
             key = name.replace("-", "_")
-            if key in _TRAIN_FIELDS:
+            if key in FIELD_TYPES:
                 merged[key] = _parse_config_value(key, raw)
             elif key in _PATH_KEYS:
                 merged[key] = raw.strip()
@@ -105,37 +101,28 @@ def read_config_file(path: str | Path) -> dict:
     return merged
 
 
-def build_train_config(args: argparse.Namespace, file_options: dict) -> TrainConfig:
-    resolved = {k: v for k, v in file_options.items() if k in _TRAIN_FIELDS}
-    for name in _TRAIN_FIELDS:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            resolved[name] = flag_value
-    return TrainConfig(**resolved)
+def _resolve_run(args: argparse.Namespace) -> TrainConfig:
+    """The settings of a `pretrain` or `train` run: TrainConfig's defaults,
+    then the config file, then the flags. `--data` and `--store` come from
+    the flag or else the file; a path taken from the file is written back
+    to `args`, so the config echo records it.
 
-
-def _resolve_path_option(args: argparse.Namespace, file_options: dict, key: str, required: bool = False):
-    """Paths resolve as flag > config file; `required` errors when absent."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = file_options.get(key)
-        if value is not None:
-            setattr(args, key, value)
-    if required and value is None:
-        raise ConfigError(f"missing required option --{key.replace('_', '-')} (flag or config file)")
-    return value
-
-
-def _add_train_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("training options (override the config file)")
-    for name, kind in _TRAIN_FIELDS.items():
-        flags = [f"--{name.replace('_', '-')}"]
-        if name == "label_space_size":
-            flags.append("--label-space")
-        if kind is bool:
-            group.add_argument(*flags, action=argparse.BooleanOptionalAction, default=None, dest=name)
-        else:
-            group.add_argument(*flags, type=kind, choices=_CHOICES.get(name), default=None, dest=name)
+    Raises:
+        MissingFile, ConfigError: see :func:`read_config_file`.
+        ConfigError: a setting TrainConfig refuses, or neither the flag
+            nor the file sets `--data` or `--store`; a bad setting is
+            reported first.
+    """
+    options = read_config_file(args.config) if args.config else {}
+    settings = {k: v for k, v in options.items() if k not in _PATH_KEYS}
+    settings.update((name, getattr(args, name)) for name in FIELD_TYPES if getattr(args, name) is not None)
+    config = TrainConfig(**settings)
+    for key in _PATH_KEYS:
+        if getattr(args, key) is None:
+            if key not in options:
+                raise ConfigError(f"missing required option --{key} (flag or config file)")
+            setattr(args, key, options[key])
+    return config
 
 
 def _config_echo(args: argparse.Namespace, train_config: TrainConfig | None = None) -> dict:
@@ -146,7 +133,7 @@ def _config_echo(args: argparse.Namespace, train_config: TrainConfig | None = No
     for key, value in sorted(vars(args).items()):
         if key in ("command", "func") or value is None:
             continue
-        if key in _TRAIN_FIELDS:
+        if key in FIELD_TYPES:
             continue  # captured via the resolved train config below
         echo[key] = str(value) if isinstance(value, Path) else value
     if train_config is not None:
@@ -187,10 +174,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    file_options = read_config_file(args.config) if args.config else {}
-    config = build_train_config(args, file_options)
-    _resolve_path_option(args, file_options, "data", required=True)
-    _resolve_path_option(args, file_options, "store", required=True)
+    config = _resolve_run(args)
     corpus = load_split(args.data, "train")
     store = load_sentence_embeddings(args.store)
     params = pretrain_from_config(corpus, store, config)
@@ -205,10 +189,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_train(args) -> int:
-    file_options = read_config_file(args.config) if args.config else {}
-    config = build_train_config(args, file_options)
-    _resolve_path_option(args, file_options, "data", required=True)
-    _resolve_path_option(args, file_options, "store", required=True)
+    config = _resolve_run(args)
     echo = _config_echo(args, config)
     out = _out_dir(args)
     train_corpus = load_split(args.data, "train")
@@ -354,36 +335,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ercml {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the flags `pretrain` and `train` share
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--data", default=None)
+    run.add_argument("--store", default=None, help="sentence-embedding JSONL export")
+    run.add_argument("--out", required=True, help="output directory")
+    run.add_argument("--config", default=None, help="key=value config file")
+    group = run.add_argument_group("training options (override the config file)")
+    for name, (kind, _) in FIELD_TYPES.items():
+        flags = [f"--{name.replace('_', '-')}"]
+        if name == "label_space_size":
+            flags.append("--label-space")
+        if kind is bool:
+            group.add_argument(*flags, action=argparse.BooleanOptionalAction, default=None, dest=name)
+        else:
+            group.add_argument(*flags, type=kind, choices=_CHOICES.get(name), default=None, dest=name)
+
+    # the flags `eval` and `predict` share
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--model", required=True)
+    scoring.add_argument("--data", required=True)
+    scoring.add_argument("--store", required=True)
+    scoring.add_argument("--split", default="test", choices=("train", "validation", "test"))
+
     p = sub.add_parser("stats", help="corpus statistics report")
     p.add_argument("--data", required=True, help="corpus directory")
     p.add_argument("--split", default="train", choices=("train", "validation", "test"))
     p.add_argument("--out", default=None, help="also write the report to this file")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("pretrain", help="pretrain the emotion classifier standalone")
-    p.add_argument("--data", default=None)
-    p.add_argument("--store", default=None, help="sentence-embedding JSONL export")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", default=None, help="key=value config file")
-    _add_train_options(p)
+    p = sub.add_parser("pretrain", parents=[run], help="pretrain the emotion classifier standalone")
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("train", help="train the contextual model")
-    p.add_argument("--data", default=None)
-    p.add_argument("--store", default=None, help="sentence-embedding JSONL export")
+    p = sub.add_parser("train", parents=[run], help="train the contextual model")
     p.add_argument("--classifier", default=None, help="pretrained classifier checkpoint")
     p.add_argument("--eval-split", default="test", choices=("train", "validation", "test"), dest="eval_split")
     p.add_argument("--neutral-policy", default="attribute", choices=("attribute", "drop"), dest="neutral_policy")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", default=None)
-    _add_train_options(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a trained model on a split")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--store", required=True)
-    p.add_argument("--split", default="test", choices=("train", "validation", "test"))
+    p = sub.add_parser("eval", parents=[scoring], help="evaluate a trained model on a split")
     p.add_argument(
         "--neutral-policy", default="attribute", choices=NEUTRAL_POLICIES, dest="neutral_policy",
         help="`include` is diagnostics only: neutral is scored as a class, the report is "
@@ -392,11 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="metrics JSON path")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", help="per-utterance predictions as JSON lines")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--store", required=True)
-    p.add_argument("--split", default="test", choices=("train", "validation", "test"))
+    p = sub.add_parser("predict", parents=[scoring], help="per-utterance predictions as JSON lines")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_predict)
 

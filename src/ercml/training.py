@@ -15,7 +15,9 @@ ablation runs.
 
 from __future__ import annotations
 
+import itertools
 import math
+import typing
 from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -114,11 +116,13 @@ class TrainConfig:
     def __post_init__(self):
         for name, strict in LOWER_BOUNDS.items():
             check_lower_bound(name, getattr(self, name), strict)
-        # an infinite margin or lambda reaches every logged loss; an
-        # infinite grad_clip is the flag spelling of "no clipping"
-        for name in ("margin", "summed_lambda"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, (kind, optional) in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if value is None and not optional:
+                raise ConfigError(f"{name} must not be None")
+            # an infinite grad_clip is the flag spelling of "no clipping"
+            if kind is float and name != "grad_clip" and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.label_space_size not in (6, 7):
             raise ConfigError(f"label_space_size must be 6 or 7, got {self.label_space_size}")
         if self.sampling_strategy not in SAMPLING_STRATEGIES:
@@ -151,6 +155,16 @@ class TrainConfig:
 
     def as_echo(self) -> dict:
         return asdict(self)
+
+
+# TrainConfig field -> (int, float, bool or str, whether None is allowed),
+# read off its type hints; `__post_init__`, the CLI's flags and its
+# config-file parser follow it.
+FIELD_TYPES = {
+    name: (next(t for t in typing.get_args(hint) or (hint,) if t is not type(None)),
+           type(None) in typing.get_args(hint))
+    for name, hint in typing.get_type_hints(TrainConfig).items()
+}
 
 
 @dataclass
@@ -226,19 +240,6 @@ def pretrain_from_config(corpus: Corpus, store: SentenceEmbeddingStore, config: 
 def _chunks(seq, size):
     for start in range(0, len(seq), size):
         yield seq[start:start + size]
-
-
-def _steps(config: TrainConfig, epoch_batches):
-    """(step, epoch, batch) over `config.epochs` epochs, steps counted from
-    1, stopping once `config.max_steps` steps are done. `epoch_batches()`
-    is called as each epoch starts and returns that epoch's batches."""
-    step = 0
-    for epoch in range(config.epochs):
-        for batch in epoch_batches():
-            if config.max_steps is not None and step >= config.max_steps:
-                return
-            step += 1
-            yield step, epoch, batch
 
 
 def _epoch_order(
@@ -376,11 +377,14 @@ def train_contextual(
     clf_opt = Adam(classifier.tensors(), lr=config.learning_rate, clip_norm=config.grad_clip)
 
     class_w = config.class_weights(corpus)
-    steps = _steps(config, lambda: _chunks(
-        _epoch_order(corpus, class_w, rng, weighted=config.weighted_sampler), config.batch_size
-    ))
-    for step, epoch, chunk in steps:
-        dialogs = [corpus.dialogs[i] for i in chunk]
+    # Each epoch's order is drawn as that epoch starts, after the previous
+    # epoch's steps, since triplet sampling draws from the same rng.
+    batches = (
+        (epoch, [corpus.dialogs[i] for i in chunk])
+        for epoch in range(config.epochs)
+        for chunk in _chunks(_epoch_order(corpus, class_w, rng, weighted=config.weighted_sampler), config.batch_size)
+    )
+    for step, (epoch, dialogs) in enumerate(itertools.islice(batches, config.max_steps), start=1):
         record = _train_cycle(
             dialogs, store, encoder, classifier, enc_opt, clf_opt,
             config, class_w, rng,

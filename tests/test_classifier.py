@@ -22,6 +22,7 @@ from ercml.corpus import EMOTION_IDS
 from ercml.encoder import SingletonLayerParams, init_encoder
 from ercml.errors import BadTarget, CheckpointError, EmptyBatch
 from ercml.gradcheck import fd_gradients, group_relative_error
+from ercml.training import TrainConfig, pretrain_from_config
 
 
 def classify(representation: np.ndarray, params) -> np.ndarray:
@@ -166,7 +167,7 @@ class TestClassifierGradients:
 
 class TestPretrain:
     def test_overfits_mini_fixture(self, train_corpus, store16):
-        params = pretrain_classifier(train_corpus, store16, steps=200, seed=0)
+        params = pretrain_from_config(train_corpus, store16, TrainConfig(pretrain_steps=200, seed=0))
         reps, targets = [], []
         for d, u in train_corpus.iter_utterances():
             if u.label in EMOTION_IDS:
@@ -179,19 +180,26 @@ class TestPretrain:
 
     def test_step_records_count_from_one(self, train_corpus, store16):
         records = []
-        pretrain_classifier(train_corpus, store16, steps=3, seed=0, log_hook=records.append)
+        config = TrainConfig()
+        pretrain_classifier(
+            train_corpus, store16, label_space=config.label_space(), steps=3, batch_size=config.pretrain_batch_size,
+            learning_rate=config.learning_rate, seed=0, heads=config.heads, ffn_dim=config.ffn_dim,
+            weighted_sampler=config.weighted_sampler, weighted_ce=config.weighted_ce,
+            smooth_counts=config.smooth_counts, grad_clip=config.grad_clip, log_hook=records.append,
+        )
         assert [r["step"] for r in records] == [1, 2, 3]
         assert all(set(r) == {"step", "ce"} and math.isfinite(r["ce"]) for r in records)
 
     def test_seed_determinism(self, train_corpus, store16):
-        a = pretrain_classifier(train_corpus, store16, steps=30, seed=11)
-        b = pretrain_classifier(train_corpus, store16, steps=30, seed=11)
+        config = TrainConfig(pretrain_steps=30, seed=11)
+        a = pretrain_from_config(train_corpus, store16, config)
+        b = pretrain_from_config(train_corpus, store16, config)
         for name, arr in a.tensors().items():
             np.testing.assert_array_equal(arr, b.tensors()[name])
 
     def test_six_label_ablation_space(self, train_corpus, store16):
-        params = pretrain_classifier(
-            train_corpus, store16, label_space=EMOTION_IDS, steps=20, seed=0
+        params = pretrain_from_config(
+            train_corpus, store16, TrainConfig(pretrain_steps=20, seed=0, label_space_size=6)
         )
         assert params.label_space == EMOTION_IDS
         assert len(params.label_space) == 6

@@ -214,7 +214,9 @@ class TestTrainEval:
         assert captured.out == ""
         assert not result.exists()
 
-    @pytest.mark.parametrize("flags", [["--loss-mode", "summed", "--summed-lambda", "nan"], ["--margin", "inf"]])
+    @pytest.mark.parametrize("flags", [
+        ["--loss-mode", "summed", "--summed-lambda", "nan"], ["--margin", "inf"], ["--learning-rate", "inf"],
+    ])
     def test_non_finite_loss_setting_exits_one_before_any_work(self, store_file, tmp_path, capsys, flags):
         out = tmp_path / "run"
         rc = main(["train", "--data", DATA, "--store", store_file, "--out", str(out), *FAST_TRAIN, *flags])
@@ -538,6 +540,7 @@ class TestConfigFile:
             "seed = 5\n"
             "margin = 0.7\n"
             "weighted_ce = false\n"
+            "grad_clip = none\n"
         )
         out = tmp_path / "run"
         rc = main(["train", "--config", str(cfg), "--out", str(out), "--seed", "6"])
@@ -547,6 +550,7 @@ class TestConfigFile:
         assert echo["seed"] == 6          # flag overrides file
         assert echo["margin"] == 0.7      # file value used
         assert echo["weighted_ce"] is False
+        assert echo["grad_clip"] is None  # `none`: no clipping
 
     def test_unknown_distance_exits_one_before_pretraining(self, store_file, tmp_path, capsys, monkeypatch):
         from ercml import training
@@ -581,6 +585,11 @@ class TestConfigFile:
         opts = read_config_file(cfg)
         assert opts == {"epochs": 3, "learning_rate": 0.01,
                         "triplet_enabled": False, "ffn_dim": None}
+
+    def test_percent_is_read_literally(self, tmp_path):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("store = /tmp/100%store.jsonl\ndata = %(x)s\n")
+        assert read_config_file(cfg) == {"store": "/tmp/100%store.jsonl", "data": "%(x)s"}
 
     @pytest.mark.parametrize("line", ["weighted_ce=maybe", "epochs=abc", "learning_rate=fast", "batch_size=1.5"])
     def test_bad_value_raises(self, tmp_path, line):
@@ -618,6 +627,24 @@ class TestConfigFile:
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out), *FAST_TRAIN]) == 1
         assert f"ConfigError: config {cfg}: unknown key '{key}'" in capsys.readouterr().err
+        assert not (out / "model.npz").exists()
+
+    @pytest.mark.parametrize("key", ["weighted_ce", "epochs"])
+    def test_none_for_a_required_field_exits_one_before_loading_data(
+        self, store_file, tmp_path, capsys, monkeypatch, key
+    ):
+        from ercml import cli
+
+        def no_loading(*args, **kwargs):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(cli, "load_split", no_loading)
+        monkeypatch.setattr(cli, "load_sentence_embeddings", no_loading)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {DATA}\nstore = {store_file}\n{key} = none\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"ConfigError: {key} must not be None" in capsys.readouterr().err
         assert not (out / "model.npz").exists()
 
     def test_every_train_field_has_a_flag_and_parses_to_its_type(self, tmp_path):

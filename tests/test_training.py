@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ from ercml.corpus import Corpus, Dialog, EMOTION_IDS, Utterance
 from ercml import checkpoint, training
 from ercml.checkpoint import load_checkpoint, save_checkpoint
 from ercml.cli import main
-from ercml.classifier import classify_batch, pretrain_classifier
+from ercml.classifier import classify_batch
 from ercml.embeddings import SentenceEmbeddingStore, hash_store_for_corpus
 from ercml.encoder import AttentionLayerParams, EncoderLayerParams, encode_dialog
 from ercml.errors import CheckpointError, ConfigError, MissingEmbedding, NonFinite
@@ -21,6 +22,7 @@ from ercml.training import (
     evaluate_model,
     predict,
     predict_dialogs,
+    pretrain_from_config,
     train_contextual,
 )
 
@@ -95,6 +97,23 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=f"^{name} must be"):
             TrainConfig(**{name: bad})
         assert getattr(TrainConfig(**{name: ok}), name) == ok
+
+    @pytest.mark.parametrize("name, value, refused", [
+        ("epochs", None, True),
+        ("seed", None, True),
+        ("margin", None, True),
+        ("weighted_ce", None, True),
+        ("learning_rate", math.inf, True),
+        ("grad_clip", None, False),  # None and inf both mean "no clipping"
+        ("grad_clip", math.inf, False),
+        ("ffn_dim", None, False),
+    ])
+    def test_none_and_infinity_follow_the_declared_type(self, name, value, refused):
+        if refused:
+            with pytest.raises(ConfigError, match=f"^{name} must"):
+                TrainConfig(**{name: value})
+        else:
+            assert getattr(TrainConfig(**{name: value}), name) == value
 
 
 class TestContextualTraining:
@@ -497,7 +516,7 @@ class TestStoreCoverage:
         store = SentenceEmbeddingStore(
             entries={k: v for k, v in store16.entries.items() if k != gap}, dim=16
         )
-        classifier = pretrain_classifier(train_corpus, store16, steps=2, seed=0)
+        classifier = pretrain_from_config(train_corpus, store16, TrainConfig(pretrain_steps=2, seed=0))
         records = []
         with pytest.raises(MissingEmbedding, match=gap):
             train_contextual(
@@ -510,7 +529,9 @@ class TestStoreCoverage:
 class TestPassedClassifier:
     @pytest.mark.parametrize("clf_space, config_size", [(tuple(range(7)), 6), (EMOTION_IDS, 7)])
     def test_other_label_space_fails_before_any_step(self, train_corpus, store16, clf_space, config_size):
-        classifier = pretrain_classifier(train_corpus, store16, label_space=clf_space, steps=2, seed=0)
+        classifier = pretrain_from_config(
+            train_corpus, store16, TrainConfig(pretrain_steps=2, seed=0, label_space_size=len(clf_space))
+        )
         records = []
         with pytest.raises(ConfigError, match="label space"):
             train_contextual(train_corpus, store16, TrainConfig(epochs=1, seed=0, label_space_size=config_size),
@@ -527,7 +548,9 @@ class TestNonFinite:
         store = SentenceEmbeddingStore(entries=entries, dim=16)
         # With a classifier passed in, pretraining is skipped and the NaN
         # first reaches an optimizer in the contextual loop.
-        classifier = pretrain_classifier(train_corpus, store16, steps=2, seed=0) if pretrained else None
+        classifier = (
+            pretrain_from_config(train_corpus, store16, TrainConfig(pretrain_steps=2, seed=0)) if pretrained else None
+        )
         with pytest.raises(NonFinite, match="optimizer step"):
             train_contextual(train_corpus, store, TrainConfig(epochs=1, pretrain_steps=5, seed=0),
                              classifier=classifier)
