@@ -226,13 +226,18 @@ def pretrain_classifier(
         class_w = label_weights(corpus, labels=label_space, smooth_counts=smooth_counts)
         item_w = np.array([class_w[lab] for lab in labels])
         probs = item_w / item_w.sum()
-    else:
-        probs = None
+        # `rng.choice(n, size, p=probs)` builds this CDF on every call and
+        # draws exactly this way: the same indices, the same rng state.
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
 
     params = init_classifier(store.dim, label_space=label_space, heads=heads, ffn_dim=ffn_dim, seed=seed)
     adam = Adam(params.tensors(), lr=learning_rate, clip_norm=grad_clip)
     for step in range(1, steps + 1):
-        chosen = rng.choice(len(labels), size=batch_size, p=probs)
+        if weighted_sampler:
+            chosen = cdf.searchsorted(rng.random(batch_size), side="right")
+        else:
+            chosen = rng.choice(len(labels), size=batch_size)
         batch_x = vectors[chosen]
         batch_y = [labels[i] for i in chosen]
         ce_w = batch_class_weights(batch_y) if weighted_ce else {}

@@ -76,6 +76,8 @@ def read_config_file(path: str | Path) -> dict:
         ConfigError: a file that is not UTF-8 text, a key that is neither
             a TrainConfig field nor a path option, or a value that does
             not parse as its field's type.
+
+    An empty path value is left out, as if the key were absent.
     """
     path = Path(path)
     if not path.is_file():
@@ -95,7 +97,8 @@ def read_config_file(path: str | Path) -> dict:
             if key in FIELD_TYPES:
                 merged[key] = _parse_config_value(key, raw)
             elif key in _PATH_KEYS:
-                merged[key] = raw.strip()
+                if raw.strip():  # an empty path is unset, not the directory `.`
+                    merged[key] = raw.strip()
             else:
                 raise ConfigError(f"config {path}: unknown key {name!r}")
     return merged
@@ -177,6 +180,7 @@ def cmd_pretrain(args) -> int:
     config = _resolve_run(args)
     corpus = load_split(args.data, "train")
     store = load_sentence_embeddings(args.store)
+    store.check_covers(corpus)
     params = pretrain_from_config(corpus, store, config)
     out = _out_dir(args)
     echo = _config_echo(args, config)
@@ -191,8 +195,18 @@ def cmd_pretrain(args) -> int:
 def cmd_train(args) -> int:
     config = _resolve_run(args)
     echo = _config_echo(args, config)
-    out = _out_dir(args)
+    # Every input is loaded and checked before `--out` is made, so a bad
+    # input leaves no half-written run behind.
     train_corpus = load_split(args.data, "train")
+    eval_corpus = load_split(args.data, args.eval_split)
+    store = load_sentence_embeddings(args.store)
+    store.check_covers(train_corpus)
+    store.check_covers(eval_corpus)
+    classifier = None
+    if args.classifier:
+        classifier, provider = load_classifier(args.classifier)
+        _check_provider(store, args.store, provider, args.classifier)
+    out = _out_dir(args)
     # train.log: one JSON line per record, the config echo and then each
     # step; line-buffered, so the log of a running job is current
     with open(out / "train.log", "w", encoding="utf-8", buffering=1) as log:
@@ -200,13 +214,6 @@ def cmd_train(args) -> int:
             log.write(json.dumps(record, sort_keys=True) + "\n")
 
         log_hook({"config_echo": echo})
-        store = load_sentence_embeddings(args.store)
-        eval_corpus = load_split(args.data, args.eval_split)
-        store.check_covers(eval_corpus)
-        classifier = None
-        if args.classifier:
-            classifier, provider = load_classifier(args.classifier)
-            _check_provider(store, args.store, provider, args.classifier)
         model = train_contextual(train_corpus, store, config, classifier=classifier, log_hook=log_hook)
     model.config_echo = echo
     model.save(out / "model.npz")

@@ -142,3 +142,8 @@ class NonFinite(ErcmlError):
 class NonContiguous(ErcmlError):
     """An optimizer parameter is not one C-contiguous block, so a flat view
     of it would be a copy and updates to it would be lost."""
+
+
+class CompileError(ErcmlError):
+    """The optimizer's C kernel could not be built: no C compiler was
+    found, or the compile failed."""

@@ -1,23 +1,63 @@
-"""First-order adaptive-moment gradient descent with global-norm clipping."""
+"""First-order adaptive-moment gradient descent with global-norm clipping.
+
+The Adam update runs as one C loop, `_adam.c`, compiled by the first
+`Adam(...)` of a process with the compiler Python was built with.
+"""
 
 from __future__ import annotations
 
+import ctypes
 import math
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from .errors import NonContiguous, NonFinite
-
-# Elements per pass of the Adam update. A chunk's gradient, moments,
-# parameter and two scratch rows (6 x 128 KiB) stay in cache across the
-# chunk's dozen ufunc calls, so each byte of a tensor leaves memory about
-# once per step, and no temporary the size of a tensor is allocated.
-CHUNK = 16384
+from .errors import CompileError, NonContiguous, NonFinite, ShapeMismatch
 
 # The moment decay rates and the denominator's floor: Kingma & Ba's defaults.
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+
+# The compiler command and its flags. No FMA contraction and no fast-math,
+# so each element gets the numpy expressions' IEEE operations bit for bit;
+# -fno-math-errno lets `sqrt` compile to one instruction.
+CC = shlex.split(sysconfig.get_config_var("CC") or "cc")
+CFLAGS = ["-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared"]
+SOURCE = Path(__file__).with_name("_adam.c")
+
+_kernel = None  # the loaded `adam_update`, built once per process
+
+
+def _load_kernel():
+    """`adam_update` from `_adam.c`, compiled on the first call.
+
+    Raises:
+        CompileError: no compiler is found, or it fails on the source.
+    """
+    global _kernel
+    if _kernel is None:
+        with tempfile.TemporaryDirectory(prefix="ercml-adam-") as tmp:
+            lib = Path(tmp) / "_adam.so"
+            cmd = [*CC, *CFLAGS, str(SOURCE), "-o", str(lib), "-lm"]
+            try:
+                proc = subprocess.run(cmd, capture_output=True, text=True)
+            except OSError as exc:
+                raise CompileError(f"cannot run the C compiler {CC[0]!r} to build the Adam kernel: {exc}") from None
+            if proc.returncode != 0:
+                raise CompileError(f"building the Adam kernel failed ({shlex.join(cmd)}):\n{proc.stderr.strip()}")
+            fn = ctypes.CDLL(str(lib)).adam_update  # stays mapped after the directory goes
+        # ctypes refuses an array the loop could not safely read or write
+        out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+        grad = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+        fn.argtypes = [out, out, out, grad, ctypes.c_size_t] + [ctypes.c_double] * 6
+        fn.restype = None
+        _kernel = fn
+    return _kernel
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float | None) -> float:
@@ -37,13 +77,13 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float | None) -> fl
 class Adam:
     """Adam over a live dict of named parameter arrays (updated in place).
 
-    Each tensor is streamed in chunks of `CHUNK` elements through two
-    scratch rows allocated once, with every element getting the textbook
-    update in the textbook order, so the result is bit-identical to the
-    whole-array expressions.
+    Each tensor gets one pass of the compiled kernel, which applies the
+    textbook update to every element in the textbook order, so the result
+    is bit-identical to the whole-array numpy expressions.
 
     Raises:
         NonContiguous: a parameter is not C-contiguous.
+        CompileError: the kernel cannot be built (first `Adam` only).
     """
 
     def __init__(
@@ -55,47 +95,43 @@ class Adam:
         for name, arr in tensors.items():
             if not arr.flags.c_contiguous:
                 raise NonContiguous(f"parameter {name!r} is not C-contiguous; its updates would be lost")
+        self._kernel = _load_kernel()
         self.lr = lr
         self.clip_norm = clip_norm
         self.t = 0
         self._flat = {name: arr.reshape(-1) for name, arr in tensors.items()}
         self._m = {name: np.zeros_like(flat) for name, flat in self._flat.items()}
         self._v = {name: np.zeros_like(flat) for name, flat in self._flat.items()}
-        self._scratch = np.empty((2, CHUNK))
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         """One update from a grads dict keyed like the tensors dict.
 
         Raises:
+            ShapeMismatch: the gradients' names are not the parameters',
+                or a gradient's size is not its parameter's; nothing has
+                changed.
             NonFinite: a gradient holds a NaN or an infinity; no
                 parameter has changed.
         """
+        if grads.keys() != self._flat.keys():
+            missing, extra = sorted(self._flat.keys() - grads.keys()), sorted(grads.keys() - self._flat.keys())
+            raise ShapeMismatch(f"optimizer step {self.t + 1}: gradients lack {missing} and add {extra}")
+        for name, g in grads.items():
+            if g.size != self._flat[name].size:
+                raise ShapeMismatch(
+                    f"optimizer step {self.t + 1}: gradient {name!r} has {g.size} elements, "
+                    f"its parameter {self._flat[name].size}"
+                )
         if not math.isfinite(clip_global_norm(grads, self.clip_norm)):
             bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
             what = f"gradient {bad[0]!r} is not finite" if bad else "the gradient norm overflows"
             raise NonFinite(f"optimizer step {self.t + 1}: {what}")
         self.t += 1
-        b1, b2, lr, eps = BETA1, BETA2, self.lr, EPS
-        bc1 = 1.0 - b1**self.t
-        bc2 = 1.0 - b2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for name, grad in grads.items():
-            g_all = grad.reshape(-1)
-            p_all, m_all, v_all = self._flat[name], self._m[name], self._v[name]
-            for lo in range(0, g_all.size, CHUNK):
-                hi = lo + CHUNK
-                g, m, v = g_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
-                a, b = self._scratch[:, : g.size]
-                # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
-                m *= b1
-                m += np.multiply(g, 1.0 - b1, out=a)
-                v *= b2
-                v += np.multiply(np.multiply(g, 1.0 - b2, out=a), g, out=a)
-                # p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
-                np.multiply(np.divide(m, bc1, out=a), lr, out=a)
-                np.sqrt(np.divide(v, bc2, out=b), out=b)
-                b += eps
-                a /= b
-                p_all[lo:hi] -= a
+            p, g = self._flat[name], np.ascontiguousarray(grad, dtype=np.float64).reshape(-1)
+            self._kernel(p, self._m[name], self._v[name], g, p.size, BETA1, BETA2, self.lr, bc1, bc2, EPS)
 
 
 def add_grads(into: dict[str, np.ndarray], grads: dict[str, np.ndarray], scale: float = 1.0) -> None:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ercml import classifier
 from ercml.classifier import (
     batch_class_weights,
     ce_loss_and_grad,
@@ -18,7 +19,7 @@ from ercml.classifier import (
     weighted_cross_entropy,
 )
 from ercml.checkpoint import load_checkpoint, save_checkpoint
-from ercml.corpus import EMOTION_IDS
+from ercml.corpus import EMOTION_IDS, label_weights
 from ercml.encoder import SingletonLayerParams, init_encoder
 from ercml.errors import BadTarget, CheckpointError, EmptyBatch
 from ercml.gradcheck import fd_gradients, group_relative_error
@@ -205,6 +206,49 @@ class TestPretrain:
         assert len(params.label_space) == 6
         logits = classify(np.zeros(16), params)
         assert logits.shape == (6,)
+
+
+class TestWeightedDraw:
+    """Pretraining draws a weighted batch from a CDF built once; this is
+    what `rng.choice(n, size, p=probs)` does inside on every call."""
+
+    @pytest.mark.parametrize("n", [400, 87_170])
+    def test_same_indices_and_rng_state_as_choice(self, n):
+        probs = np.random.default_rng(n).integers(1, 50, size=n).astype(float)
+        probs /= probs.sum()
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(2000):
+            np.testing.assert_array_equal(cdf.searchsorted(ours.random(32), side="right"),
+                                          theirs.choice(n, size=32, p=probs))
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("weighted_sampler", [True, False])
+    def test_pretraining_batches_are_choice_draws(self, train_corpus, store16, monkeypatch, weighted_sampler):
+        config = TrainConfig(seed=5, weighted_sampler=weighted_sampler, pretrain_steps=40)
+        batches = []
+        real = classifier.classify_batch
+
+        def recording(x, params):
+            batches.append(x.copy())
+            return real(x, params)
+
+        monkeypatch.setattr(classifier, "classify_batch", recording)
+        pretrain_from_config(train_corpus, store16, config)
+        items = [(store16.get(d.id, u.index), u.label) for d, u in train_corpus.iter_utterances()
+                 if u.label in config.label_space()]
+        vectors = np.stack([vec for vec, _ in items])
+        probs = None
+        if weighted_sampler:
+            class_w = label_weights(train_corpus, labels=config.label_space(), smooth_counts=config.smooth_counts)
+            item_w = np.array([class_w[lab] for _, lab in items])
+            probs = item_w / item_w.sum()
+        rng = np.random.default_rng(config.seed)
+        assert len(batches) == 40
+        for batch in batches:
+            chosen = rng.choice(len(items), size=config.pretrain_batch_size, p=probs)
+            np.testing.assert_array_equal(batch, vectors[chosen])
 
 
 class TestInit:

@@ -224,6 +224,24 @@ class TestTrainEval:
         assert "ConfigError" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad, error", [
+        ("store", "MissingFile"), ("eval_store", "MissingEmbedding"), ("classifier", "CheckpointError"),
+    ])
+    def test_bad_input_exits_one_before_out_is_made(self, store_file, tmp_path, capsys, bad, error):
+        # a missing store, a store covering train but not the eval split,
+        # or a missing classifier: nothing is written, not even train.log
+        train_only = hash_store_for_corpus(load_split(DATA, "train"), dim=16, seed=0)
+        inputs = {
+            "store": ["--store", str(tmp_path / "missing.jsonl")],
+            "eval_store": ["--store", str(save_sentence_embeddings(train_only, tmp_path / "train_only.jsonl"))],
+            "classifier": ["--store", store_file, "--classifier", str(tmp_path / "missing.npz")],
+        }
+        out = tmp_path / "run"
+        rc = main(["train", "--data", DATA, *inputs[bad], "--out", str(out), *FAST_TRAIN])
+        assert rc == 1
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
     def test_step_lines_go_to_train_log_only(self, store_file, tmp_path):
         # A fresh interpreter, so the root handler is the CLI's own
         # stderr one and not the test runner's capture.
@@ -327,8 +345,7 @@ class TestPretrain:
         err = capsys.readouterr().err
         assert "ProviderMismatch" in err
         assert "'other'" in err and "'hash'" in err
-        assert not (out / "model.npz").exists()
-        assert (out / "train.log").read_text().count("\n") == 1  # the config echo, no step
+        assert not out.exists()  # refused before anything is written
 
     def test_classifier_without_provider_exits_one(self, store_file, tmp_path, capsys):
         # a head file written before the provider was recorded
@@ -578,6 +595,16 @@ class TestConfigFile:
         assert "ConfigError: batch_size must be > 0" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (out / "model.npz").exists()
+
+    @pytest.mark.parametrize("command", ["train", "pretrain"])
+    def test_empty_store_is_unset(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {DATA}\nstore =\n")
+        assert read_config_file(cfg) == {"data": DATA}
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out), *FAST_TRAIN]) == 1
+        assert "ConfigError: missing required option --store (flag or config file)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parse_types(self, tmp_path):
         cfg = tmp_path / "t.cfg"

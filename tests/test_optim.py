@@ -3,8 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ercml.errors import NonContiguous, NonFinite
-from ercml.optim import CHUNK, Adam, clip_global_norm
+from ercml import optim
+from ercml.cli import main
+from ercml.corpus import Corpus, load_split
+from ercml.embeddings import hash_store_for_corpus, save_sentence_embeddings
+from ercml.errors import CompileError, NonContiguous, NonFinite, ShapeMismatch
+from ercml.optim import Adam, clip_global_norm
 
 from reference_optim import ReferenceAdam
 
@@ -43,10 +47,12 @@ class TestAdam:
         np.testing.assert_allclose(grads["a"], [0.6, 0.8])
 
 
-# Sizes around the chunk edges: one element, a chunk short by one, exactly
-# one chunk, one over, and a 2-D tensor whose last chunk is partial.
-ORACLE_SHAPES = {"one": (1,), "short": (CHUNK - 1,), "exact": (CHUNK,), "over": (CHUNK + 1,),
-                 "matrix": (3, CHUNK + 7)}
+# Sizes that leave every vector-width tail of the compiled loop: 1, 2, 3,
+# 7 and 9 elements, an odd size past the caches, and a matrix whose rows are
+# of odd length. The matrix comes last, so its last element is the last
+# element the step reaches.
+ORACLE_SHAPES = {"one": (1,), "two": (2,), "three": (3,), "seven": (7,), "nine": (9,),
+                 "large": (590_593,), "matrix": (3, 385)}
 
 
 def oracle_params(seed=0):
@@ -59,7 +65,7 @@ def oracle_grads(rng):
 
 
 def run_both(clip_norm, steps=30):
-    """The chunked Adam and the whole-array reference, fed equal gradients."""
+    """The compiled Adam and the whole-array reference, fed equal gradients."""
     params, ref_params = oracle_params(), oracle_params()
     opt = Adam(params, clip_norm=clip_norm)
     ref = ReferenceAdam(ref_params, clip_norm=clip_norm)
@@ -74,7 +80,31 @@ def run_both(clip_norm, steps=30):
     return params, ref_params, norms
 
 
-class TestChunkedOracle:
+def warmed_pair(steps=3):
+    """An Adam and a reference after `steps` equal updates, and the rng
+    that drew their gradients."""
+    params, ref_params = oracle_params(), oracle_params()
+    opt = Adam(params, clip_norm=None)
+    ref = ReferenceAdam(ref_params, clip_norm=None)
+    rng = np.random.default_rng(2)
+    for _ in range(steps):
+        grads = oracle_grads(rng)
+        ref.step({n: g.copy() for n, g in grads.items()})
+        opt.step(grads)
+    return opt, params, ref, ref_params, rng
+
+
+def assert_next_step_matches(opt, params, ref, ref_params, rng):
+    """A refused step left the moments and `t` as they were: the next good
+    step still matches the reference bit for bit."""
+    grads = oracle_grads(rng)
+    ref.step({n: g.copy() for n, g in grads.items()})
+    opt.step(grads)
+    for name, arr in params.items():
+        np.testing.assert_array_equal(arr, ref_params[name])
+
+
+class TestKernelOracle:
     @pytest.mark.parametrize("clip_norm", [None, 1e9])
     def test_bit_identical_when_clip_does_not_scale(self, clip_norm):
         params, ref_params, _ = run_both(clip_norm)
@@ -83,7 +113,7 @@ class TestChunkedOracle:
             np.testing.assert_array_equal(arr, ref_params[name])
 
     def test_scaling_clip_within_tolerance(self):
-        # The gradients' norm is about 2 * sqrt(115k) ~ 680, so a clip of 1
+        # The gradients' norm is about 2 * sqrt(592k) ~ 1540, so a clip of 1
         # scales every step; only the order of the norm's sum differs.
         params, ref_params, norms = run_both(clip_norm=1.0)
         for norm, ref_norm in norms:
@@ -95,30 +125,90 @@ class TestChunkedOracle:
             scale = np.abs(ref_params[name]).max()
             np.testing.assert_allclose(arr, ref_params[name], rtol=0, atol=1e-15 * scale)
 
-    def test_nan_in_last_chunk_changes_nothing(self):
-        params, ref_params = oracle_params(), oracle_params()
-        opt = Adam(params, clip_norm=None)
-        ref = ReferenceAdam(ref_params, clip_norm=None)
-        rng = np.random.default_rng(2)
-        for _ in range(3):
-            grads = oracle_grads(rng)
-            ref.step({n: g.copy() for n, g in grads.items()})
-            opt.step(grads)
+    def test_nan_in_last_element_changes_nothing(self):
+        opt, params, ref, ref_params, rng = warmed_pair()
         before = {name: arr.copy() for name, arr in params.items()}
         grads = oracle_grads(rng)
-        grads["matrix"].reshape(-1)[-1] = np.nan
-        assert grads["matrix"].size > 3 * CHUNK  # the NaN sits in the fourth, partial chunk
+        assert list(grads)[-1] == "matrix"
+        grads["matrix"][-1, -1] = np.nan
         with pytest.raises(NonFinite, match=r"optimizer step 4: gradient 'matrix'"):
             opt.step(grads)
         assert opt.t == 3
         for name, arr in params.items():
             np.testing.assert_array_equal(arr, before[name])
-        # The moments are untouched too: the next good step still matches.
-        grads = oracle_grads(rng)
-        ref.step({n: g.copy() for n, g in grads.items()})
+        assert_next_step_matches(opt, params, ref, ref_params, rng)
+
+    def test_float32_gradient_is_read_as_its_float64_value(self):
+        opt, params, ref, ref_params, rng = warmed_pair()
+        grads = {name: g.astype(np.float32) for name, g in oracle_grads(rng).items()}
+        ref.step({name: g.astype(np.float64) for name, g in grads.items()})
         opt.step(grads)
         for name, arr in params.items():
             np.testing.assert_array_equal(arr, ref_params[name])
+
+
+class TestGradientNamesAndSizes:
+    """The compiled loop indexes a gradient by its parameter's size, so a
+    gradient that does not fit is refused before anything changes."""
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda g: g.pop("nine"), r"gradients lack \['nine'\] and add \[\]"),
+        (lambda g: g.update(extra=np.ones(2)), r"gradients lack \[\] and add \['extra'\]"),
+        (lambda g: g.update(nine=np.ones(8)), r"gradient 'nine' has 8 elements, its parameter 9"),
+        (lambda g: g.update(matrix=np.ones((3, 386))), r"gradient 'matrix' has 1158 elements, its parameter 1155"),
+    ], ids=["missing", "extra", "short", "long"])
+    def test_refused_and_nothing_changes(self, change, message):
+        opt, params, ref, ref_params, rng = warmed_pair()
+        before = {name: arr.copy() for name, arr in params.items()}
+        grads = oracle_grads(rng)
+        change(grads)
+        kept = {name: g.copy() for name, g in grads.items()}
+        with pytest.raises(ShapeMismatch, match=f"optimizer step 4: {message}"):
+            opt.step(grads)
+        assert opt.t == 3
+        for name, arr in params.items():
+            np.testing.assert_array_equal(arr, before[name])
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, kept[name])
+        assert_next_step_matches(opt, params, ref, ref_params, rng)
+
+
+def break_compiler(monkeypatch):
+    """Forget the loaded kernel and point the build at a missing program."""
+    monkeypatch.setattr(optim, "_kernel", None)
+    monkeypatch.setattr(optim, "CC", ["ercml-no-such-compiler"])
+
+
+class TestNoCompiler:
+    """Training needs a C compiler for the Adam kernel; scoring does not."""
+
+    def test_adam_raises_compile_error(self, monkeypatch):
+        break_compiler(monkeypatch)
+        with pytest.raises(CompileError, match="ercml-no-such-compiler"):
+            Adam(tensors())
+
+    def test_failed_build_quotes_the_compiler(self, monkeypatch, tmp_path):
+        source = tmp_path / "broken.c"
+        source.write_text("void adam_update(ercml_no_such_type x) {}\n")
+        monkeypatch.setattr(optim, "_kernel", None)
+        monkeypatch.setattr(optim, "SOURCE", source)
+        with pytest.raises(CompileError, match="(?s)building the Adam kernel failed .*ercml_no_such_type"):
+            Adam(tensors())
+
+    def test_train_exits_one_and_eval_exits_zero(self, tmp_path, capsys, monkeypatch, mini_dir):
+        store_path = save_sentence_embeddings(hash_store_for_corpus(
+            Corpus("all", tuple(d for s in ("train", "test") for d in load_split(mini_dir, s).dialogs)), dim=16, seed=0,
+        ), tmp_path / "store.jsonl")
+        run = ["--data", str(mini_dir), "--store", str(store_path), "--epochs", "1", "--max-steps", "1",
+               "--pretrain-steps", "1"]
+        assert main(["train", *run, "--out", str(tmp_path / "trained")]) == 0
+        break_compiler(monkeypatch)
+        capsys.readouterr()
+        assert main(["train", *run, "--out", str(tmp_path / "refused")]) == 1
+        assert "CompileError" in capsys.readouterr().err
+        assert main(["eval", "--model", str(tmp_path / "trained" / "model.npz"), "--data", str(mini_dir),
+                     "--store", str(store_path)]) == 0
+        assert optim._kernel is None
 
 
 class TestNonContiguous:
