@@ -23,7 +23,6 @@ from .corpus import (
     load_split,
     parse_dialog_line,
     utt_key,
-    write_split,
 )
 from .embeddings import (
     SentenceEmbeddingStore,
@@ -61,7 +60,6 @@ from .classifier import (
     batch_class_weights,
     init_classifier,
     pretrain_classifier,
-    weighted_cross_entropy,
 )
 from .metrics import (
     BinaryCounts,

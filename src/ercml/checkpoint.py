@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import write_atomic
 from .errors import CheckpointError
 
 FORMAT_VERSION = 3
@@ -34,17 +35,15 @@ def save_checkpoint(
     tensors: dict[str, np.ndarray],
     meta: dict | None = None,
 ) -> Path:
-    """Write tensors plus metadata; parent directories are created."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write tensors plus metadata to exactly `path`, whole or not at all;
+    parent directories are created."""
     payload = dict(meta or {})
     payload["format_version"] = FORMAT_VERSION
     payload["kind"] = kind
     payload["tensor_names"] = sorted(tensors)
     arrays = {f"t::{name}": np.asarray(arr, dtype=float) for name, arr in tensors.items()}
     arrays[_META_KEY] = np.array(json.dumps(payload, sort_keys=True))
-    np.savez(path, **arrays)
-    return path
+    return write_atomic(path, lambda fh: np.savez(fh, **arrays))
 
 
 def load_checkpoint(path: str | Path, expect_kind: str | None = None):

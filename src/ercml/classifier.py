@@ -118,21 +118,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def weighted_cross_entropy(
-    logits: np.ndarray,
-    target: int,
-    weights: dict[int, float],
-    label_space: tuple[int, ...],
-) -> float:
-    """-w(target) * log softmax(logits)[target]: `ce_loss_and_grad`'s
-    loss on one row. Labels absent from `weights` default to weight 1.
-
-    Raises:
-        BadTarget: target not in the label space.
-    """
-    return ce_loss_and_grad(np.asarray(logits, dtype=float)[None], [target], weights, label_space)[0]
-
-
 def ce_loss_and_grad(
     logits: np.ndarray,
     targets: list[int],

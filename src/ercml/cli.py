@@ -22,7 +22,7 @@ from . import __version__
 from .classifier import load_classifier, save_classifier
 from .corpus import (
     ALL_LABEL_IDS, EMOTION_IDS, LABEL_NAMES, Corpus, corpus_stats, format_stats, label_weights, load_split, read_utf8,
-    utt_key,
+    utt_key, write_atomic,
 )
 from .embeddings import SentenceEmbeddingStore, load_sentence_embeddings
 from .errors import ConfigError, ErcmlError, MissingFile, ProviderMismatch
@@ -145,24 +145,16 @@ def _config_echo(args: argparse.Namespace, train_config: TrainConfig | None = No
 
 
 def _write_text(path: str | Path | None, text: str) -> None:
-    """Writes `text` to the file `path`, making its directory, or to
+    """Writes `text` to the file `path`, whole or not at all, or to
     stdout when `path` is None."""
     if path is None:
         sys.stdout.write(text)
-        return
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    else:
+        write_atomic(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def _write_json(path: str | Path, doc: dict) -> None:
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 # --- subcommands -------------------------------------------------------------
@@ -182,7 +174,7 @@ def cmd_pretrain(args) -> int:
     store = load_sentence_embeddings(args.store)
     store.check_covers(corpus)
     params = pretrain_from_config(corpus, store, config)
-    out = _out_dir(args)
+    out = Path(args.out)
     echo = _config_echo(args, config)
     save_classifier(out / "classifier.npz", params, store.provider_name, echo, config.seed)
     _write_json(out / "pretrain.json", {
@@ -206,7 +198,8 @@ def cmd_train(args) -> int:
     if args.classifier:
         classifier, provider = load_classifier(args.classifier)
         _check_provider(store, args.store, provider, args.classifier)
-    out = _out_dir(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     # train.log: one JSON line per record, the config echo and then each
     # step; line-buffered, so the log of a running job is current
     with open(out / "train.log", "w", encoding="utf-8", buffering=1) as log:
@@ -318,7 +311,7 @@ def cmd_llm_eval(args) -> int:
         unparsable_policy=args.policy,
         parallelism=args.parallelism,
     )
-    out = _out_dir(args)
+    out = Path(args.out)
     echo = _config_echo(args)
     doc = result.report.to_dict(config_echo=echo)
     _write_json(out / "llm_metrics.json", doc)

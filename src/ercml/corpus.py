@@ -11,9 +11,13 @@ single source of truth for every other module:
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 from .errors import (
     BadLabel,
@@ -56,6 +60,28 @@ def read_utf8(path: Path, error: type[ErcmlError]) -> str:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.object[exc.start:exc.end]!r}: {exc.reason})") from None
+
+
+def write_atomic(path: str | Path, write: Callable[[BinaryIO], object]) -> Path:
+    """Writes the file `path` whole or not at all, making its directory.
+
+    `write(fh)` fills a new temporary file beside `path`, which then
+    replaces `path`; on any failure the temporary file is removed and the
+    error re-raised, so `path` keeps what it held. The file's mode
+    follows the umask, as a plain `open` does.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with tmp.open("xb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+    return path
 
 
 def utt_key(dialog_id: str, index: int) -> str:
@@ -217,23 +243,6 @@ def load_split(directory: str | Path, split: str) -> Corpus:
         for lineno, (text, labels) in enumerate(zip(text_lines, label_lines))
     )
     return Corpus(split=split, dialogs=dialogs)
-
-
-def write_split(corpus: Corpus, directory: str | Path) -> tuple[Path, Path]:
-    """Serialize a corpus back to the flattened file-pair format.
-
-    Round-trips with :func:`load_split`: re-parsing the written files
-    yields an identical corpus.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    text_path = directory / f"dialogues_{corpus.split}.txt"
-    label_path = directory / f"dialogues_emotion_{corpus.split}.txt"
-    with text_path.open("w", encoding="utf-8") as tf, label_path.open("w", encoding="utf-8") as lf:
-        for dialog in corpus.dialogs:
-            tf.write(f" {EOU} ".join(u.text for u in dialog.utterances) + f" {EOU}\n")
-            lf.write(" ".join(str(u.label) for u in dialog.utterances) + "\n")
-    return text_path, label_path
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import os
 import zipfile
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .corpus import Corpus, utt_key
+from .corpus import Corpus, utt_key, write_atomic
 from .errors import (
     DimMismatch,
     DuplicateKey,
@@ -92,14 +91,6 @@ class SentenceEmbeddingStore:
                 f"of the {corpus.split} split, first {missing[0]!r}"
             )
 
-    def content_digest(self) -> str:
-        """Order-independent digest of all entries; used to assert frozen-ness."""
-        h = hashlib.sha256()
-        for key in sorted(self.entries):
-            h.update(key.encode("utf-8"))
-            h.update(np.ascontiguousarray(self.entries[key]).tobytes())
-        return h.hexdigest()
-
 
 def load_sentence_embeddings(path: str | Path) -> SentenceEmbeddingStore:
     """Load the JSON-lines exchange format, from its sidecar when that is current.
@@ -132,8 +123,9 @@ def load_sentence_embeddings(path: str | Path) -> SentenceEmbeddingStore:
     keys, vectors, dim, provider, size, digest = _parse_jsonl(path)
     names = np.array(keys, dtype=str)
     if names.tolist() == keys:  # false only for a key ending in NUL, which the array drops
-        _write_sidecar(sidecar, keys=names, vectors=vectors, dim=dim, provider=provider,
-                       size=size, sha256=digest)
+        with contextlib.suppress(OSError):  # a read-only directory or a full disk: the next load parses again
+            write_atomic(sidecar, lambda fh: np.savez(
+                fh, keys=names, vectors=vectors, dim=dim, provider=provider, size=size, sha256=digest))
     return _contiguous_store(keys, vectors, dim, provider)
 
 
@@ -245,31 +237,13 @@ def _load_sidecar(path: Path, sidecar: Path) -> SentenceEmbeddingStore | None:
     return _contiguous_store(keys, vectors, dim.tolist(), provider.tolist())
 
 
-def _write_sidecar(sidecar: Path, **members: object) -> None:
-    """Write `members` to `sidecar` atomically, or not at all: when the
-    directory is read-only or the disk full, the load goes on and the
-    next one parses again. No temporary file is left behind."""
-    tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("xb") as fh:
-            np.savez(fh, **members)
-        os.replace(tmp, sidecar)
-    except OSError:
-        pass
-    finally:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-
-
 def save_sentence_embeddings(store: SentenceEmbeddingStore, path: str | Path) -> Path:
     """Write a store in the JSON-lines exchange format (header first)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"provider": store.provider_name, "dim": store.dim}) + "\n")
-        for key in store.entries:
-            fh.write(json.dumps({"key": key, "vector": store.entries[key].tolist()}) + "\n")
-    return path
+    def write(fh: BinaryIO) -> None:
+        fh.write(json.dumps({"provider": store.provider_name, "dim": store.dim}).encode() + b"\n")
+        for key, vec in store.entries.items():
+            fh.write(json.dumps({"key": key, "vector": vec.tolist()}).encode() + b"\n")
+    return write_atomic(path, write)
 
 
 def hash_store_for_corpus(

@@ -144,6 +144,11 @@ class NonContiguous(ErcmlError):
     of it would be a copy and updates to it would be lost."""
 
 
+class ReadOnlyParameter(ErcmlError):
+    """An optimizer parameter is a read-only array, so it cannot be
+    updated in place."""
+
+
 class CompileError(ErcmlError):
     """The optimizer's C kernel could not be built: no C compiler was
     found, or the compile failed."""

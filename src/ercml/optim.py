@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CompileError, NonContiguous, NonFinite, ShapeMismatch
+from .errors import CompileError, NonContiguous, NonFinite, ReadOnlyParameter, ShapeMismatch
 
 # The moment decay rates and the denominator's floor: Kingma & Ba's defaults.
 BETA1 = 0.9
@@ -83,6 +83,7 @@ class Adam:
 
     Raises:
         NonContiguous: a parameter is not C-contiguous.
+        ReadOnlyParameter: a parameter is not writeable.
         CompileError: the kernel cannot be built (first `Adam` only).
     """
 
@@ -95,6 +96,8 @@ class Adam:
         for name, arr in tensors.items():
             if not arr.flags.c_contiguous:
                 raise NonContiguous(f"parameter {name!r} is not C-contiguous; its updates would be lost")
+            if not arr.flags.writeable:
+                raise ReadOnlyParameter(f"parameter {name!r} is read-only; it cannot be updated")
         self._kernel = _load_kernel()
         self.lr = lr
         self.clip_norm = clip_norm

@@ -16,7 +16,6 @@ from ercml.classifier import (
     load_classifier,
     pretrain_classifier,
     save_classifier,
-    weighted_cross_entropy,
 )
 from ercml.checkpoint import load_checkpoint, save_checkpoint
 from ercml.corpus import EMOTION_IDS, label_weights
@@ -24,6 +23,8 @@ from ercml.encoder import SingletonLayerParams, init_encoder
 from ercml.errors import BadTarget, CheckpointError, EmptyBatch
 from ercml.gradcheck import fd_gradients, group_relative_error
 from ercml.training import TrainConfig, pretrain_from_config
+
+from support import weighted_cross_entropy
 
 
 def classify(representation: np.ndarray, params) -> np.ndarray:

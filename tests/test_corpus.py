@@ -12,7 +12,6 @@ from ercml.corpus import (
     label_weights,
     load_split,
     parse_dialog_line,
-    write_split,
 )
 from ercml.errors import (
     BadLabel,
@@ -22,6 +21,8 @@ from ercml.errors import (
     MissingFile,
     ZeroCount,
 )
+
+from support import write_split
 
 
 def make_corpus(label_lists: list[list[int]], split: str = "train") -> Corpus:

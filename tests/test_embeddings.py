@@ -23,6 +23,8 @@ from ercml.errors import (
     MissingEmbedding,
 )
 
+from support import content_digest
+
 
 def warm_load(path, monkeypatch):
     """Load `path` through its sidecar; fails if the JSONL would be parsed."""
@@ -204,7 +206,7 @@ class TestSidecar:
         for loaded in (cold, warm):
             assert_same_store(loaded, store)
             assert_same_store(loaded, cold)
-            assert loaded.content_digest() == cold.content_digest() == store.content_digest()
+            assert content_digest(loaded) == content_digest(cold) == content_digest(store)
             rows = list(loaded.entries.values())
             # one contiguous (N, dim) array, read-only, row i at offset i * dim
             assert all(not row.flags.writeable for row in rows)

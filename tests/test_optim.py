@@ -7,7 +7,7 @@ from ercml import optim
 from ercml.cli import main
 from ercml.corpus import Corpus, load_split
 from ercml.embeddings import hash_store_for_corpus, save_sentence_embeddings
-from ercml.errors import CompileError, NonContiguous, NonFinite, ShapeMismatch
+from ercml.errors import CompileError, NonContiguous, NonFinite, ReadOnlyParameter, ShapeMismatch
 from ercml.optim import Adam, clip_global_norm
 
 from reference_optim import ReferenceAdam
@@ -220,6 +220,14 @@ class TestNonContiguous:
     def test_rejected_at_construction(self, make):
         with pytest.raises(NonContiguous, match="parameter 'w' is not C-contiguous"):
             Adam({"a": np.zeros(3), "w": make()})
+
+    def test_read_only_parameter_rejected_at_construction(self, monkeypatch):
+        a, read_only = np.zeros(3), np.ones(4)
+        read_only.flags.writeable = False
+        monkeypatch.setattr(Adam, "step", lambda *args: pytest.fail("stepped"))
+        with pytest.raises(ReadOnlyParameter, match="parameter 'b' is read-only"):
+            Adam({"a": a, "b": read_only}).step({"a": np.ones(3), "b": np.ones(4)})
+        np.testing.assert_array_equal(a, np.zeros(3))
 
     def test_non_contiguous_gradient_is_fine(self):
         params, ref_params = tensors(), tensors()

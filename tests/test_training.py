@@ -26,6 +26,8 @@ from ercml.training import (
     train_contextual,
 )
 
+from support import content_digest
+
 
 def params_equal(a, b) -> bool:
     def tensors(x):
@@ -129,9 +131,9 @@ class TestContextualTraining:
         assert params_equal(m1.classifier, m2.classifier)
 
     def test_store_frozen_through_training(self, train_corpus, store16):
-        digest_before = store16.content_digest()
+        digest_before = content_digest(store16)
         train_contextual(train_corpus, store16, self.small_cfg())
-        assert store16.content_digest() == digest_before
+        assert content_digest(store16) == digest_before
 
     def test_both_losses_reach_encoder(self, train_corpus, store16):
         # one alternating cycle: encoder must differ from its CE-only
