@@ -204,8 +204,8 @@ def pretrain_classifier(
     ]
     if not items:
         raise EmptyBatch("no trainable utterances for the given label space")
-    vectors = np.stack([vec for vec, _ in items])
-    labels = [lab for _, lab in items]
+    # The store's own read-only rows: a batch copies only the rows it draws.
+    rows, labels = zip(*items)
 
     if weighted_sampler:
         class_w = label_weights(corpus, labels=label_space, smooth_counts=smooth_counts)
@@ -223,7 +223,7 @@ def pretrain_classifier(
             chosen = cdf.searchsorted(rng.random(batch_size), side="right")
         else:
             chosen = rng.choice(len(labels), size=batch_size)
-        batch_x = vectors[chosen]
+        batch_x = np.stack([rows[i] for i in chosen])
         batch_y = [labels[i] for i in chosen]
         ce_w = batch_class_weights(batch_y) if weighted_ce else {}
         logits, cache = classify_batch(batch_x, params)

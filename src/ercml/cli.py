@@ -200,6 +200,10 @@ def cmd_train(args) -> int:
         _check_provider(store, args.store, provider, args.classifier)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # An earlier run's results go before its log does, so a rerun that dies
+    # leaves no directory that looks finished; metrics.json marks a finished run.
+    for name in ("metrics.json", "model.npz"):
+        (out / name).unlink(missing_ok=True)
     # train.log: one JSON line per record, the config echo and then each
     # step; line-buffered, so the log of a running job is current
     with open(out / "train.log", "w", encoding="utf-8", buffering=1) as log:

@@ -209,6 +209,13 @@ def _parse_jsonl(path: Path) -> tuple[list[str], np.ndarray, int, str, int, str]
     return list(keys), vectors[:len(keys)], dim, provider, size, sha.hexdigest()
 
 
+def _all_finite(vectors: np.ndarray) -> bool:
+    """Whether no value is NaN or infinite, without an `isfinite` mask the
+    size of `vectors`: a NaN makes the minimum and maximum NaN, and an
+    infinity is one of them."""
+    return vectors.size == 0 or bool(np.isfinite(vectors.min()) and np.isfinite(vectors.max()))
+
+
 def _load_sidecar(path: Path, sidecar: Path) -> SentenceEmbeddingStore | None:
     """The store held by `sidecar`, or None when there is none, it cannot
     be read, it was written from other bytes than `path` holds now, or it
@@ -229,7 +236,7 @@ def _load_sidecar(path: Path, sidecar: Path) -> SentenceEmbeddingStore | None:
     if (digest.tolist() != sha.hexdigest() or (dim.tolist(), provider.tolist()) != header
             or keys.dtype.kind != "U" or keys.ndim != 1
             or vectors.dtype != np.float64 or vectors.shape != (len(keys), header[0])
-            or not np.isfinite(vectors).all()):
+            or not _all_finite(vectors)):
         return None
     keys = keys.tolist()
     if len(set(keys)) != len(keys):

@@ -412,6 +412,7 @@ def _train_cycle(
     if ce_out is not None:
         ce_loss, d_ctx, clf_grads = ce_out
         clf_opt.step(clf_grads)
+        del ce_out, clf_grads  # spent: the encoder's backward and step run without the head's gradients
         if not summed:
             enc_opt.step(encode_dialog_backward(d_ctx, encoding, encoder))
             d_ctx = None

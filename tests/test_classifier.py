@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from ercml.classifier import (
     save_classifier,
 )
 from ercml.checkpoint import load_checkpoint, save_checkpoint
-from ercml.corpus import EMOTION_IDS, label_weights
+from ercml.corpus import EMOTION_IDS, Corpus, Dialog, Utterance, label_weights, utt_key
+from ercml.embeddings import SentenceEmbeddingStore
 from ercml.encoder import SingletonLayerParams, init_encoder
 from ercml.errors import BadTarget, CheckpointError, EmptyBatch
 from ercml.gradcheck import fd_gradients, group_relative_error
@@ -207,6 +209,26 @@ class TestPretrain:
         assert len(params.label_space) == 6
         logits = classify(np.zeros(16), params)
         assert logits.shape == (6,)
+
+    def test_peak_holds_no_copy_of_the_store(self):
+        # A batch copies only the rows it draws, so pretraining a small head
+        # never holds a float64 copy of the N in-space vectors.
+        dim = 64
+        corpus = Corpus(split="train", dialogs=tuple(
+            Dialog(id=f"d{i}", utterances=tuple(Utterance(index=j, text=f"t{j}", label=j % 7) for j in range(10)))
+            for i in range(1000)
+        ))
+        vectors = np.random.default_rng(0).standard_normal((10_000, dim))
+        keys = [utt_key(d.id, u.index) for d, u in corpus.iter_utterances()]
+        store = SentenceEmbeddingStore(entries=dict(zip(keys, vectors)), dim=dim)
+        config = TrainConfig(pretrain_steps=5, heads=2, ffn_dim=8)
+        tracemalloc.start()
+        try:
+            pretrain_from_config(corpus, store, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < vectors.nbytes
 
 
 class TestWeightedDraw:

@@ -16,7 +16,7 @@ from ercml.checkpoint import load_checkpoint, save_checkpoint
 from ercml.cli import build_parser, main, read_config_file
 from ercml.corpus import Corpus, load_split
 from ercml.embeddings import hash_store_for_corpus, load_sentence_embeddings, save_sentence_embeddings
-from ercml.errors import ConfigError
+from ercml.errors import ConfigError, NonFinite
 from ercml.training import TrainConfig, train_contextual
 
 DATA = str(Path(__file__).parent / "data" / "mini")
@@ -90,6 +90,27 @@ class TestTrainEval:
             assert main(args) == 0
             docs.append((out / "metrics.json").read_bytes())
         assert docs[0] == docs[1]
+
+    def test_failed_rerun_leaves_no_earlier_results(self, store_file, tmp_path, capsys, monkeypatch):
+        # A rerun into a finished run's directory that dies leaves neither
+        # the earlier model nor the metrics.json that marks a finished run.
+        from ercml import cli
+
+        out = tmp_path / "run"
+        argv = ["train", "--data", DATA, "--store", store_file, "--out", str(out), *FAST_TRAIN]
+        assert main(argv) == 0
+        assert (out / "metrics.json").is_file() and (out / "model.npz").is_file()
+
+        def dies(*args, **kwargs):
+            raise NonFinite("optimizer step 1: gradient 'head.w' is not finite")
+
+        monkeypatch.setattr(cli, "train_contextual", dies)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "NonFinite" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+        assert not (out / "model.npz").exists()
+        assert len((out / "train.log").read_text().splitlines()) == 1  # the config echo only
 
     def test_eval_on_saved_model(self, store_file, tmp_path, capsys):
         out = tmp_path / "run"

@@ -267,7 +267,7 @@ class TestSidecar:
         assert_same_store(warm_load(path, monkeypatch), store)
 
     @pytest.mark.parametrize("forgery", [
-        "nan", "inf", "extra column", "missing row", "duplicate key",
+        "nan", "inf", "-inf", "extra column", "missing row", "duplicate key",
         "other dim", "other provider", "float32", "object keys",
     ])
     def test_forged_sidecar_with_matching_digest(self, tmp_path, forgery):
@@ -276,8 +276,8 @@ class TestSidecar:
         load_sentence_embeddings(path)
         members = self.members(path)
         vectors, keys = members["vectors"].copy(), members["keys"].copy()
-        if forgery in ("nan", "inf"):
-            vectors[5, 2] = np.nan if forgery == "nan" else np.inf
+        if forgery in ("nan", "inf", "-inf"):
+            vectors[5, 2] = float(forgery)
         elif forgery == "extra column":
             vectors = np.hstack([vectors, vectors[:, :1]])
         elif forgery == "missing row":
@@ -296,6 +296,15 @@ class TestSidecar:
         with self.sidecar(path).open("wb") as fh:
             np.savez(fh, **members)
         assert_same_store(load_sentence_embeddings(path), store)
+
+    def test_empty_store_loads_through_its_sidecar(self, tmp_path, monkeypatch):
+        # the finiteness check of a sidecar with no vectors passes
+        path = tmp_path / "empty.jsonl"
+        store = SentenceEmbeddingStore(entries={}, dim=4, provider_name="test")
+        save_sentence_embeddings(store, path)
+        assert_same_store(load_sentence_embeddings(path), store)
+        assert self.members(path)["vectors"].shape == (0, 4)
+        assert_same_store(warm_load(path, monkeypatch), store)
 
     @pytest.mark.parametrize("fails", ["savez", "replace"])
     def test_unwritable_sidecar_still_loads(self, tmp_path, monkeypatch, fails):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -220,6 +221,32 @@ class TestContextualTraining:
             assert len(seen["bwd"]) == 2
             np.testing.assert_array_equal(seen["bwd"][0], seen["ce"][0])
             np.testing.assert_array_equal(seen["bwd"][1], seen["tri"][0])
+
+    @pytest.mark.parametrize("loss_mode", ["alternating", "summed"])
+    def test_head_gradients_are_freed_before_the_encoder_backward(
+        self, train_corpus, store16, monkeypatch, loss_mode
+    ):
+        # Once the head has stepped, nothing holds its gradients: the
+        # encoder's backward and its step run without them.
+        from ercml import training
+
+        head_grads, dead_at_backward = [], []
+        real_step, real_backward = Adam.step, training.encode_dialog_backward
+
+        def step(self, grads):
+            if "head.w" in grads:
+                head_grads[:] = [weakref.ref(g) for g in grads.values()]
+            return real_step(self, grads)
+
+        def backward(*args):
+            dead_at_backward.append([ref() is None for ref in head_grads])
+            return real_backward(*args)
+
+        monkeypatch.setattr(Adam, "step", step)
+        monkeypatch.setattr(training, "encode_dialog_backward", backward)
+        train_contextual(train_corpus, store16, self.small_cfg(max_steps=3, loss_mode=loss_mode))
+        assert len(dead_at_backward) == (3 if loss_mode == "summed" else 6)
+        assert all(dead and all(dead) for dead in dead_at_backward)
 
     def test_two_layer_stack_trains_and_round_trips(self, train_corpus, store16, tmp_path):
         cfg = self.small_cfg(max_steps=2, encoder_layers=2)
