@@ -23,7 +23,9 @@ fixture corpus under tests/data/mini:
   and `predict`, and on each 7-label model also
   `eval --neutral-policy include` (a 6-label model has no neutral to
   include, and exits 1 on it);
-- `stats --out` and `sample-triplets --out` on the train split;
+- `stats --out` and `sample-triplets --out` on the train split, the
+  latter also with `--include-neutral --smooth-counts 2 --seed 5
+  --count 50`;
 - `llm-eval` on a replay fixture under both unparsable policies.
 
 Both trees get the same inputs: the hash-embedding store is built once
@@ -131,6 +133,8 @@ def commands() -> list[list[str]]:
     out += [
         ["stats", "--data", DATA, "--out", f"{OUT}/stats.txt"],
         ["sample-triplets", "--data", DATA, "--out", f"{OUT}/triplets.jsonl"],
+        ["sample-triplets", "--data", DATA, "--include-neutral", "--smooth-counts", "2", "--seed", "5",
+         "--count", "50", "--out", f"{OUT}/triplets-neutral.jsonl"],
     ]
     for policy in LLM_POLICIES:
         out.append(["llm-eval", "--data", DATA, "--split", "test", "--replay", REPLAY,

@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 from .corpus import (
     ALL_LABEL_IDS,
     EMOTION_IDS,
-    EMOTION_NAMES,
     LABEL_NAMES,
-    NEUTRAL_ID,
     Corpus,
     CorpusStats,
     Dialog,
@@ -49,7 +47,6 @@ from .triplets import (
     UttRef,
     batch_all_triplets,
     batch_hard_triplets,
-    corpus_pool,
     distance,
     sample_triplets,
     triplet_loss,

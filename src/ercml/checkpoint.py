@@ -18,6 +18,7 @@ earlier one reads as provider "unknown", as does a store header without one.
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,7 @@ def load_checkpoint(path: str | Path, expect_kind: str | None = None):
             tensors = {
                 key[len("t::"):]: archive[key] for key in archive.files if key.startswith("t::")
             }
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path}: metadata is a JSON {type(meta).__name__}, not an object")

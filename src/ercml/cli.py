@@ -20,10 +20,7 @@ import numpy as np
 
 from . import __version__
 from .classifier import load_classifier, save_classifier
-from .corpus import (
-    ALL_LABEL_IDS, EMOTION_IDS, LABEL_NAMES, Corpus, corpus_stats, format_stats, label_weights, load_split, read_utf8,
-    utt_key, write_atomic,
-)
+from .corpus import LABEL_NAMES, Corpus, corpus_stats, format_stats, load_split, read_utf8, utt_key, write_atomic
 from .embeddings import SentenceEmbeddingStore, load_sentence_embeddings
 from .errors import ConfigError, ErcmlError, MissingFile, ProviderMismatch
 from .llm import HttpGenerationClient, ReplayClient, evaluate_llm, resolve_template
@@ -32,7 +29,6 @@ from .training import (
     DISTANCES,
     FIELD_TYPES,
     LOSS_MODES,
-    LOWER_BOUNDS,
     SAMPLING_STRATEGIES,
     ContextualModel,
     TrainConfig,
@@ -42,7 +38,7 @@ from .training import (
     pretrain_from_config,
     train_contextual,
 )
-from .triplets import corpus_pool, sample_triplets
+from .triplets import UttRef, sample_triplets
 
 _CHOICES = {
     "distance": DISTANCES,
@@ -52,7 +48,6 @@ _CHOICES = {
 # Config-file keys besides the TrainConfig fields: the paths that
 # `_resolve_run` reads.
 _PATH_KEYS = ("data", "store")
-_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True), **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 def _parse_config_value(key: str, raw: str):
@@ -63,7 +58,7 @@ def _parse_config_value(key: str, raw: str):
         return None
     kind, _ = FIELD_TYPES[key]
     try:
-        return _BOOLS[raw.lower()] if kind is bool else kind(raw)
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()] if kind is bool else kind(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"config key {key}: cannot parse {kind.__name__} from {raw!r}") from None
 
@@ -73,7 +68,7 @@ def read_config_file(path: str | Path) -> dict:
 
     Raises:
         MissingFile: no file at `path`.
-        ConfigError: a file that is not UTF-8 text, a key that is neither
+        ConfigError: a file that is not UTF-8 key=value text, a key that is neither
             a TrainConfig field nor a path option, or a value that does
             not parse as its field's type.
 
@@ -85,9 +80,10 @@ def read_config_file(path: str | Path) -> dict:
     parser = configparser.ConfigParser(interpolation=None)  # a `%` is read as written
     text = read_utf8(path, ConfigError)
     try:
-        parser.read_string(text)
-    except configparser.MissingSectionHeaderError:
-        parser.read_string("[run]\n" + text)
+        try:
+            parser.read_string(text)
+        except configparser.MissingSectionHeaderError:
+            parser.read_string("[run]\n" + text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
     merged: dict = {}
@@ -277,15 +273,14 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sample_triplets(args) -> int:
-    for name in ("seed", "smooth_counts"):
-        check_lower_bound(name, getattr(args, name), LOWER_BOUNDS[name])
+    config = TrainConfig(
+        seed=args.seed, smooth_counts=args.smooth_counts, label_space_size=7 if args.include_neutral else 6
+    )
     check_lower_bound("count", args.count, strict=True)
     corpus = load_split(args.data, args.split)
-    labels = ALL_LABEL_IDS if args.include_neutral else EMOTION_IDS
-    pool = corpus_pool(corpus, labels=labels)
-    weights = label_weights(corpus, labels=labels, smooth_counts=args.smooth_counts)
-    rng = np.random.default_rng(args.seed)
-    triplets = sample_triplets(pool, count=args.count, weights=weights, rng=rng)
+    pool = [(UttRef(d.id, u.index), u.label) for d, u in corpus.iter_utterances() if u.label in config.label_space()]
+    rng = np.random.default_rng(config.seed)
+    triplets = sample_triplets(pool, count=args.count, weights=config.class_weights(corpus), rng=rng)
     lines = [
         json.dumps({"a": t.anchor.key, "p": t.positive.key, "n": t.negative.key})
         for t in triplets

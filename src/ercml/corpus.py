@@ -43,9 +43,7 @@ LABEL_NAMES: tuple[str, ...] = (
     "sadness",
     "surprise",
 )
-NEUTRAL_ID = 0
 EMOTION_IDS: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
-EMOTION_NAMES: tuple[str, ...] = LABEL_NAMES[1:]
 ALL_LABEL_IDS: tuple[int, ...] = tuple(range(len(LABEL_NAMES)))
 
 SPLITS = ("train", "validation", "test")
@@ -184,6 +182,9 @@ def parse_dialog_line(text_line: str, label_line: str, dialog_id: str) -> Dialog
         )
     if not segments:
         raise CountMismatch(f"dialog {dialog_id}: no utterances")
+    for i, seg in enumerate(segments):
+        if not seg.strip():
+            raise CountMismatch(f"dialog {dialog_id}: utterance {i}: empty text segment")
     utterances = tuple(
         Utterance(index=i, text=seg.strip(), label=lab)
         for i, (seg, lab) in enumerate(zip(segments, labels))

@@ -111,7 +111,7 @@ def build_prompt(dialog: Dialog, template: PromptTemplate) -> str:
     )
 
 
-def parse_label(generated: str, label_space: tuple[str, ...] = LABEL_NAMES) -> str:
+def parse_label(generated: str) -> str:
     """First emotion name mentioned in the output, case-insensitive.
 
     Total: returns UNPARSABLE when no label name occurs. Equal start
@@ -121,7 +121,7 @@ def parse_label(generated: str, label_space: tuple[str, ...] = LABEL_NAMES) -> s
     haystack = generated.lower()
     best: str | None = None
     best_offset = len(haystack) + 1
-    for name in label_space:
+    for name in LABEL_NAMES:
         offset = haystack.find(name.lower())
         if offset >= 0 and offset < best_offset:
             best, best_offset = name, offset

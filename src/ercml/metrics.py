@@ -286,11 +286,8 @@ def report_from_predictions(
     golds: list[str],
     label_space: tuple[str, ...],
     neutral_policy: str = "attribute",
-    extras: dict | None = None,
 ) -> MetricsReport:
-    return report_from_confusion(
-        confusion(preds, golds, label_space), neutral_policy, extras
-    )
+    return report_from_confusion(confusion(preds, golds, label_space), neutral_policy)
 
 
 @dataclass(frozen=True)

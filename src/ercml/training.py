@@ -46,7 +46,7 @@ from .encoder import (
     layer_meta,
     stack_tensors,
 )
-from .errors import ConfigError, DimMismatch, InsufficientDiversity
+from .errors import CheckpointError, ConfigError, DimMismatch, InsufficientDiversity
 from .metrics import MetricsReport, report_from_predictions
 from .optim import Adam
 from .triplets import (
@@ -202,11 +202,13 @@ class ContextualModel:
         not match its metadata."""
         _, tensors, meta = load_checkpoint(path, expect_kind="contextual")
         enc_meta = meta_entry(meta, "encoder", dict)
+        if (layers := meta_entry(enc_meta, "layers")) < 1:
+            raise CheckpointError(f"checkpoint metadata: {layers} encoder layers, need at least 1")
         encoder = [
             layer_from_tensors(
                 AttentionLayerParams if i else EncoderLayerParams, tensors, enc_meta, prefix=f"encoder.{i}."
             )
-            for i in range(meta_entry(enc_meta, "layers"))
+            for i in range(layers)
         ]
         model = cls(
             encoder=encoder,

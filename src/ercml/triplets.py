@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ALL_LABEL_IDS, Corpus, utt_key
+from .corpus import utt_key
 from .errors import DimMismatch, InsufficientDiversity, ZeroVector
 
 DISTANCES = ("euclidean", "cosine")
@@ -90,16 +90,6 @@ def _stacked(*vectors) -> np.ndarray:
     if len(shapes) > 1:
         raise DimMismatch(f"distance over vectors of shapes {sorted(shapes)}")
     return np.stack(arrays).reshape(len(arrays), -1)
-
-
-def corpus_pool(corpus: Corpus, labels: tuple[int, ...] = ALL_LABEL_IDS) -> list[tuple[UttRef, int]]:
-    """The refs of a corpus's utterances labelled in `labels`, with their
-    labels, in corpus order."""
-    return [
-        (UttRef(dialog.id, utt.index), utt.label)
-        for dialog, utt in corpus.iter_utterances()
-        if utt.label in labels
-    ]
 
 
 # --- index-level mining -------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from ercml.checkpoint import load_checkpoint, save_checkpoint
 from ercml.cli import build_parser, main, read_config_file
-from ercml.corpus import Corpus, load_split
+from ercml.corpus import Corpus, load_split, utt_key
 from ercml.embeddings import hash_store_for_corpus, load_sentence_embeddings, save_sentence_embeddings
 from ercml.errors import ConfigError, NonFinite
 from ercml.training import TrainConfig, train_contextual
@@ -351,6 +351,15 @@ class TestPretrain:
             np.testing.assert_array_equal(pretrained[name], arr, err_msg=name)
 
 
+    def test_classifier_checkpoint_as_model_exits_one(self, store_file, tmp_path, capsys):
+        out = tmp_path / "pre"
+        assert main(["pretrain", "--data", DATA, "--store", store_file, "--out", str(out), *FAST_TRAIN]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(out / "classifier.npz"), "--data", DATA, "--store", store_file])
+        assert rc == 1
+        assert "error: CheckpointError: " in (err := capsys.readouterr().err)
+        assert "checkpoint kind 'classifier', expected 'contextual'" in err
+
     def test_classifier_of_another_provider_exits_one(self, store_file, tmp_path, capsys):
         # the head was pretrained on the `hash` store; a store of the same
         # dim and keys from another provider is refused before any step
@@ -465,6 +474,8 @@ class TestUnreadableInputs:
         ("llm-eval", "--replay", b'["*", "joy"]\n', "MalformedRecord"),
         ("llm-eval", "--replay", b'{"key": "*", "text": "caf\xe9"}\n', "MalformedRecord"),
         ("train", "--config", b"[run]\n# caf\xe9\nepochs = 1\n", "ConfigError"),
+        ("train", "--config", b"epochs = 1\nepochs = 2\n", "ConfigError"),
+        ("train", "--config", b"epochs = 1\nnot a pair\n", "ConfigError"),
         ("stats", "--data", {"dialogues_test.txt": b"caf\xe9 __eou__\n", "dialogues_emotion_test.txt": b"0\n"},
          "MalformedRecord"),
         ("llm-eval", "--template", {}, "BadTemplate"),
@@ -472,7 +483,8 @@ class TestUnreadableInputs:
     ], ids=[
         "no-config", "no-store", "no-replay", "store-string-coordinate", "store-object-coordinate",
         "store-string-dim", "store-float-dim", "store-null-dim", "replay-not-json", "replay-no-key",
-        "replay-no-text", "replay-not-object", "replay-not-utf8", "config-not-utf8", "corpus-not-utf8",
+        "replay-no-text", "replay-not-object", "replay-not-utf8", "config-not-utf8",
+        "config-headerless-duplicate", "config-headerless-no-pair", "corpus-not-utf8",
         "template-directory", "template-not-utf8",
     ])
     def test_exits_one_with_typed_error(self, tmp_path, capsys, command, flag, data, error):
@@ -504,6 +516,14 @@ class TestSampleTriplets:
         lines = first.strip().split("\n")
         assert len(lines) == 25
         assert set(json.loads(lines[0])) == {"a", "p", "n"}
+
+    @pytest.mark.parametrize("include_neutral", [False, True])
+    def test_neutral_is_drawn_only_when_included(self, capsys, include_neutral):
+        labels = {utt_key(d.id, u.index): u.label for d, u in load_split(DATA, "train").iter_utterances()}
+        flag = "--include-neutral" if include_neutral else "--no-include-neutral"
+        assert main(["sample-triplets", "--data", DATA, "--count", "200", "--smooth-counts", "2", flag]) == 0
+        drawn = {labels[key] for line in capsys.readouterr().out.splitlines() for key in json.loads(line).values()}
+        assert (0 in drawn) is include_neutral
 
     @pytest.mark.parametrize("flag, message", [
         ("--seed", "seed must be >= 0"),
@@ -603,6 +623,14 @@ class TestConfigFile:
         assert main(["train", "--config", str(cfg), "--out", str(out), *FAST_TRAIN]) == 1
         assert "ConfigError" in capsys.readouterr().err
         assert not (out / "model.npz").exists()
+
+    def test_unknown_loss_mode_exits_one_before_loading_data(self, store_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {DATA}\nstore = {store_file}\nloss_mode = bogus\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "ConfigError: loss_mode must be one of ('alternating', 'summed')" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_batch_size_exits_one_without_traceback(self, store_file, tmp_path):
         out = tmp_path / "run"

@@ -95,6 +95,18 @@ class TestLoadSplit:
         with pytest.raises(LineCountMismatch):
             load_split(tmp_path, "train")
 
+    def test_trailing_blank_lines_are_not_dialogs(self, tmp_path):
+        (tmp_path / "dialogues_train.txt").write_text("A __eou__\nB __eou__\n\n\n")
+        (tmp_path / "dialogues_emotion_train.txt").write_text("0\n3\n \n")
+        corpus = load_split(tmp_path, "train")
+        assert [d.labels for d in corpus.dialogs] == [(0,), (3,)]
+
+    def test_empty_utterance_names_its_dialog(self, tmp_path):
+        (tmp_path / "dialogues_train.txt").write_text("A __eou__\nhello __eou__  __eou__ bye __eou__\n")
+        (tmp_path / "dialogues_emotion_train.txt").write_text("0\n0 0 0\n")
+        with pytest.raises(CountMismatch, match=r"^dialog train:1: utterance 1: empty text segment$"):
+            load_split(tmp_path, "train")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
             load_split(tmp_path, "train")

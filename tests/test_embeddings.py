@@ -108,6 +108,13 @@ class TestSentenceStore:
         with pytest.raises(MalformedRecord):
             load_sentence_embeddings(path)
 
+    @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_file_without_header(self, tmp_path, content):
+        path = tmp_path / "store.jsonl"
+        path.write_text(content)
+        with pytest.raises(MalformedRecord, match="empty embedding file"):
+            load_sentence_embeddings(path)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "store.jsonl"
         path.write_text('{"provider": "t", "dim": 2}\nnot json\n')

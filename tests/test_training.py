@@ -12,7 +12,7 @@ from ercml.corpus import Corpus, Dialog, EMOTION_IDS, Utterance
 from ercml import checkpoint, training
 from ercml.checkpoint import load_checkpoint, save_checkpoint
 from ercml.cli import main
-from ercml.classifier import classify_batch
+from ercml.classifier import classify_batch, init_classifier
 from ercml.embeddings import SentenceEmbeddingStore, hash_store_for_corpus
 from ercml.encoder import AttentionLayerParams, EncoderLayerParams, encode_dialog
 from ercml.errors import CheckpointError, ConfigError, MissingEmbedding, NonFinite
@@ -162,6 +162,19 @@ class TestContextualTraining:
         # CE step still applied: encoder moved
         from ercml.encoder import init_encoder_stack
         assert not params_equal(model.encoder, init_encoder_stack(16, heads=cfg.heads, seed=0))
+
+    def test_all_neutral_batch_in_six_labels_changes_nothing(self):
+        corpus = make_corpus([[0, 0, 0]], prefix="calm")
+        store = hash_store_for_corpus(corpus, dim=16, seed=0)
+        cfg = TrainConfig(epochs=1, label_space_size=6, seed=0)
+        classifier = init_classifier(16, label_space=EMOTION_IDS, heads=cfg.heads, seed=1)
+        before = {name: arr.copy() for name, arr in classifier.tensors().items()}
+        records = []
+        model = train_contextual(corpus, store, cfg, classifier=classifier, log_hook=records.append)
+        assert records == [{"step": 1, "epoch": 0, "ce": 0.0, "triplet": 0.0, "active": 0, "triplet_skipped": True}]
+        from ercml.encoder import init_encoder_stack
+        assert params_equal(model.encoder, init_encoder_stack(16, heads=cfg.heads, seed=0))
+        assert all(np.array_equal(arr, before[name]) for name, arr in model.classifier.tensors().items())
 
     def test_steps_report_through_log_hook_only(self, train_corpus, store16, caplog):
         records = []
@@ -485,6 +498,35 @@ class TestContextualCheckpoint:
         path = self.rewrite(saved, tmp_path, **{f"t::{name}": tensors[name].astype(dtype)})
         with pytest.raises(CheckpointError, match=f"{name.removeprefix('classifier.')}' has dtype"):
             ContextualModel.load(path)
+
+    def test_npz_without_metadata_rejected(self, tmp_path):
+        np.savez(tmp_path / "plain.npz", w=np.zeros(2))
+        with pytest.raises(CheckpointError, match=r"is not an ercml checkpoint \(no metadata entry\)"):
+            ContextualModel.load(tmp_path / "plain.npz")
+
+    @pytest.mark.parametrize("cut", [
+        lambda data: b"",
+        lambda data: data[:len(data) // 2],
+        lambda data: b"not an archive",
+    ], ids=["empty", "truncated", "not-an-archive"])
+    def test_unreadable_file_rejected(self, saved, tmp_path, capsys, cut):
+        path = tmp_path / "cut.npz"
+        path.write_bytes(cut(saved.read_bytes()))
+        with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+            ContextualModel.load(path)
+        assert main(["eval", "--model", str(path), "--data", "unused", "--store", "unused"]) == 1
+        assert "error: CheckpointError: cannot read checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("layers", [0, -1])
+    def test_stack_without_a_layer_rejected(self, saved, tmp_path, capsys, layers):
+        kind, tensors, meta = load_checkpoint(saved)
+        meta["encoder"]["layers"] = layers
+        tensors = {name: arr for name, arr in tensors.items() if not name.startswith("encoder.")}
+        path = save_checkpoint(tmp_path / "no-layers.npz", kind, tensors, meta)
+        with pytest.raises(CheckpointError, match=f"{layers} encoder layers, need at least 1"):
+            ContextualModel.load(path)
+        assert main(["eval", "--model", str(path), "--data", "unused", "--store", "unused"]) == 1
+        assert "CheckpointError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("meta", [[1, 2], "text", 3])
     def test_metadata_not_an_object(self, saved, tmp_path, meta):
