@@ -63,6 +63,19 @@ def _parse_config_value(key: str, raw: str):
         raise ConfigError(f"config key {key}: cannot parse {kind.__name__} from {raw!r}") from None
 
 
+def _without_header_line(exc: configparser.Error) -> configparser.Error:
+    """`exc` with the file's own line numbers, for a file read with a
+    `[run]` line prepended."""
+    if isinstance(exc, configparser.ParsingError):
+        moved = configparser.ParsingError(exc.source)
+        for lineno, line in exc.errors:
+            moved.append(lineno - 1, line)
+        return moved
+    if isinstance(exc, (configparser.DuplicateSectionError, configparser.DuplicateOptionError)):
+        return type(exc)(*exc.args[:-1], exc.lineno - 1)
+    return exc
+
+
 def read_config_file(path: str | Path) -> dict:
     """Flat key=value file with sections; section names are cosmetic.
 
@@ -81,9 +94,12 @@ def read_config_file(path: str | Path) -> dict:
     text = read_utf8(path, ConfigError)
     try:
         try:
-            parser.read_string(text)
+            parser.read_string(text, source=str(path))
         except configparser.MissingSectionHeaderError:
-            parser.read_string("[run]\n" + text)
+            try:
+                parser.read_string("[run]\n" + text, source=str(path))
+            except configparser.Error as exc:
+                raise _without_header_line(exc) from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
     merged: dict = {}

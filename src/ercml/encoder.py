@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
+from . import optim
 from .corpus import Dialog
 from .embeddings import SentenceEmbeddingStore
 from .checkpoint import checked_tensor, meta_entry
-from .errors import BadHeadCount, CheckpointError, ShapeMismatch
+from .errors import BadHeadCount, CheckpointError, CompileError, ShapeMismatch
 
 LN_EPS = 1e-5
 
@@ -320,12 +320,27 @@ def _checked_input(x: np.ndarray, params: SingletonLayerParams) -> np.ndarray:
     return x
 
 
+def _gelu_forward(pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU's gate and output: the standard normal CDF of `pre` and `pre`
+    times it. The C kernel gives the bits of scipy's `erf` expression
+    below, which stands in when the kernel cannot be built."""
+    try:
+        gelu = optim.load_kernels().gelu_forward
+    except CompileError:
+        from scipy.special import erf
+
+        cdf = 0.5 * (1.0 + erf(pre / np.sqrt(2.0)))
+        return cdf, pre * cdf
+    cdf, act = np.empty_like(pre), np.empty_like(pre)
+    gelu(pre, cdf, act, pre.size)
+    return cdf, act
+
+
 def _rowwise_forward(x: np.ndarray, mixed: np.ndarray, p: SingletonLayerParams):
     r1 = x + (mixed @ p.w_o + p.b_o)
     n1, xhat1, inv1 = _layer_norm_forward(r1, p.ln1_gain, p.ln1_bias)
     pre = n1 @ p.w_ff1 + p.b_ff1
-    cdf = 0.5 * (1.0 + erf(pre / np.sqrt(2.0)))
-    act = pre * cdf
+    cdf, act = _gelu_forward(pre)
     r2 = n1 + (act @ p.w_ff2 + p.b_ff2)
     out, xhat2, inv2 = _layer_norm_forward(r2, p.ln2_gain, p.ln2_bias)
     return out, RowwiseCache(

@@ -1,7 +1,9 @@
-"""First-order adaptive-moment gradient descent with global-norm clipping.
+"""First-order adaptive-moment gradient descent with global-norm clipping,
+and the loader of the package's C kernels.
 
-The Adam update runs as one C loop, `_adam.c`, compiled by the first
-`Adam(...)` of a process with the compiler Python was built with.
+The Adam update runs as one C loop of `_kernels.c`, compiled by the first
+`Adam(...)` or the first encoder forward of a process with the compiler
+Python was built with.
 """
 
 from __future__ import annotations
@@ -24,40 +26,55 @@ BETA2 = 0.999
 EPS = 1e-8
 
 # The compiler command and its flags. No FMA contraction and no fast-math,
-# so each element gets the numpy expressions' IEEE operations bit for bit;
-# -fno-math-errno lets `sqrt` compile to one instruction.
+# so each element gets the numpy and scipy expressions' IEEE operations bit
+# for bit; -fno-math-errno lets `sqrt` compile to one instruction.
 CC = shlex.split(sysconfig.get_config_var("CC") or "cc")
 CFLAGS = ["-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared"]
-SOURCE = Path(__file__).with_name("_adam.c")
+SOURCE = Path(__file__).with_name("_kernels.c")
 
-_kernel = None  # the loaded `adam_update`, built once per process
+_kernel = None  # the loaded `_kernels.c` library, built once per process
+_build_error = None  # the CompileError of a failed build, which is not retried
 
 
-def _load_kernel():
-    """`adam_update` from `_adam.c`, compiled on the first call.
+def load_kernels():
+    """The compiled `_kernels.c`, built on the first call.
 
     Raises:
-        CompileError: no compiler is found, or it fails on the source.
+        CompileError: no compiler is found, or it fails on the source; a
+            failed build is raised again, without a rebuild, on every
+            later call.
     """
-    global _kernel
+    global _kernel, _build_error
     if _kernel is None:
-        with tempfile.TemporaryDirectory(prefix="ercml-adam-") as tmp:
-            lib = Path(tmp) / "_adam.so"
-            cmd = [*CC, *CFLAGS, str(SOURCE), "-o", str(lib), "-lm"]
-            try:
-                proc = subprocess.run(cmd, capture_output=True, text=True)
-            except OSError as exc:
-                raise CompileError(f"cannot run the C compiler {CC[0]!r} to build the Adam kernel: {exc}") from None
-            if proc.returncode != 0:
-                raise CompileError(f"building the Adam kernel failed ({shlex.join(cmd)}):\n{proc.stderr.strip()}")
-            fn = ctypes.CDLL(str(lib)).adam_update  # stays mapped after the directory goes
-        # ctypes refuses an array the loop could not safely read or write
-        out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-        grad = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-        fn.argtypes = [out, out, out, grad, ctypes.c_size_t] + [ctypes.c_double] * 6
-        fn.restype = None
-        _kernel = fn
+        if _build_error is not None:
+            raise _build_error.with_traceback(None)
+        try:
+            _kernel = _build()
+        except CompileError as exc:
+            _build_error = exc
+            raise
     return _kernel
+
+
+def _build():
+    with tempfile.TemporaryDirectory(prefix="ercml-kernels-") as tmp:
+        lib = Path(tmp) / "_kernels.so"
+        cmd = [*CC, *CFLAGS, str(SOURCE), "-o", str(lib), "-lm"]
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as exc:
+            raise CompileError(f"cannot run the C compiler {CC[0]!r} to build the Adam kernel: {exc}") from None
+        if proc.returncode != 0:
+            raise CompileError(f"building the Adam kernel failed ({shlex.join(cmd)}):\n{proc.stderr.strip()}")
+        kernels = ctypes.CDLL(str(lib))  # stays mapped after the directory goes
+    # ctypes refuses an array the loops could not safely read or write
+    out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+    arg = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    kernels.adam_update.argtypes = [out, out, out, arg, ctypes.c_size_t] + [ctypes.c_double] * 6
+    kernels.adam_update.restype = None
+    kernels.gelu_forward.argtypes = [arg, out, out, ctypes.c_size_t]
+    kernels.gelu_forward.restype = None
+    return kernels
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float | None) -> float:
@@ -84,7 +101,7 @@ class Adam:
     Raises:
         NonContiguous: a parameter is not C-contiguous.
         ReadOnlyParameter: a parameter is not writeable.
-        CompileError: the kernel cannot be built (first `Adam` only).
+        CompileError: the kernels cannot be built.
     """
 
     def __init__(
@@ -98,7 +115,7 @@ class Adam:
                 raise NonContiguous(f"parameter {name!r} is not C-contiguous; its updates would be lost")
             if not arr.flags.writeable:
                 raise ReadOnlyParameter(f"parameter {name!r} is read-only; it cannot be updated")
-        self._kernel = _load_kernel()
+        self._kernel = load_kernels().adam_update
         self.lr = lr
         self.clip_norm = clip_norm
         self.t = 0

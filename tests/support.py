@@ -1,8 +1,10 @@
 """Helpers that only the tests call; the program never does.
 
 `write_split` writes a corpus back to the DailyDialog file pair,
-`weighted_cross_entropy` is `ce_loss_and_grad`'s loss on one row, and
-`content_digest` fingerprints a store's entries.
+`weighted_cross_entropy` is `ce_loss_and_grad`'s loss on one row,
+`content_digest` fingerprints a store's entries, and `forget_kernels` and
+`break_compiler` make one test run as if the C kernels were never built,
+or could not be.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ercml import optim
 from ercml.classifier import ce_loss_and_grad
 from ercml.corpus import EOU, Corpus
 from ercml.embeddings import SentenceEmbeddingStore
@@ -56,3 +59,15 @@ def content_digest(store: SentenceEmbeddingStore) -> str:
         h.update(key.encode("utf-8"))
         h.update(np.ascontiguousarray(store.entries[key]).tobytes())
     return h.hexdigest()
+
+
+def forget_kernels(monkeypatch):
+    """Forget the loaded kernels and any failed build, for this test only."""
+    monkeypatch.setattr(optim, "_kernel", None)
+    monkeypatch.setattr(optim, "_build_error", None)
+
+
+def break_compiler(monkeypatch):
+    """Forget the loaded kernels and point the build at a missing program."""
+    forget_kernels(monkeypatch)
+    monkeypatch.setattr(optim, "CC", ["ercml-no-such-compiler"])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from ercml import classifier
 from ercml.classifier import (
+    ClassifierParams,
     batch_class_weights,
     ce_loss_and_grad,
     classifier_backward,
@@ -22,7 +24,7 @@ from ercml.checkpoint import load_checkpoint, save_checkpoint
 from ercml.corpus import EMOTION_IDS, Corpus, Dialog, Utterance, label_weights, utt_key
 from ercml.embeddings import SentenceEmbeddingStore
 from ercml.encoder import SingletonLayerParams, init_encoder
-from ercml.errors import BadTarget, CheckpointError, EmptyBatch
+from ercml.errors import BadTarget, CheckpointError, DimMismatch, EmptyBatch
 from ercml.gradcheck import fd_gradients, group_relative_error
 from ercml.training import TrainConfig, pretrain_from_config
 
@@ -290,6 +292,13 @@ class TestInit:
         names = set(init_classifier(8, seed=0).tensors())
         expected = {f"encoder.{n}" for n in SingletonLayerParams.TENSOR_NAMES} | {"head.w", "head.b"}
         assert names == expected  # 12 row-wise tensors plus the two head tensors
+
+    @pytest.mark.parametrize("shape", [(8, 6), (6, 7), (7 * 8,)])
+    def test_head_of_the_wrong_shape_rejected(self, shape):
+        params = init_classifier(8, seed=0)
+        with pytest.raises(DimMismatch, match=rf"head shape {re.escape(str(shape))} incompatible with dim 8 and 7 labels"):
+            ClassifierParams(encoder=params.encoder, w_out=np.zeros(shape), b_out=params.b_out,
+                             label_space=params.label_space)
 
 
 class TestCheckpointRoundTrip:

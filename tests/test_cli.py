@@ -584,7 +584,46 @@ class TestLlmEval:
         assert not out.exists()
 
 
+class TestImport:
+    def test_cli_import_loads_no_scipy_and_builds_nothing(self):
+        # scipy.special costs a process tens of MB; only the compiler-less
+        # fallback of GELU's gate imports it, and no import builds the kernels
+        probe = (
+            "import json, subprocess, sys\n"
+            "started = []\n"
+            "popen = subprocess.Popen.__init__\n"
+            "def record(self, args, *rest, **kw):\n"
+            "    started.append(args)\n"
+            "    popen(self, args, *rest, **kw)\n"
+            "subprocess.Popen.__init__ = record\n"
+            "import ercml.cli\n"
+            "print(json.dumps({'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+            "                  'started': started}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"scipy": [], "started": []}
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize("text, line", [
+        ("epochs = 1\nepochs = 2\n", 2),
+        ("epochs = 1\nnot a pair\n", 2),
+        ("# a comment\n\nseed = 1\n[train]\nseed = 2\n[run]\n", 6),
+        ("[train]\nepochs = 1\nepochs = 2\n", 3),
+    ], ids=["headerless-duplicate", "headerless-no-pair", "headerless-duplicate-section", "duplicate"])
+    def test_parse_error_names_the_file_and_its_line(self, store_file, tmp_path, capsys, text, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--data", DATA, "--store", store_file]) == 1
+        err = capsys.readouterr().err
+        assert f"ConfigError: cannot parse config {cfg}: " in err
+        assert re.search(rf"{re.escape(repr(str(cfg)))}.*\[line +{line}\]", err, re.DOTALL), err
+        assert "<string>" not in err
+        assert not out.exists()
+
     def test_sections_and_overrides(self, store_file, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

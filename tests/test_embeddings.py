@@ -86,6 +86,10 @@ class TestSentenceStore:
         assert store.dim == 4
         assert store.provider_name == "test"
 
+    def test_vector_of_another_dim_rejected(self):
+        with pytest.raises(DimMismatch, match="key 'd#1' has dim 3, store dim is 4"):
+            SentenceEmbeddingStore(entries={"d#0": np.zeros(4), "d#1": np.zeros(3)}, dim=4)
+
     def test_dim_mismatch(self, tmp_path):
         path = self.write_store(tmp_path, [
             {"key": "d#0", "vector": [1, 0, 0, 0]},

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from ercml import optim
 from ercml.corpus import Dialog, Utterance
 from ercml.embeddings import SentenceEmbeddingStore
 from ercml.encoder import (
     SingletonLayerParams,
+    _gelu_forward,
     _layer_norm_backward,
     build_batch_sequence,
     build_dialog_sequence,
@@ -30,12 +32,18 @@ from ercml.encoder import (
 from ercml.errors import BadHeadCount, MissingEmbedding, ShapeMismatch
 from ercml.gradcheck import fd_gradients, group_relative_error
 
+from support import break_compiler
+
 
 # GELU and its derivative as separate formulas, each computing the normal
 # CDF itself: the reference for the encoder's row-wise half, which
 # computes the CDF once in the forward and keeps it for the backward.
 def reference_gelu(x):
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def reference_normal_cdf(x):
+    return 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
 
 
 def reference_gelu_grad(x):
@@ -298,7 +306,80 @@ class TestEncoderGradients:
                     assert np.abs(g - want[name]).max() <= 1e-12 * np.abs(want[name]).max(), name
 
 
+def ulps_around(x: float, k: int) -> np.ndarray:
+    """`x` and its k nearest doubles on each side."""
+    out = [x]
+    below = above = x
+    for _ in range(k):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [below, above]
+    return np.array(sorted(out))
+
+
+MAXLOG = 7.09782712893383996843e2  # erfc's underflow edge: exp(-z*z) is taken only for z*z <= MAXLOG
+
+
+def random_bit_patterns(n: int) -> np.ndarray:
+    return np.random.default_rng(29).integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+
+
+class TestGeluKernel:
+    """The compiled gate gives scipy's bits everywhere, and so does the
+    scipy expression that stands in without a compiler."""
+
+    PRE = {
+        **{f"size-{n}": np.random.default_rng(n).standard_normal(n) * 3.0 for n in (1, 2, 3, 7, 9, 4097)},
+        "sqrt2": np.concatenate([ulps_around(np.sqrt(2.0), 4), -ulps_around(np.sqrt(2.0), 4)]),
+        # pre/sqrt(2) lands on both sides of erfc's split at 8 and of its underflow edge
+        "erfc-split-8": np.concatenate([ulps_around(8.0 * np.sqrt(2.0), 6), -ulps_around(8.0 * np.sqrt(2.0), 6)]),
+        "erfc-underflow": np.concatenate([ulps_around(np.sqrt(MAXLOG) * np.sqrt(2.0), 6),
+                                          -ulps_around(np.sqrt(MAXLOG) * np.sqrt(2.0), 6)]),
+        "extremes": np.array([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308,
+                              2.2250738585072014e-308, 1e300, -1e300, np.finfo(float).max, -np.finfo(float).max,
+                              np.inf, -np.inf]),
+        "nan": np.array([np.nan, -np.nan, 1.0, np.nan]),
+        "bit-patterns": random_bit_patterns(100_001),
+        # dense over the range in which the gate is neither 0 nor 1
+        "dense": np.random.default_rng(31).uniform(-12.0, 12.0, 200_001),
+    }
+
+    def test_inputs_straddle_the_splits(self):
+        z = self.PRE["erfc-split-8"] / np.sqrt(2.0)
+        assert 8.0 in z and -8.0 in z and (z > 8.0).any() and ((0 < z) & (z < 8.0)).any()
+        z = self.PRE["erfc-underflow"] / np.sqrt(2.0)
+        assert (z * z > MAXLOG).any() and (z * z <= MAXLOG).any()
+        bits = self.PRE["bit-patterns"]
+        assert np.isnan(bits).any() and (np.abs(bits) < 2.2250738585072014e-308).any()
+        assert ((np.abs(bits) > 1.0) & (np.abs(bits) < 40.0)).any()
+
+    @pytest.mark.parametrize("gate", ["kernel", "scipy"])
+    @pytest.mark.parametrize("name", list(PRE))
+    def test_bit_for_bit_with_scipy(self, monkeypatch, gate, name):
+        if gate == "scipy":
+            break_compiler(monkeypatch)
+        pre = self.PRE[name].copy()
+        with np.errstate(all="ignore"):
+            cdf, act = _gelu_forward(pre)
+            want_cdf, want_act = reference_normal_cdf(pre), reference_gelu(pre)
+        assert (optim._kernel is not None) == (gate == "kernel")
+        np.testing.assert_array_equal(pre, self.PRE[name])
+        for got, want in ((cdf, want_cdf), (act, want_act)):
+            nan = np.isnan(want)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+    def test_two_dimensional_rows(self):
+        pre = np.random.default_rng(3).standard_normal((5, 7))
+        cdf, act = _gelu_forward(pre)
+        assert cdf.shape == act.shape == (5, 7)
+        np.testing.assert_array_equal(act, reference_gelu(pre))
+
+
 class TestEncoderStack:
+    def test_stack_without_a_layer_rejected(self):
+        with pytest.raises(ShapeMismatch, match="need at least one encoder layer, got 0"):
+            init_encoder_stack(8, heads=2, layers=0)
+
     def test_single_layer_stack_matches_plain_layer(self):
         stack = init_encoder_stack(8, heads=2, seed=3)
         x = np.random.default_rng(0).standard_normal((5, 8))

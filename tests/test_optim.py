@@ -11,6 +11,7 @@ from ercml.errors import CompileError, NonContiguous, NonFinite, ReadOnlyParamet
 from ercml.optim import Adam, clip_global_norm
 
 from reference_optim import ReferenceAdam
+from support import break_compiler, forget_kernels
 
 
 def tensors():
@@ -173,12 +174,6 @@ class TestGradientNamesAndSizes:
         assert_next_step_matches(opt, params, ref, ref_params, rng)
 
 
-def break_compiler(monkeypatch):
-    """Forget the loaded kernel and point the build at a missing program."""
-    monkeypatch.setattr(optim, "_kernel", None)
-    monkeypatch.setattr(optim, "CC", ["ercml-no-such-compiler"])
-
-
 class TestNoCompiler:
     """Training needs a C compiler for the Adam kernel; scoring does not."""
 
@@ -190,7 +185,7 @@ class TestNoCompiler:
     def test_failed_build_quotes_the_compiler(self, monkeypatch, tmp_path):
         source = tmp_path / "broken.c"
         source.write_text("void adam_update(ercml_no_such_type x) {}\n")
-        monkeypatch.setattr(optim, "_kernel", None)
+        forget_kernels(monkeypatch)
         monkeypatch.setattr(optim, "SOURCE", source)
         with pytest.raises(CompileError, match="(?s)building the Adam kernel failed .*ercml_no_such_type"):
             Adam(tensors())
@@ -209,6 +204,32 @@ class TestNoCompiler:
         assert main(["eval", "--model", str(tmp_path / "trained" / "model.npz"), "--data", str(mini_dir),
                      "--store", str(store_path)]) == 0
         assert optim._kernel is None
+
+    def test_eval_falls_back_to_the_same_report_and_builds_once(self, tmp_path, capsys, monkeypatch, mini_dir):
+        store_path = save_sentence_embeddings(hash_store_for_corpus(
+            Corpus("all", tuple(d for s in ("train", "test") for d in load_split(mini_dir, s).dialogs)), dim=16, seed=0,
+        ), tmp_path / "store.jsonl")
+        assert main(["train", "--data", str(mini_dir), "--store", str(store_path), "--epochs", "1", "--max-steps",
+                     "2", "--pretrain-steps", "2", "--out", str(tmp_path / "trained")]) == 0
+        report = tmp_path / "report.json"
+        run = ["eval", "--model", str(tmp_path / "trained" / "model.npz"), "--data", str(mini_dir),
+               "--store", str(store_path), "--out", str(report)]
+
+        def outputs():
+            capsys.readouterr()
+            assert main(run) == 0
+            return capsys.readouterr().out, report.read_bytes()
+
+        with_kernel = outputs()
+        break_compiler(monkeypatch)
+        builds = []
+        build = optim._build
+        monkeypatch.setattr(optim, "_build", lambda: builds.append(1) or build())
+        assert outputs() == with_kernel
+        assert outputs() == with_kernel
+        assert builds == [1]
+        assert optim._kernel is None
+        assert isinstance(optim._build_error, CompileError)
 
 
 class TestNonContiguous:

@@ -15,7 +15,7 @@ from ercml.cli import main
 from ercml.classifier import classify_batch, init_classifier
 from ercml.embeddings import SentenceEmbeddingStore, hash_store_for_corpus
 from ercml.encoder import AttentionLayerParams, EncoderLayerParams, encode_dialog
-from ercml.errors import CheckpointError, ConfigError, MissingEmbedding, NonFinite
+from ercml.errors import CheckpointError, ConfigError, DimMismatch, MissingEmbedding, NonFinite
 from ercml.optim import Adam
 from ercml.training import (
     ContextualModel,
@@ -607,6 +607,13 @@ class TestPassedClassifier:
         with pytest.raises(ConfigError, match="label space"):
             train_contextual(train_corpus, store16, TrainConfig(epochs=1, seed=0, label_space_size=config_size),
                              classifier=classifier, log_hook=records.append)
+        assert records == []
+
+    def test_other_width_fails_before_any_step(self, train_corpus, store16):
+        records = []
+        with pytest.raises(DimMismatch, match="classifier dim 8 != store dim 16"):
+            train_contextual(train_corpus, store16, TrainConfig(epochs=1, seed=0),
+                             classifier=init_classifier(8, seed=0), log_hook=records.append)
         assert records == []
 
 
