@@ -24,10 +24,10 @@ void adam_update(double *restrict p, double *restrict m, double *restrict v, con
     }
 }
 
-/* erf and erfc for real doubles: Stephen L. Moshier's Cephes routines
-   (ndtr.c, Cephes Math Library Release 2.8), the ones scipy.special.erf
-   evaluates. Coefficient tables and operation order are kept as
-   published; `exp` is libm's. */
+/* erf for real doubles: Stephen L. Moshier's Cephes routine (ndtr.c,
+   Cephes Math Library Release 2.8), the one scipy.special.erf evaluates,
+   with erfc inlined for the 1 < x < 8 it is called on. Coefficient tables
+   and operation order are kept as published; `exp` is libm's. */
 
 static const double P[] = {
     2.46196981473530512524E-10,
@@ -53,25 +53,6 @@ static const double Q[] = {
     5.57535340817727675546E2,
 };
 
-static const double R[] = {
-    5.64189583547755073984E-1,
-    1.27536670759978104416E0,
-    5.01905042251180477414E0,
-    6.16021097993053585195E0,
-    7.40974269950448939160E0,
-    2.97886665372100240670E0,
-};
-
-static const double S[] = {
-    /* 1.00000000000000000000E0, */
-    2.26052863220117276590E0,
-    9.39603524938001434673E0,
-    1.20489539808096656605E1,
-    1.70814450747565897222E1,
-    9.60896809063285878198E0,
-    3.36907645100081516050E0,
-};
-
 static const double T[] = {
     9.60497373987051638749E0,
     9.00260197203842689217E1,
@@ -88,8 +69,6 @@ static const double U[] = {
     2.26290000613890934246E4,
     4.92673942608635921086E4,
 };
-
-static const double MAXLOG = 7.09782712893383996843E2; /* log(DBL_MAX) */
 
 /* coef[0]*x^N + ... + coef[N] */
 static double polevl(double x, const double coef[], int N)
@@ -113,55 +92,24 @@ static double p1evl(double x, const double coef[], int N)
     return ans;
 }
 
-static double cephes_erf(double x);
-
-static double cephes_erfc(double a)
-{
-    double p, q, x, y, z;
-
-    if (isnan(a))
-        return NAN;
-    x = a < 0.0 ? -a : a;
-    if (x < 1.0)
-        return 1.0 - cephes_erf(a);
-
-    z = -a * a;
-    if (z < -MAXLOG)
-        goto under;
-    z = exp(z);
-
-    if (x < 8.0) {
-        p = polevl(x, P, 8);
-        q = p1evl(x, Q, 8);
-    } else {
-        p = polevl(x, R, 5);
-        q = p1evl(x, S, 6);
-    }
-    y = (z * p) / q;
-
-    if (a < 0)
-        y = 2.0 - y;
-    if (y != 0.0)
-        return y;
-
-under:
-    return a < 0 ? 2.0 : 0.0;
-}
-
 static double cephes_erf(double x)
 {
-    double y, z;
+    double z;
 
     if (isnan(x))
         return NAN;
     if (x < 0.0)
         return -cephes_erf(-x);
-    if (fabs(x) > 1.0)
-        return 1.0 - cephes_erfc(x);
-
-    z = x * x;
-    y = x * polevl(z, T, 4) / p1evl(z, U, 5);
-    return y;
+    if (x <= 1.0) {
+        z = x * x;
+        return x * polevl(z, T, 4) / p1evl(z, U, 5);
+    }
+    if (x < 8.0) /* 1 - erfc(x), erfc(x) = exp(-x*x) P(x)/Q(x) */
+        return 1.0 - exp(-x * x) * polevl(x, P, 8) / p1evl(x, Q, 8);
+    /* Exact: from 8 on, erfc(x) <= erfc(8) ~ 1.1e-29 is below 2^-54, half
+       the spacing of doubles just under 1.0, so 1.0 - erfc(x) rounds to
+       1.0 whatever Cephes's x >= 8 branch returns. +inf lands here too. */
+    return 1.0;
 }
 
 /* GELU's gate: cdf = 0.5*(1 + erf(pre/sqrt(2))), the standard normal CDF

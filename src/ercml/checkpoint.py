@@ -92,14 +92,31 @@ def json_int(value) -> int:
     return value
 
 
-def meta_entry(meta: dict, key: str, kind=json_int):
-    """`kind(meta[key])`: a size, the label space, a nested section.
+def json_object(value) -> dict:
+    """`value` if it is a JSON object; raises TypeError if not."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{value!r} is not an object")
+    return value
+
+
+def json_string(value) -> str:
+    """`value` if it is a JSON string; raises TypeError if not."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+def meta_entry(meta: dict, key: str, kind=json_int, default=None):
+    """`kind(meta[key])`: a size, the label space, a nested section; or
+    `default`, if one is given, when the entry is absent.
 
     Raises:
-        CheckpointError: the entry is absent or `kind` rejects it with a
-            TypeError or ValueError.
+        CheckpointError: the entry is absent with no default, or `kind`
+            rejects it with a TypeError or ValueError.
     """
     if key not in meta:
+        if default is not None:
+            return default
         raise CheckpointError(f"checkpoint metadata lacks {key!r}")
     try:
         return kind(meta[key])

@@ -14,7 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import checked_tensor, json_int, load_checkpoint, meta_entry, reject_unknown_tensors, save_checkpoint
+from .checkpoint import (
+    checked_tensor, json_int, json_string, load_checkpoint, meta_entry, reject_unknown_tensors, save_checkpoint,
+)
 from .corpus import ALL_LABEL_IDS, Corpus, label_weights
 from .embeddings import SentenceEmbeddingStore
 from .encoder import (
@@ -279,9 +281,9 @@ def save_classifier(path: str | Path, params: ClassifierParams, provider: str, c
 def load_classifier(path: str | Path) -> tuple[ClassifierParams, str]:
     """(params, store provider) from a `classifier` checkpoint; a file
     recording no provider reads as "unknown". Raises CheckpointError as
-    load_checkpoint and classifier_from_tensors do, or on a tensor the
-    head does not hold."""
+    load_checkpoint and classifier_from_tensors do, on a tensor the head
+    does not hold, or on a provider that is not a string."""
     _, tensors, meta = load_checkpoint(path, expect_kind="classifier")
     params = classifier_from_tensors(tensors, meta)
     reject_unknown_tensors(tensors, params.tensors())
-    return params, meta.get("provider", "unknown")
+    return params, meta_entry(meta, "provider", json_string, default="unknown")

@@ -33,6 +33,7 @@ from .training import (
     ContextualModel,
     TrainConfig,
     check_lower_bound,
+    check_train_inputs,
     evaluate_model,
     predict_dialogs,
     pretrain_from_config,
@@ -210,6 +211,7 @@ def cmd_train(args) -> int:
     if args.classifier:
         classifier, provider = load_classifier(args.classifier)
         _check_provider(store, args.store, provider, args.classifier)
+    check_train_inputs(store, config, classifier)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # An earlier run's results go before its log does, so a rerun that dies

@@ -103,14 +103,19 @@ class EncoderLayerParams(AttentionLayerParams):
     TENSOR_NAMES = AttentionLayerParams.TENSOR_NAMES + ("sep",)
 
 
+def check_head_count(dim: int, heads: int) -> None:
+    """Raises BadHeadCount unless `heads` >= 1 divides `dim`."""
+    if heads < 1 or dim % heads != 0:
+        raise BadHeadCount(f"dim {dim} not divisible by heads {heads}")
+
+
 def init_encoder(dim: int, heads: int = 4, ffn_dim: int | None = None, seed: int = 0) -> EncoderLayerParams:
     """Deterministic scaled-uniform initialization; layer norms at identity.
 
     Raises:
         BadHeadCount: `dim` not divisible by `heads`.
     """
-    if heads < 1 or dim % heads != 0:
-        raise BadHeadCount(f"dim {dim} not divisible by heads {heads}")
+    check_head_count(dim, heads)
     if ffn_dim is None:
         ffn_dim = 4 * dim
     rng = np.random.default_rng(seed)

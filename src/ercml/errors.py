@@ -150,5 +150,5 @@ class ReadOnlyParameter(ErcmlError):
 
 
 class CompileError(ErcmlError):
-    """The optimizer's C kernel could not be built: no C compiler was
-    found, or the compile failed."""
+    """The package's C kernels (the Adam update and GELU's gate) could not
+    be built: no C compiler was found, or the compile failed."""

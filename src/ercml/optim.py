@@ -1,9 +1,9 @@
 """First-order adaptive-moment gradient descent with global-norm clipping,
 and the loader of the package's C kernels.
 
-The Adam update runs as one C loop of `_kernels.c`, compiled by the first
-`Adam(...)` or the first encoder forward of a process with the compiler
-Python was built with.
+`_kernels.c` holds the package's two C loops, the Adam update and GELU's
+gate (see encoder.py); the first `Adam(...)` or the first encoder forward
+of a process compiles it with the compiler Python was built with.
 """
 
 from __future__ import annotations

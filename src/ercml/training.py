@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, meta_entry, reject_unknown_tensors, save_checkpoint
+from .checkpoint import json_object, json_string, load_checkpoint, meta_entry, reject_unknown_tensors, save_checkpoint
 from .classifier import (
     ClassifierParams,
     batch_class_weights,
@@ -39,6 +39,7 @@ from .embeddings import SentenceEmbeddingStore
 from .encoder import (
     AttentionLayerParams,
     EncoderLayerParams,
+    check_head_count,
     encode_dialog,
     encode_dialog_backward,
     init_encoder_stack,
@@ -198,10 +199,10 @@ class ContextualModel:
     @classmethod
     def load(cls, path: str | Path) -> "ContextualModel":
         """Raises CheckpointError on a file of another kind or format
-        version, with missing or malformed metadata, or whose tensors do
-        not match its metadata."""
+        version, with missing or malformed metadata, whose tensors do not
+        match its metadata, or whose head and encoder differ in width."""
         _, tensors, meta = load_checkpoint(path, expect_kind="contextual")
-        enc_meta = meta_entry(meta, "encoder", dict)
+        enc_meta = meta_entry(meta, "encoder", json_object)
         if (layers := meta_entry(enc_meta, "layers")) < 1:
             raise CheckpointError(f"checkpoint metadata: {layers} encoder layers, need at least 1")
         encoder = [
@@ -210,11 +211,17 @@ class ContextualModel:
             )
             for i in range(layers)
         ]
+        clf_meta = meta_entry(meta, "classifier", json_object)
+        classifier = classifier_from_tensors(tensors, clf_meta, prefix="classifier.")
+        if (dim := classifier.dim) != encoder[0].dim:
+            raise CheckpointError(f"checkpoint metadata: classifier dim {dim} != encoder dim {encoder[0].dim}")
+        config_echo = meta_entry(meta, "config_echo", json_object, default={})
+        meta_entry(config_echo, "train_config", json_object, default={})  # eval reads its seed
         model = cls(
             encoder=encoder,
-            classifier=classifier_from_tensors(tensors, meta_entry(meta, "classifier", dict), prefix="classifier."),
-            config_echo=meta.get("config_echo", {}),
-            provider_name=meta.get("provider", "unknown"),
+            classifier=classifier,
+            config_echo=config_echo,
+            provider_name=meta_entry(meta, "provider", json_string, default="unknown"),
         )
         reject_unknown_tensors(tensors, model.tensors())
         return model
@@ -335,6 +342,23 @@ def triplet_pass(
     return loss, active, d_ctx
 
 
+def check_train_inputs(store: SentenceEmbeddingStore, config: TrainConfig, classifier: ClassifierParams | None):
+    """The checks `train_contextual` makes of its store, config and head
+    before any work, for a caller to make before it writes anything.
+
+    Raises:
+        DimMismatch, ConfigError: a passed-in classifier's width or label
+            space differs from the store's or the config's.
+        BadHeadCount: `config.heads` does not divide the store's dim.
+    """
+    if classifier is not None:
+        if classifier.dim != store.dim:
+            raise DimMismatch(f"classifier dim {classifier.dim} != store dim {store.dim}")
+        if (space := classifier.label_space) != config.label_space():
+            raise ConfigError(f"classifier label space {space} != configured {config.label_space()}")
+    check_head_count(store.dim, config.heads)
+
+
 def train_contextual(
     corpus: Corpus,
     store: SentenceEmbeddingStore,
@@ -357,19 +381,14 @@ def train_contextual(
     Raises:
         MissingEmbedding: the store lacks a vector for some utterance of
             `corpus` (checked before any training).
-        DimMismatch, ConfigError: a passed-in classifier's width or label
-            space differs from the store's or the config's.
+        DimMismatch, ConfigError, BadHeadCount: see :func:`check_train_inputs`.
     """
-    label_space = config.label_space()
     rng = np.random.default_rng(config.seed)
 
     store.check_covers(corpus)
+    check_train_inputs(store, config, classifier)
     if classifier is None:
         classifier = pretrain_from_config(corpus, store, config)
-    elif classifier.dim != store.dim:
-        raise DimMismatch(f"classifier dim {classifier.dim} != store dim {store.dim}")
-    elif classifier.label_space != label_space:
-        raise ConfigError(f"classifier label space {classifier.label_space} != configured {label_space}")
 
     encoder = init_encoder_stack(
         store.dim, heads=config.heads, ffn_dim=config.ffn_dim,

@@ -344,6 +344,14 @@ class TestCheckpointRoundTrip:
         path = save_checkpoint(tmp_path / "head.npz", "classifier", params.tensors(), params.meta())
         assert load_classifier(path)[1] == "unknown"
 
+    @pytest.mark.parametrize("provider", [5, None, ["hash"]])
+    def test_file_with_a_provider_that_is_not_a_string(self, tmp_path, provider):
+        params = init_classifier(8, seed=3)
+        meta = {**params.meta(), "provider": provider}
+        path = save_checkpoint(tmp_path / "head.npz", "classifier", params.tensors(), meta)
+        with pytest.raises(CheckpointError, match="'provider' is malformed"):
+            load_classifier(path)
+
     @pytest.mark.parametrize("label_space", [
         [0, 1, 2, 3, 4, 5, 9], [0, 1, 2, 3, 4, 5, 5], [-1, 1, 2, 3, 4, 5, 6],
         [0, 1, 2, 3, 4, 5, 6.0], [0, 1, 2, 3, 4, 5, "6"], [0, 1, 2, 3, 4, 5, True], 7,

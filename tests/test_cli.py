@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from ercml.checkpoint import load_checkpoint, save_checkpoint
+from ercml.classifier import init_classifier, save_classifier
 from ercml.cli import build_parser, main, read_config_file
-from ercml.corpus import Corpus, load_split, utt_key
+from ercml.corpus import EMOTION_IDS, Corpus, load_split, utt_key
 from ercml.embeddings import hash_store_for_corpus, load_sentence_embeddings, save_sentence_embeddings
 from ercml.errors import ConfigError, NonFinite
 from ercml.training import TrainConfig, train_contextual
@@ -262,6 +263,34 @@ class TestTrainEval:
         assert rc == 1
         assert error in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.fixture(scope="class")
+    def finished_run(self, store_file, tmp_path_factory) -> Path:
+        out = tmp_path_factory.mktemp("finished") / "run"
+        assert main(["train", "--data", DATA, "--store", store_file, "--out", str(out), *FAST_TRAIN]) == 0
+        return out
+
+    @pytest.mark.parametrize("bad, error", [
+        ("heads", "BadHeadCount"), ("classifier_dim", "DimMismatch"), ("classifier_labels", "ConfigError"),
+    ])
+    def test_bad_setting_leaves_out_untouched(self, store_file, finished_run, tmp_path, capsys, bad, error):
+        # --heads not dividing the store's dim, or a head of another width
+        # or label space: a fresh --out is not made, and a finished run's
+        # three files keep their bytes
+        if bad == "heads":
+            flags = ["--heads", "5"]
+        else:
+            head = init_classifier(8) if bad == "classifier_dim" else init_classifier(16, EMOTION_IDS)
+            flags = ["--classifier", str(save_classifier(tmp_path / "head.npz", head, "hash", {}, 0))]
+        before = {p.name: p.read_bytes() for p in finished_run.iterdir()}
+        assert sorted(before) == ["metrics.json", "model.npz", "train.log"]
+        for out in (tmp_path / "fresh", finished_run):
+            capsys.readouterr()
+            rc = main(["train", "--data", DATA, "--store", store_file, "--out", str(out), *FAST_TRAIN, *flags])
+            assert rc == 1
+            assert error in capsys.readouterr().err
+        assert not (tmp_path / "fresh").exists()
+        assert {p.name: p.read_bytes() for p in finished_run.iterdir()} == before
 
     def test_step_lines_go_to_train_log_only(self, store_file, tmp_path):
         # A fresh interpreter, so the root handler is the CLI's own

@@ -316,7 +316,7 @@ def ulps_around(x: float, k: int) -> np.ndarray:
     return np.array(sorted(out))
 
 
-MAXLOG = 7.09782712893383996843e2  # erfc's underflow edge: exp(-z*z) is taken only for z*z <= MAXLOG
+MAXLOG = 7.09782712893383996843e2  # scipy's erfc underflow edge: exp(-z*z) is taken only for z*z <= MAXLOG
 
 
 def random_bit_patterns(n: int) -> np.ndarray:
@@ -330,7 +330,7 @@ class TestGeluKernel:
     PRE = {
         **{f"size-{n}": np.random.default_rng(n).standard_normal(n) * 3.0 for n in (1, 2, 3, 7, 9, 4097)},
         "sqrt2": np.concatenate([ulps_around(np.sqrt(2.0), 4), -ulps_around(np.sqrt(2.0), 4)]),
-        # pre/sqrt(2) lands on both sides of erfc's split at 8 and of its underflow edge
+        # pre/sqrt(2) lands on both sides of scipy's erfc split at 8 and of its underflow edge
         "erfc-split-8": np.concatenate([ulps_around(8.0 * np.sqrt(2.0), 6), -ulps_around(8.0 * np.sqrt(2.0), 6)]),
         "erfc-underflow": np.concatenate([ulps_around(np.sqrt(MAXLOG) * np.sqrt(2.0), 6),
                                           -ulps_around(np.sqrt(MAXLOG) * np.sqrt(2.0), 6)]),
@@ -341,6 +341,12 @@ class TestGeluKernel:
         "bit-patterns": random_bit_patterns(100_001),
         # dense over the range in which the gate is neither 0 nor 1
         "dense": np.random.default_rng(31).uniform(-12.0, 12.0, 200_001),
+        # log-spaced over the range in which the gate is 0 or 1, most of it
+        # past the kernel's shortcut at pre/sqrt(2) = 8: |pre/sqrt(2)| from
+        # 5.8, |pre| up to the largest double (a geomspace ending there
+        # overflows)
+        "saturated": np.outer([1.0, -1.0], np.append(np.geomspace(5.8 * np.sqrt(2.0), np.finfo(float).max / 2, 10_000),
+                                                     np.finfo(float).max)).ravel(),
     }
 
     def test_inputs_straddle_the_splits(self):

@@ -466,6 +466,17 @@ class TestContextualCheckpoint:
         with pytest.raises(CheckpointError, match=r"unexpected tensors \['encoder\.1\.sep'\]"):
             ContextualModel.load(path)
 
+    def test_head_of_another_width_rejected(self, saved, tmp_path, capsys):
+        # each part matches its own metadata; together they would fail
+        # only at the first batch
+        model = ContextualModel.load(saved)
+        model.classifier = init_classifier(8)
+        path = model.save(tmp_path / "narrow-head.npz")
+        with pytest.raises(CheckpointError, match="classifier dim 8 != encoder dim 16"):
+            ContextualModel.load(path)
+        assert main(["eval", "--model", str(path), "--data", "unused", "--store", "unused"]) == 1
+        assert "CheckpointError" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["encoder.0.w_ff1", "encoder.0.sep", "classifier.encoder.w_o"])
     def test_misshaped_tensor(self, saved, tmp_path, name):
         path = self.resave(saved, tmp_path, lambda t: t.__setitem__(name, t[name][:-1]))
@@ -565,8 +576,14 @@ class TestContextualCheckpoint:
         # seven ids, so the head's shape still matches
         (lambda meta: meta["classifier"].update(label_space=[0, 1, 2, 3, 4, 5, 9]), "distinct label ids in 0..6"),
         (lambda meta: meta["classifier"].update(label_space=[0, 1, 2, 3, 4, 5, 5]), "distinct label ids in 0..6"),
+        # eval reads these only after scoring the whole split
+        (lambda meta: meta.update(config_echo=[1, 2]), "'config_echo' is malformed"),
+        (lambda meta: meta.update(config_echo="text"), "'config_echo' is malformed"),
+        (lambda meta: meta["config_echo"].update(train_config=5), "'train_config' is malformed"),
+        (lambda meta: meta.update(provider=5), "'provider' is malformed"),
     ], ids=["no-encoder", "layers-not-int", "no-label-space", "heads-not-dividing-dim",
-            "heads-float", "layers-bool", "dim-string", "label-id-out-of-range", "label-id-repeated"])
+            "heads-float", "layers-bool", "dim-string", "label-id-out-of-range", "label-id-repeated",
+            "config-echo-list", "config-echo-string", "train-config-int", "provider-int"])
     def test_malformed_metadata_rejected(self, saved, tmp_path, capsys, edit, message):
         kind, tensors, meta = load_checkpoint(saved)
         edit(meta)
