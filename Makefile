@@ -34,9 +34,9 @@ bench-pairs:
 	$(PY) scripts/bench_pairs.py --parent $(PARENT) --name $(BENCH_NAME) --seeds $(BENCH_SEEDS) --workloads $(BENCH_WORKLOADS)
 
 # Byte-identity check against $(PARENT): the C13 train recipe for every
-# sampling strategy and label space, pretrain, five train runs that each
+# sampling strategy and label space, pretrain, seven train runs that each
 # change one setting (2 layers, summed loss, cosine distance, no weighting,
-# a pretrained classifier), a train run read from a config file with one
+# a pretrained classifier, 3 triplets per batch, no triplet step), a train run read from a config file with one
 # flag overriding it, then eval, predict, stats, sample-triplets and
 # llm-eval, run in the exported parent tree and in the working tree; every
 # artifact and each command's output are compared, and any difference

@@ -14,8 +14,10 @@ fixture corpus under tests/data/mini:
   recipe) for each sampling strategy and `--label-space` 7 and 6;
 - `pretrain` with the same flags, then the C13 recipe with one setting
   changed: `--encoder-layers 2`, `--loss-mode summed`,
-  `--distance cosine`, `--no-weighted-ce --no-weighted-sampler`, and
-  `--classifier` with the pretrained classifier;
+  `--distance cosine`, `--no-weighted-ce --no-weighted-sampler`,
+  `--classifier` with the pretrained classifier, `--triplets-per-batch 3`
+  (weighted-random draws other than one per row) and
+  `--no-triplet-enabled` (cross-entropy-only cycles);
 - `train --config` on a config file that sets the paths, the C13
   settings and `grad_clip = none`, with `--seed 8` overriding the file's
   seed;
@@ -75,6 +77,8 @@ VARIANTS = {
     "cosine": ["--distance", "cosine"],
     "unweighted": ["--no-weighted-ce", "--no-weighted-sampler"],
     "pretrained": ["--classifier", f"{PRETRAIN}/classifier.npz"],
+    "triplets-3": ["--triplets-per-batch", "3"],
+    "ce-only": ["--no-triplet-enabled"],
 }
 LLM_POLICIES = ("count-as-wrong", "map-to-neutral")
 # The C13 recipe as a config file, without gradient clipping.

@@ -170,6 +170,16 @@ def batch_class_weights(batch_labels: list[int]) -> dict[int, float]:
     return {lab: total / (k_present * c) for lab, c in counts.items()}
 
 
+def ce_step(reps: np.ndarray, targets: list[int], params: ClassifierParams, weighted_ce: bool):
+    """(mean cross-entropy of the head on `reps` against `targets`, d_reps, grads
+    keyed like tensors()); re-weighted by :func:`batch_class_weights` if `weighted_ce`."""
+    weights = batch_class_weights(targets) if weighted_ce else {}
+    logits, cache = classify_batch(reps, params)
+    loss, d_logits = ce_loss_and_grad(logits, targets, weights, params.label_space)
+    d_reps, grads = classifier_backward(d_logits, cache, params)
+    return loss, d_reps, grads
+
+
 def pretrain_classifier(
     corpus: Corpus,
     store: SentenceEmbeddingStore,
@@ -226,11 +236,7 @@ def pretrain_classifier(
         else:
             chosen = rng.choice(len(labels), size=batch_size)
         batch_x = np.stack([rows[i] for i in chosen])
-        batch_y = [labels[i] for i in chosen]
-        ce_w = batch_class_weights(batch_y) if weighted_ce else {}
-        logits, cache = classify_batch(batch_x, params)
-        loss, d_logits = ce_loss_and_grad(logits, batch_y, ce_w, params.label_space)
-        _, grads = classifier_backward(d_logits, cache, params)
+        loss, _, grads = ce_step(batch_x, [labels[i] for i in chosen], params, weighted_ce)
         adam.step(grads)
         if log_hook is not None:
             log_hook({"step": step, "ce": loss})

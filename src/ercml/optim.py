@@ -31,6 +31,7 @@ EPS = 1e-8
 CC = shlex.split(sysconfig.get_config_var("CC") or "cc")
 CFLAGS = ["-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared"]
 SOURCE = Path(__file__).with_name("_kernels.c")
+KERNELS = "the C kernels (the Adam update and GELU's gate)"  # what one build of SOURCE makes
 
 _kernel = None  # the loaded `_kernels.c` library, built once per process
 _build_error = None  # the CompileError of a failed build, which is not retried
@@ -63,9 +64,9 @@ def _build():
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True)
         except OSError as exc:
-            raise CompileError(f"cannot run the C compiler {CC[0]!r} to build the Adam kernel: {exc}") from None
+            raise CompileError(f"cannot run the C compiler {CC[0]!r} to build {KERNELS}: {exc}") from None
         if proc.returncode != 0:
-            raise CompileError(f"building the Adam kernel failed ({shlex.join(cmd)}):\n{proc.stderr.strip()}")
+            raise CompileError(f"building {KERNELS} failed ({shlex.join(cmd)}):\n{proc.stderr.strip()}")
         kernels = ctypes.CDLL(str(lib))  # stays mapped after the directory goes
     # ctypes refuses an array the loops could not safely read or write
     out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")

@@ -25,15 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import json_object, json_string, load_checkpoint, meta_entry, reject_unknown_tensors, save_checkpoint
-from .classifier import (
-    ClassifierParams,
-    batch_class_weights,
-    ce_loss_and_grad,
-    classifier_backward,
-    classifier_from_tensors,
-    classify_batch,
-    pretrain_classifier,
-)
+from .classifier import ClassifierParams, ce_step, classifier_from_tensors, classify_batch, pretrain_classifier
 from .corpus import ALL_LABEL_IDS, EMOTION_IDS, LABEL_NAMES, Corpus, Dialog, label_weights
 from .embeddings import SentenceEmbeddingStore
 from .encoder import (
@@ -59,8 +51,10 @@ from .triplets import (
     pairwise_distances,
     sample_triplet_indices,
 )
-# Unused here since training mines index arrays and sums gradients in place,
-# but perfbench's traced run wraps these names.
+# Unused here since training mines index arrays, sums gradients in place and
+# takes the head's backward through ce_step, but perfbench's traced run wraps
+# these names.
+from .classifier import classifier_backward  # noqa: F401
 from .optim import add_grads  # noqa: F401
 from .triplets import batch_all_triplets, batch_hard_triplets, sample_triplets  # noqa: F401
 
@@ -271,10 +265,10 @@ def ce_pass(
     dialogs: list[Dialog],
     contextual: np.ndarray,
     classifier: ClassifierParams,
-    label_space: tuple[int, ...],
     weighted_ce: bool,
 ):
-    """Cross-entropy loss over every in-space utterance of the batch.
+    """:func:`ce_step` over every utterance of the batch in the head's
+    label space.
 
     `contextual` holds one row per utterance of the batch, in batch order.
     Returns (loss, its gradient with respect to `contextual`, classifier
@@ -282,14 +276,10 @@ def ce_pass(
     in 6-label mode on an all-neutral batch).
     """
     utts = [u for d in dialogs for u in d.utterances]
-    rows = [r for r, u in enumerate(utts) if u.label in label_space]
+    rows = [r for r, u in enumerate(utts) if u.label in classifier.label_space]
     if not rows:
         return None
-    targets = [utts[r].label for r in rows]
-    weights = batch_class_weights(targets) if weighted_ce else {}
-    logits, cache = classify_batch(contextual[rows], classifier)
-    loss, d_logits = ce_loss_and_grad(logits, targets, weights, label_space)
-    d_reps, clf_grads = classifier_backward(d_logits, cache, classifier)
+    loss, d_reps, clf_grads = ce_step(contextual[rows], [utts[r].label for r in rows], classifier, weighted_ce)
     d_ctx = np.zeros_like(contextual)
     d_ctx[rows] = d_reps
     return loss, d_ctx, clf_grads
@@ -428,7 +418,7 @@ def _train_cycle(
     lacked the label diversity for a triplet step."""
     summed = config.loss_mode == "summed"
     encoding = encode_dialog(dialogs, store, encoder)
-    ce_out = ce_pass(dialogs, encoding.contextual, classifier, config.label_space(), config.weighted_ce)
+    ce_out = ce_pass(dialogs, encoding.contextual, classifier, config.weighted_ce)
     ce_loss, d_ctx = 0.0, None  # d_ctx: the encoder update still to make
     if ce_out is not None:
         ce_loss, d_ctx, clf_grads = ce_out

@@ -146,46 +146,30 @@ def sample_triplet_indices(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row positions of `count` weighted-random triplets; see
     :func:`sample_triplets` for the sampling rule and the errors raised."""
-    groups: dict[int, list[int]] = {}
-    for i, lab in enumerate(labels):
-        groups.setdefault(lab, []).append(i)
-    if len(groups) < 2:
-        raise InsufficientDiversity(f"pool has {len(groups)} distinct label(s); need >= 2")
-    eligible = sorted(
-        lab for lab, rows in groups.items() if len(rows) >= 2 and weights.get(lab, 0.0) > 0.0
-    )
-    if not eligible:
+    # Rows sorted stably by label: group g, the g-th label in sorted order,
+    # holds the sorted positions lo[g]:lo[g] + size[g]. Anchors are drawn
+    # over the eligible groups' positions, a positive over the anchor's
+    # group less the anchor, and a negative over everything outside it.
+    labels = np.asarray(labels)
+    order = np.argsort(labels, kind="stable")
+    group_labels, lo, size = np.unique(labels[order], return_index=True, return_counts=True)
+    if len(group_labels) < 2:
+        raise InsufficientDiversity(f"pool has {len(group_labels)} distinct label(s); need >= 2")
+    group_w = np.array([float(weights.get(lab, 0.0)) for lab in group_labels.tolist()])
+    eligible = (size >= 2) & (group_w > 0.0)
+    if not eligible.any():
         raise InsufficientDiversity("no label with >= 2 members and positive weight")
-
-    # Candidates are the eligible groups back to back: group g holds
-    # candidates[start[g]:start[g] + same_sizes[g]].
-    same_sizes = np.array([len(groups[lab]) for lab in eligible])
-    start = np.concatenate(([0], np.cumsum(same_sizes)[:-1]))
-    candidates = np.concatenate([groups[lab] for lab in eligible])
-    cand_group = np.repeat(np.arange(len(eligible)), same_sizes)
-    item_probs = np.repeat([float(weights[lab]) for lab in eligible], same_sizes)
-    item_probs /= item_probs.sum()
-    # Every other-label row per eligible group, labels in sorted order.
-    others = [
-        np.array([r for olab, rows in sorted(groups.items()) if olab != lab for r in rows])
-        for lab in eligible
-    ]
-    other_sizes = np.array([len(o) for o in others])
-    other_start = np.concatenate(([0], np.cumsum(other_sizes)[:-1]))
-    other_rows = np.concatenate(others)
-
-    draws = rng.choice(len(candidates), size=count, p=item_probs)
-    group_of_draw = cand_group[draws]
-    anchor_pos = draws - start[group_of_draw]
-    # Uniform over same-label rows excluding the anchor itself.
-    p_idx = rng.integers(0, same_sizes[group_of_draw] - 1, size=count)
-    p_idx[p_idx >= anchor_pos] += 1
-    n_idx = rng.integers(0, other_sizes[group_of_draw], size=count)
-    return (
-        candidates[draws],
-        candidates[start[group_of_draw] + p_idx],
-        other_rows[other_start[group_of_draw] + n_idx],
-    )
+    group = np.repeat(np.arange(len(size)), size)  # of each sorted position
+    candidates = np.flatnonzero(eligible[group])
+    probs = group_w[group[candidates]]
+    probs /= probs.sum()
+    anchors = candidates[rng.choice(len(candidates), size=count, p=probs)]
+    g = group[anchors]
+    positives = lo[g] + rng.integers(0, size[g] - 1, size=count)
+    positives += positives >= anchors  # step past the anchor
+    negatives = rng.integers(0, len(labels) - size[g], size=count)
+    negatives += size[g] * (negatives >= lo[g])  # step past the anchor's group
+    return order[anchors], order[positives], order[negatives]
 
 
 def batch_all_indices(labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

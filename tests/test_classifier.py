@@ -12,6 +12,7 @@ from ercml.classifier import (
     ClassifierParams,
     batch_class_weights,
     ce_loss_and_grad,
+    ce_step,
     classifier_backward,
     classifier_from_tensors,
     classify_batch,
@@ -26,6 +27,7 @@ from ercml.embeddings import SentenceEmbeddingStore
 from ercml.encoder import SingletonLayerParams, init_encoder
 from ercml.errors import BadTarget, CheckpointError, DimMismatch, EmptyBatch
 from ercml.gradcheck import fd_gradients, group_relative_error
+from ercml.optim import Adam
 from ercml.training import TrainConfig, pretrain_from_config
 
 from support import weighted_cross_entropy
@@ -231,6 +233,58 @@ class TestPretrain:
         finally:
             tracemalloc.stop()
         assert peak < vectors.nbytes
+
+
+class TestCeStep:
+    """Pretraining's step against the four calls it stands for, each
+    written out, over 20 steps of the same draws."""
+
+    @pytest.mark.parametrize("weighted_ce", [True, False])
+    @pytest.mark.parametrize("label_space_size", [7, 6])
+    def test_pretraining_matches_the_calls_it_replaces(self, train_corpus, store16, weighted_ce, label_space_size):
+        config = TrainConfig(seed=4, pretrain_steps=20, weighted_ce=weighted_ce, label_space_size=label_space_size)
+        space = config.label_space()
+        records = []
+        params = pretrain_classifier(
+            train_corpus, store16, label_space=space, steps=20, batch_size=config.pretrain_batch_size,
+            learning_rate=config.learning_rate, seed=config.seed, heads=config.heads, ffn_dim=config.ffn_dim,
+            weighted_sampler=True, weighted_ce=weighted_ce, smooth_counts=config.smooth_counts,
+            grad_clip=config.grad_clip, log_hook=records.append,
+        )
+
+        items = [(store16.get(d.id, u.index), u.label) for d, u in train_corpus.iter_utterances() if u.label in space]
+        class_w = label_weights(train_corpus, labels=space, smooth_counts=config.smooth_counts)
+        item_w = np.array([class_w[lab] for _, lab in items])
+        rng = np.random.default_rng(config.seed)
+        ref = init_classifier(store16.dim, label_space=space, heads=config.heads, ffn_dim=config.ffn_dim,
+                              seed=config.seed)
+        adam = Adam(ref.tensors(), lr=config.learning_rate, clip_norm=config.grad_clip)
+        for record in records:
+            chosen = rng.choice(len(items), size=config.pretrain_batch_size, p=item_w / item_w.sum())
+            targets = [items[i][1] for i in chosen]
+            weights = batch_class_weights(targets) if weighted_ce else {}
+            logits, cache = classify_batch(np.stack([items[i][0] for i in chosen]), ref)
+            loss, d_logits = ce_loss_and_grad(logits, targets, weights, space)
+            _, grads = classifier_backward(d_logits, cache, ref)
+            adam.step(grads)
+            assert record["ce"] == loss
+        assert len(records) == 20
+        for name, arr in ref.tensors().items():
+            np.testing.assert_array_equal(params.tensors()[name], arr, err_msg=name)
+
+    def test_returns_the_input_gradient(self):
+        params = init_classifier(6, label_space=(0, 1, 4), heads=2, seed=9)
+        reps = np.random.default_rng(10).standard_normal((5, 6))
+        targets = [0, 1, 4, 1, 0]
+        loss, d_reps, grads = ce_step(reps, targets, params, weighted_ce=True)
+        logits, cache = classify_batch(reps, params)
+        want_loss, d_logits = ce_loss_and_grad(logits, targets, batch_class_weights(targets), params.label_space)
+        want_reps, want_grads = classifier_backward(d_logits, cache, params)
+        assert loss == want_loss
+        np.testing.assert_array_equal(d_reps, want_reps)
+        assert grads.keys() == want_grads.keys()
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, want_grads[name], err_msg=name)
 
 
 class TestWeightedDraw:

@@ -16,11 +16,13 @@ from ercml.triplets import (
     batch_hard_triplets,
     distance,
     pairwise_distances,
+    sample_triplet_indices,
     sample_triplets,
     triplet_loss,
     triplet_loss_grads,
 )
 import reference_triplets as ref_loss
+from reference_triplets import sample_triplet_indices as reference_sampler
 
 
 def refs(labels: list[int]) -> list[tuple[UttRef, int]]:
@@ -369,6 +371,55 @@ def test_sample_triplets_draws_pinned():
         (5, 11, 6), (8, 9, 5), (8, 3, 11), (7, 0, 10), (11, 4, 8), (1, 5, 3),
     ]
     assert rng.random() == 0.679181533021365
+
+
+# --- the sampler against the per-group one it replaced ------------------------
+
+
+def sampler_pools(n_random):
+    """(labels, count, weights): the edge cases, then `n_random` pools of
+    0-29 rows in random order over up to 7 labels, some weighted zero and
+    some missing from `weights`, with counts unrelated to the pool size."""
+    yield [], 5, {0: 1.0}
+    yield [3, 3, 3], 4, {3: 1.0}  # one label
+    yield [0, 1, 2], 6, dict.fromkeys(range(3), 1.0)  # one-member groups only
+    yield [1, 0, 1, 0], 3, {0: 0.0, 1: 0.0}  # zero weights only
+    yield [2, 0, 1, 0, 1], 7, {2: 1.0}  # the pairable labels missing from weights
+    yield [5, 0, 5, 2, 0, 5], 0, {0: 1.0, 5: 2.0}  # no draws
+    meta = np.random.default_rng(2024)
+    for _ in range(n_random):
+        k = int(meta.integers(1, 8))
+        labels = meta.integers(0, k, size=int(meta.integers(0, 30))).tolist()
+        weights = {lab: float(meta.choice([0.0, meta.random(), 2.0])) for lab in range(k) if meta.random() < 0.8}
+        yield labels, int(meta.integers(0, 40)), weights
+
+
+def sampler_outcome(sampler, labels, count, weights, seed):
+    """(the index arrays, or the InsufficientDiversity message; the
+    generator state after the call)."""
+    rng = np.random.default_rng(seed)
+    try:
+        out = sampler(labels, count, weights, rng)
+    except InsufficientDiversity as exc:
+        out = str(exc)
+    return out, rng.bit_generator.state
+
+
+def test_sampler_matches_reference_on_random_pools():
+    outcomes = set()
+    for seed, pool in enumerate(sampler_pools(2000)):
+        new, new_state = sampler_outcome(sample_triplet_indices, *pool, seed)
+        old, old_state = sampler_outcome(reference_sampler, *pool, seed)
+        assert new_state == old_state, pool
+        if isinstance(old, str):
+            assert new == old, pool
+            outcomes.add(old.split()[0])
+        else:
+            for got, want in zip(new, old, strict=True):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want, err_msg=str(pool))
+            outcomes.add("drawn")
+    assert outcomes == {"pool", "no", "drawn"}  # both errors, and draws
 
 
 class TestPairwiseDistances:
