@@ -41,7 +41,9 @@ parent's largest entry, which is the tolerance a change of summation
 order needs; a differing `__meta__.npy` is printed with the top-level
 metadata keys whose values differ.
 Prints every difference and exits 1 on any, or when a command fails;
-exits 0 when the trees agree byte for byte.
+exits 0 when the trees agree byte for byte. The summary line also gives
+the line counts of each tree's `src/ercml/*.py` and `src/ercml/*.c`,
+parent -> change, as `cat src/ercml/*.py | wc -l` counts them.
 """
 
 from __future__ import annotations
@@ -193,6 +195,13 @@ def member_difference(name: str, a: bytes | None, b: bytes | None) -> str:
     return f" (max abs {diff:.3g}, max rel {diff / scale if scale else float('inf'):.3g})"
 
 
+def src_lines(tree: Path) -> dict[str, int]:
+    """Newline counts of the `src/ercml/*.py` and `src/ercml/*.c` files
+    of `tree`, summed per suffix: {"py": n, "c": m}."""
+    return {kind: sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "ercml").glob(f"*.{kind}"))
+            for kind in ("py", "c")}
+
+
 def compare(parent: Path, change: Path) -> list[str]:
     """One message per file that is missing on a side or differs."""
     names = {p.relative_to(root) for root in (parent, change) for p in root.rglob("*") if p.is_file()}
@@ -243,10 +252,12 @@ def main(argv: list[str] | None = None) -> int:
         failed = [msg for side in SIDES for msg in run_tree(trees[side])]
         diffs = compare(trees["parent"] / OUT, trees["change"] / OUT)
         n_files = sum(1 for p in (trees["change"] / OUT).rglob("*") if p.is_file())
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
     for msg in failed + diffs:
         print(msg)
     print(f"parent {rev[:12]} vs working tree: {len(commands())} commands per tree, {n_files} files compared, "
-          f"{len(failed)} failed commands, {len(diffs)} differences")
+          f"{len(failed)} failed commands, {len(diffs)} differences; src/ercml lines: "
+          + ", ".join(f"*.{kind} {lines['parent'][kind]} -> {lines['change'][kind]}" for kind in ("py", "c")))
     return 1 if failed or diffs else 0
 
 

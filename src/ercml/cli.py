@@ -20,16 +20,14 @@ import numpy as np
 
 from . import __version__
 from .classifier import load_classifier, save_classifier
-from .corpus import LABEL_NAMES, Corpus, corpus_stats, format_stats, load_split, read_utf8, utt_key, write_atomic
+from .corpus import LABEL_NAMES, SPLITS, Corpus, corpus_stats, format_stats, load_split, read_utf8, utt_key, write_atomic
 from .embeddings import SentenceEmbeddingStore, load_sentence_embeddings
 from .errors import ConfigError, ErcmlError, MissingFile, ProviderMismatch
-from .llm import HttpGenerationClient, ReplayClient, evaluate_llm, resolve_template
-from .metrics import NEUTRAL_POLICIES, format_report
+from .llm import UNPARSABLE_POLICIES, HttpGenerationClient, ReplayClient, evaluate_llm, resolve_template
+from .metrics import F1_POLICIES, NEUTRAL_POLICIES, format_report
 from .training import (
-    DISTANCES,
+    CHOICES,
     FIELD_TYPES,
-    LOSS_MODES,
-    SAMPLING_STRATEGIES,
     ContextualModel,
     TrainConfig,
     check_lower_bound,
@@ -41,11 +39,6 @@ from .training import (
 )
 from .triplets import UttRef, sample_triplets
 
-_CHOICES = {
-    "distance": DISTANCES,
-    "sampling_strategy": SAMPLING_STRATEGIES,
-    "loss_mode": LOSS_MODES,
-}
 # Config-file keys besides the TrainConfig fields: the paths that
 # `_resolve_run` reads.
 _PATH_KEYS = ("data", "store")
@@ -142,16 +135,10 @@ def _resolve_run(args: argparse.Namespace) -> TrainConfig:
 
 
 def _config_echo(args: argparse.Namespace, train_config: TrainConfig | None = None) -> dict:
-    echo = {
-        "command": args.command,
-        "version": __version__,
-    }
-    for key, value in sorted(vars(args).items()):
-        if key in ("command", "func") or value is None:
-            continue
-        if key in FIELD_TYPES:
-            continue  # captured via the resolved train config below
-        echo[key] = str(value) if isinstance(value, Path) else value
+    echo = {"command": args.command, "version": __version__}
+    # the TrainConfig fields are captured via the resolved train config below
+    echo.update((key, value) for key, value in sorted(vars(args).items())
+                if value is not None and key not in ("command", "func", *FIELD_TYPES))
     if train_config is not None:
         echo["train_config"] = train_config.as_echo()
     return echo
@@ -366,18 +353,18 @@ def build_parser() -> argparse.ArgumentParser:
         if kind is bool:
             group.add_argument(*flags, action=argparse.BooleanOptionalAction, default=None, dest=name)
         else:
-            group.add_argument(*flags, type=kind, choices=_CHOICES.get(name), default=None, dest=name)
+            group.add_argument(*flags, type=kind, choices=CHOICES.get(name), default=None, dest=name)
 
     # the flags `eval` and `predict` share
     scoring = argparse.ArgumentParser(add_help=False)
     scoring.add_argument("--model", required=True)
     scoring.add_argument("--data", required=True)
     scoring.add_argument("--store", required=True)
-    scoring.add_argument("--split", default="test", choices=("train", "validation", "test"))
+    scoring.add_argument("--split", default="test", choices=SPLITS)
 
     p = sub.add_parser("stats", help="corpus statistics report")
     p.add_argument("--data", required=True, help="corpus directory")
-    p.add_argument("--split", default="train", choices=("train", "validation", "test"))
+    p.add_argument("--split", default="train", choices=SPLITS)
     p.add_argument("--out", default=None, help="also write the report to this file")
     p.set_defaults(func=cmd_stats)
 
@@ -386,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[run], help="train the contextual model")
     p.add_argument("--classifier", default=None, help="pretrained classifier checkpoint")
-    p.add_argument("--eval-split", default="test", choices=("train", "validation", "test"), dest="eval_split")
-    p.add_argument("--neutral-policy", default="attribute", choices=("attribute", "drop"), dest="neutral_policy")
+    p.add_argument("--eval-split", default="test", choices=SPLITS, dest="eval_split")
+    p.add_argument("--neutral-policy", default="attribute", choices=F1_POLICIES, dest="neutral_policy")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[scoring], help="evaluate a trained model on a split")
@@ -405,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-triplets", help="emit weighted-random triplets as JSON lines")
     p.add_argument("--data", required=True)
-    p.add_argument("--split", default="train", choices=("train", "validation", "test"))
+    p.add_argument("--split", default="train", choices=SPLITS)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -418,11 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("llm-eval", help="zero-shot generation baseline on last utterances")
     p.add_argument("--data", required=True)
-    p.add_argument("--split", default="test", choices=("train", "validation", "test"))
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--template", default="llama-style", help="builtin name or template file")
     p.add_argument("--endpoint", default=None, help="HTTP JSON generation endpoint")
     p.add_argument("--replay", default=None, help="JSONL replay fixture for offline runs")
-    p.add_argument("--policy", default="count-as-wrong", choices=("count-as-wrong", "map-to-neutral"))
+    p.add_argument("--policy", default="count-as-wrong", choices=UNPARSABLE_POLICIES)
     p.add_argument("--parallelism", type=int, default=4)
     p.add_argument("--max-retries", type=int, default=2, dest="max_retries")
     p.add_argument("--max-new-tokens", type=int, default=16, dest="max_new_tokens")

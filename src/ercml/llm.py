@@ -35,11 +35,16 @@ from .metrics import MetricsReport, confusion, report_from_confusion
 logger = logging.getLogger(__name__)
 
 UNPARSABLE = "__unparsable__"
+UNPARSABLE_POLICIES = ("count-as-wrong", "map-to-neutral")
 
 PLACEHOLDERS = ("{dialog}", "{labels}", "{last_utterance}")
 
 # A modal share at or above this flags the run as collapsed onto one label.
 COLLAPSE_THRESHOLD = 0.8
+
+# HTTP endpoint: seconds a request may take, and seconds between attempts.
+TIMEOUT_S = 30.0
+RETRY_WAIT_S = 0.5
 
 # Shipped defaults. These are reconstructions of the chat-style prompt
 # skeletons used with instruction-tuned models, not replicas of any
@@ -138,7 +143,6 @@ class ReplayClient:
 
     responses: dict[str, str]
     default: str | None = None
-    calls: int = 0
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayClient":
@@ -157,7 +161,6 @@ class ReplayClient:
         return cls(responses=responses, default=responses.pop("*", None))
 
     def generate(self, prompt: str, key: str | None = None) -> str:
-        self.calls += 1
         if key is not None and key in self.responses:
             return self.responses[key]
         if self.default is not None:
@@ -172,17 +175,15 @@ class HttpGenerationClient:
     Request: `{"prompt": str, "max_new_tokens": int}`; response:
     `{"text": str}`. A transport error or a body that is not UTF-8 JSON
     with a string `text` is a failed attempt; after `max_retries` extra
-    attempts it raises EndpointFailure.
+    attempts, `RETRY_WAIT_S` apart, it raises EndpointFailure.
 
     Raises:
         ConfigError: `url` is not an http or https URL.
     """
 
     url: str
-    timeout: float = 30.0
     max_retries: int = 2
     max_new_tokens: int = 16
-    retry_wait: float = 0.5
 
     def __post_init__(self):
         if urllib.parse.urlsplit(self.url).scheme not in ("http", "https"):
@@ -196,7 +197,7 @@ class HttpGenerationClient:
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                with urllib.request.urlopen(request, timeout=TIMEOUT_S) as response:
                     body = json.loads(response.read().decode("utf-8"))
                 text = body.get("text") if isinstance(body, dict) else None
                 if not isinstance(text, str):
@@ -206,7 +207,7 @@ class HttpGenerationClient:
                 last_error = exc
                 logger.warning("generation attempt %d failed: %s", attempt, exc)
                 if attempt < self.max_retries:
-                    time.sleep(self.retry_wait)
+                    time.sleep(RETRY_WAIT_S)
         raise EndpointFailure(f"endpoint {self.url} failed after {self.max_retries + 1} attempts: {last_error}")
 
 
@@ -255,7 +256,7 @@ def evaluate_llm(
     from scoring and are counted in the result. `parallelism` is the
     number of requests in flight.
     """
-    if unparsable_policy not in ("count-as-wrong", "map-to-neutral"):
+    if unparsable_policy not in UNPARSABLE_POLICIES:
         raise ValueError(f"unknown unparsable policy {unparsable_policy!r}")
     to_neutral = unparsable_policy == "map-to-neutral"
 

@@ -25,7 +25,10 @@ import numpy as np
 from .errors import EmptySequence, LengthMismatch, NoNeutralInSpace, UnknownLabel
 
 NEUTRAL = "neutral"
-NEUTRAL_POLICIES = ("attribute", "drop", "include")
+# The policies under which F1* is comparable to the community convention,
+# then the diagnostics-only one.
+F1_POLICIES = ("attribute", "drop")
+NEUTRAL_POLICIES = (*F1_POLICIES, "include")
 
 # Reserved prefix for pseudo-labels (e.g. the LLM harness's unparsable
 # bucket): they live in the matrix but are never scored as emotions.
@@ -56,12 +59,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def index(self, name: str) -> int:
-        try:
-            return self.label_space.index(name)
-        except ValueError:
-            raise UnknownLabel(f"label {name!r} not in space {self.label_space}") from None
 
 
 def confusion(
@@ -132,8 +129,8 @@ def f1_excluding_neutral(
         raise NoNeutralInSpace(f"label space {m.label_space} lacks {NEUTRAL!r}")
     if mode not in ("macro", "micro"):
         raise ValueError(f"mode must be 'macro' or 'micro', got {mode!r}")
-    if neutral_policy not in ("attribute", "drop"):
-        raise ValueError(f"neutral_policy must be 'attribute' or 'drop', got {neutral_policy!r}")
+    if neutral_policy not in F1_POLICIES:
+        raise ValueError(f"neutral_policy must be one of {F1_POLICIES}, got {neutral_policy!r}")
     macro, micro = _macro_micro(_tally(m, neutral_policy)[1])
     return macro if mode == "macro" else micro
 

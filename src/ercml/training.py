@@ -60,10 +60,11 @@ from .triplets import batch_all_triplets, batch_hard_triplets, sample_triplets  
 
 SAMPLING_STRATEGIES = ("weighted-random", "batch-all", "batch-hard")
 LOSS_MODES = ("alternating", "summed")
-
+# TrainConfig fields -> their allowed values; the CLI's flags offer these.
+CHOICES = {"distance": DISTANCES, "sampling_strategy": SAMPLING_STRATEGIES, "loss_mode": LOSS_MODES}
 
 # Numeric TrainConfig fields -> whether the bound is strict (> 0) or not
-# (>= 0); an optional field left at None is not checked.
+# (>= 0).
 LOWER_BOUNDS = {
     **dict.fromkeys(
         ("epochs", "batch_size", "learning_rate", "margin", "summed_lambda", "pretrain_epochs",
@@ -75,8 +76,8 @@ LOWER_BOUNDS = {
 
 
 def check_lower_bound(name: str, value, strict: bool) -> None:
-    """Raises ConfigError unless `value` is None, or > 0 (strict) or >= 0."""
-    if value is not None and not (value > 0 if strict else value >= 0):
+    """Raises ConfigError unless `value` is > 0 (strict) or >= 0."""
+    if not (value > 0 if strict else value >= 0):
         raise ConfigError(f"{name} must be {'>' if strict else '>='} 0, got {value}")
 
 
@@ -109,23 +110,26 @@ class TrainConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
-        for name, strict in LOWER_BOUNDS.items():
-            check_lower_bound(name, getattr(self, name), strict)
+        if self.grad_clip == math.inf:  # the flag spelling of "no clipping", which is recorded as null
+            object.__setattr__(self, "grad_clip", None)
         for name, (kind, optional) in FIELD_TYPES.items():
             value = getattr(self, name)
-            if value is None and not optional:
+            if value is None:
+                if optional:
+                    continue
                 raise ConfigError(f"{name} must not be None")
-            # an infinite grad_clip is the flag spelling of "no clipping"
-            if kind is float and name != "grad_clip" and not math.isfinite(value):
+            # isinstance counts a bool as an int; a float field also takes an int
+            accepted = (int, float) if kind is float else kind
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+                raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+            if name in LOWER_BOUNDS:
+                check_lower_bound(name, value, LOWER_BOUNDS[name])
+            if kind is float and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+            if name in CHOICES and value not in CHOICES[name]:
+                raise ConfigError(f"{name} must be one of {CHOICES[name]}, got {value!r}")
         if self.label_space_size not in (6, 7):
             raise ConfigError(f"label_space_size must be 6 or 7, got {self.label_space_size}")
-        if self.sampling_strategy not in SAMPLING_STRATEGIES:
-            raise ConfigError(f"sampling_strategy must be one of {SAMPLING_STRATEGIES}")
-        if self.loss_mode not in LOSS_MODES:
-            raise ConfigError(f"loss_mode must be one of {LOSS_MODES}")
-        if self.distance not in DISTANCES:
-            raise ConfigError(f"distance must be one of {DISTANCES}, got {self.distance!r}")
 
     def label_space(self) -> tuple[int, ...]:
         return ALL_LABEL_IDS if self.label_space_size == 7 else EMOTION_IDS
@@ -170,10 +174,6 @@ class ContextualModel:
     classifier: ClassifierParams
     config_echo: dict
     provider_name: str = "unknown"
-
-    @property
-    def dim(self) -> int:
-        return self.encoder[0].dim
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Live checkpoint tensors: "encoder.<layer>.<name>" and "classifier.<name>"."""

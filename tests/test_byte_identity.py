@@ -84,3 +84,15 @@ class TestCompare:
         assert len(diffs) == 3
         assert diffs[0].startswith("metrics.json:") and '+{"mcc": 0.25}' in diffs[0]
         assert diffs[1:] == ["only_change.log: only in the change", "only_parent.log: only in the parent"]
+
+
+class TestSrcLines:
+    def test_counts_the_package_sources_per_suffix(self, byte_identity, tmp_path):
+        package = tmp_path / "src" / "ercml"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text("x = 1\ny = 2\n")
+        (package / "b.py").write_text("z = 3\nno_final_newline = 4")  # counted as `wc -l` counts it
+        (package / "_kernels.c").write_text("int f(void);\n")
+        (package / "notes.txt").write_text("1\n2\n3\n")
+        (tmp_path / "src" / "outside.py").write_text("w = 5\n")
+        assert byte_identity.src_lines(tmp_path) == {"py": 3, "c": 1}

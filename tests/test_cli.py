@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -15,10 +16,12 @@ import pytest
 from ercml.checkpoint import load_checkpoint, save_checkpoint
 from ercml.classifier import init_classifier, save_classifier
 from ercml.cli import build_parser, main, read_config_file
-from ercml.corpus import EMOTION_IDS, Corpus, load_split, utt_key
+from ercml.corpus import EMOTION_IDS, SPLITS, Corpus, load_split, utt_key
 from ercml.embeddings import hash_store_for_corpus, load_sentence_embeddings, save_sentence_embeddings
 from ercml.errors import ConfigError, NonFinite
-from ercml.training import TrainConfig, train_contextual
+from ercml.llm import UNPARSABLE_POLICIES
+from ercml.metrics import F1_POLICIES, NEUTRAL_POLICIES
+from ercml.training import CHOICES, TrainConfig, train_contextual
 
 DATA = str(Path(__file__).parent / "data" / "mini")
 
@@ -244,6 +247,39 @@ class TestTrainEval:
         rc = main(["train", "--data", DATA, "--store", store_file, "--out", str(out), *FAST_TRAIN, *flags])
         assert rc == 1
         assert "ConfigError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_grad_clip_is_recorded_as_null(self, store_file, tmp_path):
+        # `--grad-clip inf` and a config file's `grad_clip = none` both mean
+        # "no clipping": one recorded value, strict JSON, the same model
+        def strict_json(text: str):
+            def refuse(constant):
+                raise ValueError(f"{constant} is not JSON")
+            return json.loads(text, parse_constant=refuse)
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {DATA}\nstore = {store_file}\ngrad_clip = none\n")
+        flag, config = tmp_path / "flag", tmp_path / "config"
+        assert main(["train", "--data", DATA, "--store", store_file, "--out", str(flag), *FAST_TRAIN,
+                     "--grad-clip", "inf"]) == 0
+        assert main(["train", "--config", str(cfg), "--out", str(config), *FAST_TRAIN]) == 0
+        for run in (flag, config):
+            log = [strict_json(line) for line in (run / "train.log").read_text().splitlines()]
+            with np.load(run / "model.npz") as archive:
+                meta = strict_json(str(archive["__meta__"]))
+            for echo in (strict_json((run / "metrics.json").read_text())["config_echo"], log[0]["config_echo"],
+                         meta["config_echo"]):
+                assert echo["train_config"]["grad_clip"] is None
+        tensors = [load_checkpoint(run / "model.npz")[1] for run in (flag, config)]
+        assert tensors[0].keys() == tensors[1].keys()
+        assert all(np.array_equal(tensors[0][name], tensors[1][name]) for name in tensors[0])
+
+    def test_label_space_outside_six_and_seven_exits_one(self, store_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["train", "--data", DATA, "--store", store_file, "--out", str(out), *FAST_TRAIN,
+                   "--label-space", "5"])
+        assert rc == 1
+        assert "ConfigError: label_space_size must be 6 or 7, got 5" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("bad, error", [
@@ -813,3 +849,33 @@ class TestConfigFile:
         assert set(opts) == set(defaults)
         for name, kind in declared.items():
             assert type(opts[name]) is kind, (name, opts[name])
+
+
+class TestOfferedChoices:
+    """Each flag with a fixed list of values offers the library's list."""
+
+    @staticmethod
+    def choices() -> dict[tuple[str, str], tuple | None]:
+        """(subcommand, flag) -> the values the flag offers, for every flag."""
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        return {
+            (command, flag): action.choices
+            for command, parser in sub.choices.items() for action in parser._actions for flag in action.option_strings
+        }
+
+    @pytest.mark.parametrize("command", ["pretrain", "train"])
+    def test_train_config_fields(self, command):
+        offered = self.choices()
+        for name, allowed in CHOICES.items():
+            assert offered[command, "--" + name.replace("_", "-")] == allowed
+        assert offered[command, "--label-space"] is None  # 5 exits 1 with ConfigError, not 2
+
+    def test_splits_and_policies(self):
+        offered = self.choices()
+        assert {key: values for key, values in offered.items() if "split" in key[1]} == {
+            ("stats", "--split"): SPLITS, ("train", "--eval-split"): SPLITS, ("eval", "--split"): SPLITS,
+            ("predict", "--split"): SPLITS, ("sample-triplets", "--split"): SPLITS, ("llm-eval", "--split"): SPLITS,
+        }
+        assert offered["llm-eval", "--policy"] == UNPARSABLE_POLICIES
+        assert offered["train", "--neutral-policy"] == F1_POLICIES
+        assert offered["eval", "--neutral-policy"] == NEUTRAL_POLICIES

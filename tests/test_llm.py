@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ercml import llm
 from ercml.cli import main
 from ercml.corpus import Corpus, Dialog, LABEL_NAMES, Utterance, load_split
 from ercml.embeddings import load_sentence_embeddings
@@ -159,9 +160,15 @@ class TestEvaluateLlm:
 
     def test_one_request_per_dialog(self):
         corpus = six_emotion_corpus()
-        client = ReplayClient(responses={}, default="anger")
-        evaluate_llm(client, corpus, FIXTURE_TEMPLATE, parallelism=1)
-        assert client.calls == len(corpus.dialogs)
+        keys = []
+
+        class Recording(ReplayClient):
+            def generate(self, prompt, key=None):
+                keys.append(key)
+                return super().generate(prompt, key)
+
+        evaluate_llm(Recording(responses={}, default="anger"), corpus, FIXTURE_TEMPLATE, parallelism=1)
+        assert keys == [d.id for d in corpus.dialogs]
 
     def test_constant_output_triggers_collapse_flag(self):
         corpus = six_emotion_corpus()
@@ -299,7 +306,8 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def http_server():
+def http_server(monkeypatch):
+    monkeypatch.setattr(llm, "RETRY_WAIT_S", 0.01)
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     _Handler.fail_first = 0
     _Handler.seen = []
@@ -320,12 +328,12 @@ class TestHttpClient:
 
     def test_retries_then_succeeds(self, http_server):
         _Handler.fail_first = 2
-        client = HttpGenerationClient(url=http_server, max_retries=2, retry_wait=0.01)
+        client = HttpGenerationClient(url=http_server, max_retries=2)
         assert "sadness" in client.generate("x")
 
     def test_exhausted_retries_raise(self, http_server):
         _Handler.fail_first = 10
-        client = HttpGenerationClient(url=http_server, max_retries=1, retry_wait=0.01)
+        client = HttpGenerationClient(url=http_server, max_retries=1)
         with pytest.raises(EndpointFailure):
             client.generate("x")
 
@@ -333,14 +341,14 @@ class TestHttpClient:
                              ids=["list", "not-utf8", "text-not-string", "no-text"])
     def test_malformed_body_is_a_failed_attempt(self, http_server, body):
         _Handler.body = body
-        client = HttpGenerationClient(url=http_server, max_retries=1, retry_wait=0.01)
+        client = HttpGenerationClient(url=http_server, max_retries=1)
         with pytest.raises(EndpointFailure, match="after 2 attempts"):
             client.generate("x")
         assert len(_Handler.seen) == 2
 
     def test_truncated_body_is_a_failed_attempt(self, http_server):
         _Handler.missing = 5
-        client = HttpGenerationClient(url=http_server, max_retries=1, retry_wait=0.01)
+        client = HttpGenerationClient(url=http_server, max_retries=1)
         with pytest.raises(EndpointFailure, match="IncompleteRead"):
             client.generate("x")
         assert len(_Handler.seen) == 2
@@ -351,7 +359,7 @@ class TestHttpClient:
                 _Handler.body = b"[1, 2]" if key == "t:3" else None
                 return super().generate(prompt, key)
 
-        client = OneBadBody(url=http_server, max_retries=0, retry_wait=0.01)
+        client = OneBadBody(url=http_server, max_retries=0)
         result = evaluate_llm(client, six_emotion_corpus(), FIXTURE_TEMPLATE, parallelism=1)
         assert [r.key for r in result.records if r.status == "failed"] == ["t:3"]
         assert result.n_failed == 1

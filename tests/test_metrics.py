@@ -77,11 +77,12 @@ class TestConfusion:
         golds = ["anger", "anger", "neutral", "fear", "fear", "fear"]
         preds = ["anger", "neutral", "neutral", "fear", "anger", "fear"]
         m = confusion(preds, golds, SEVEN)
-        assert m.counts[m.index("anger"), m.index("anger")] == 1
-        assert m.counts[m.index("anger"), m.index("neutral")] == 1
-        assert m.counts[m.index("neutral"), m.index("neutral")] == 1
-        assert m.counts[m.index("fear"), m.index("fear")] == 2
-        assert m.counts[m.index("fear"), m.index("anger")] == 1
+        i = m.label_space.index
+        assert m.counts[i("anger"), i("anger")] == 1
+        assert m.counts[i("anger"), i("neutral")] == 1
+        assert m.counts[i("neutral"), i("neutral")] == 1
+        assert m.counts[i("fear"), i("fear")] == 2
+        assert m.counts[i("fear"), i("anger")] == 1
         assert m.total == 6
 
     def test_length_mismatch(self):

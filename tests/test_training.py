@@ -90,7 +90,7 @@ class TestTrainConfig:
         ("encoder_layers", 0, 1),
         ("triplets_per_batch", 0, 1),
         ("grad_clip", 0.0, 0.5),
-        ("grad_clip", float("-inf"), float("inf")),  # inf is the flag spelling of "no clipping"
+        ("grad_clip", float("-inf"), float("inf")),  # inf is the flag spelling of "no clipping", stored as None
         ("seed", -1, 0),
         ("pretrain_steps", -3, 0),
         ("smooth_counts", -1, 0),
@@ -99,7 +99,7 @@ class TestTrainConfig:
     def test_numeric_lower_bounds(self, name, bad, ok):
         with pytest.raises(ConfigError, match=f"^{name} must be"):
             TrainConfig(**{name: bad})
-        assert getattr(TrainConfig(**{name: ok}), name) == ok
+        assert getattr(TrainConfig(**{name: ok}), name) == (None if ok == math.inf else ok)
 
     @pytest.mark.parametrize("name, value, refused", [
         ("epochs", None, True),
@@ -107,7 +107,7 @@ class TestTrainConfig:
         ("margin", None, True),
         ("weighted_ce", None, True),
         ("learning_rate", math.inf, True),
-        ("grad_clip", None, False),  # None and inf both mean "no clipping"
+        ("grad_clip", None, False),  # None and inf both mean "no clipping", stored as None
         ("grad_clip", math.inf, False),
         ("ffn_dim", None, False),
     ])
@@ -116,7 +116,28 @@ class TestTrainConfig:
             with pytest.raises(ConfigError, match=f"^{name} must"):
                 TrainConfig(**{name: value})
         else:
-            assert getattr(TrainConfig(**{name: value}), name) == value
+            assert getattr(TrainConfig(**{name: value}), name) == (None if value == math.inf else value)
+
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 1.5),
+        ("epochs", "5"),
+        ("seed", 1.5),
+        ("heads", 2.0),
+        ("epochs", True),
+        ("weighted_ce", "no"),
+        ("seed", np.int64(1)),  # the config echo's JSON cannot write it
+    ])
+    def test_a_value_of_another_type_is_refused(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be "):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", 1),
+        ("learning_rate", np.float64(1e-3)),
+        ("smooth_counts", None),
+    ])
+    def test_an_int_for_a_float_and_none_for_an_optional_field_are_accepted(self, name, value):
+        assert getattr(TrainConfig(**{name: value}), name) == value
 
 
 class TestContextualTraining:
@@ -292,7 +313,7 @@ class TestContextualTraining:
         for strategy in ("batch-all", "batch-hard"):
             cfg = self.small_cfg(max_steps=2, sampling_strategy=strategy)
             model = train_contextual(train_corpus, store16, cfg)
-            assert model.dim == 16
+            assert model.encoder[0].dim == 16
 
 
 class TestPredict:
