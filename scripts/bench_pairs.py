@@ -11,11 +11,12 @@ runs `perfbench/run.py --trace 0` once in each tree, for the run length
 BENCHMARK.json sets, alternating which side runs first from one pair to
 the next. Writes BENCH_<NAME>.json at the repository root, rewritten after
 every pair: each side's run record, every run's result, the per-pair
-values of each end-to-end metric, each side's median and quartiles, and
-the change's wins, losses and ties (direction from BENCHMARK.json). A
-metric's `gain_shown` is true when the change wins at least nine tenths
-of the pairs and the medians differ, in its favour, by more than the
-parent's interquartile range.
+values of each end-to-end metric, each side's median and quartiles, the
+parent's interquartile range as a share of its median, and the change's
+wins, losses and ties (direction from BENCHMARK.json). A metric's
+`gain_shown` is true when the change wins at least nine tenths of the
+pairs and the medians differ, in its favour, by more than the parent's
+interquartile range.
 """
 
 from __future__ import annotations
@@ -106,6 +107,7 @@ def summarize(pairs: list[dict], metric: dict) -> dict:
     gain = (cmed - pmed) if higher else (pmed - cmed)
     out.update({
         "parent_median": pmed, "parent_q1": pq1, "parent_q3": pq3,
+        "parent_iqr_share": (pq3 - pq1) / pmed if pmed else None,
         "change_median": cmed, "change_q1": cq1, "change_q3": cq3,
         "change_vs_parent": cmed / pmed - 1.0 if pmed else None,
         "wins": wins, "losses": len(both) - wins - ties, "ties": ties,
@@ -158,8 +160,9 @@ def main(argv: list[str] | None = None) -> int:
     for workload, w in doc["workloads"].items():
         for name, s in w["metrics"].items():
             if "parent_median" in s:
+                share = "n/a" if s["parent_iqr_share"] is None else f"{s['parent_iqr_share']:.1%}"
                 print(f"{workload} {name}: parent {s['parent_median']:.4g} [{s['parent_q1']:.4g}, {s['parent_q3']:.4g}]"
-                      f" change {s['change_median']:.4g} [{s['change_q1']:.4g}, {s['change_q3']:.4g}]"
+                      f" (IQR {share} of median) change {s['change_median']:.4g} [{s['change_q1']:.4g}, {s['change_q3']:.4g}]"
                       f" wins {s['wins']}/{len(s['parent'])} gain_shown={s['gain_shown']}")
     print(f"wrote {out_path}")
     return 0

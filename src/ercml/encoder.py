@@ -301,8 +301,7 @@ class RowwiseCache:
     inv1: np.ndarray
     n1: np.ndarray
     pre: np.ndarray
-    cdf: np.ndarray    # standard normal CDF of `pre`, GELU's gate
-    act: np.ndarray
+    cdf: np.ndarray    # standard normal CDF of `pre`, GELU's gate; GELU is pre * cdf
     xhat2: np.ndarray
     inv2: np.ndarray
 
@@ -349,8 +348,7 @@ def _rowwise_forward(x: np.ndarray, mixed: np.ndarray, p: SingletonLayerParams):
     r2 = n1 + (act @ p.w_ff2 + p.b_ff2)
     out, xhat2, inv2 = _layer_norm_forward(r2, p.ln2_gain, p.ln2_bias)
     return out, RowwiseCache(
-        x=x, mixed=mixed, xhat1=xhat1, inv1=inv1, n1=n1, pre=pre, cdf=cdf, act=act,
-        xhat2=xhat2, inv2=inv2,
+        x=x, mixed=mixed, xhat1=xhat1, inv1=inv1, n1=n1, pre=pre, cdf=cdf, xhat2=xhat2, inv2=inv2,
     )
 
 
@@ -359,7 +357,7 @@ def _rowwise_backward(d_out: np.ndarray, c: RowwiseCache, p: SingletonLayerParam
     dr2, grads["ln2_gain"], grads["ln2_bias"] = _layer_norm_backward(
         d_out, c.xhat2, c.inv2, p.ln2_gain
     )
-    grads["w_ff2"] = c.act.T @ dr2
+    grads["w_ff2"] = (c.pre * c.cdf).T @ dr2  # the forward's GELU output, bit for bit
     grads["b_ff2"] = dr2.sum(axis=0)
     gelu_grad = c.cdf + c.pre * np.exp(-0.5 * c.pre * c.pre) / np.sqrt(2.0 * np.pi)
     dpre = (dr2 @ p.w_ff2.T) * gelu_grad

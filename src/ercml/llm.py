@@ -10,20 +10,19 @@ Two endpoints: an HTTP JSON client, whose malformed responses count as
 failed attempts, and an offline replay fixture, read by the embedding
 store's JSON-lines reader (lines counted from 1, blank lines skipped,
 a line that is not UTF-8 JSON raises MalformedRecord). Every dialog runs
-through one thread pool, whose map keeps corpus order.
+through one thread pool, whose map keeps corpus order. The HTTP stack and
+the pool's module are imported where they are used, so a run that makes
+no request loads neither.
 """
 
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import time
 import urllib.parse
-import urllib.request
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .corpus import LABEL_NAMES, Corpus, Dialog, read_utf8
 from .embeddings import _decode, _non_blank
 from .errors import BadTemplate, ConfigError, EmptyDialog, EndpointFailure, MalformedRecord, MissingFile
 from .metrics import MetricsReport, confusion, report_from_confusion
+from .training import check_lower_bound
 
 logger = logging.getLogger(__name__)
 
@@ -178,7 +178,7 @@ class HttpGenerationClient:
     attempts, `RETRY_WAIT_S` apart, it raises EndpointFailure.
 
     Raises:
-        ConfigError: `url` is not an http or https URL.
+        ConfigError: `url` is not an http or https URL, or a count is out of bounds.
     """
 
     url: str
@@ -188,8 +188,13 @@ class HttpGenerationClient:
     def __post_init__(self):
         if urllib.parse.urlsplit(self.url).scheme not in ("http", "https"):
             raise ConfigError(f"endpoint {self.url!r} is not an http or https URL")
+        check_lower_bound("max_retries", self.max_retries, strict=False)
+        check_lower_bound("max_new_tokens", self.max_new_tokens, strict=True)
 
     def generate(self, prompt: str, key: str | None = None) -> str:
+        import http.client
+        import urllib.request
+
         payload = json.dumps(
             {"prompt": prompt, "max_new_tokens": self.max_new_tokens}
         ).encode("utf-8")
@@ -254,10 +259,14 @@ def evaluate_llm(
     that can never match gold; `map-to-neutral` folds them into neutral.
     Endpoint failures (after the client's retries) exclude the dialog
     from scoring and are counted in the result. `parallelism` is the
-    number of requests in flight.
+    number of requests in flight. An unknown policy or a `parallelism`
+    below 1 raises ConfigError before any request.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if unparsable_policy not in UNPARSABLE_POLICIES:
-        raise ValueError(f"unknown unparsable policy {unparsable_policy!r}")
+        raise ConfigError(f"unknown unparsable policy {unparsable_policy!r}")
+    check_lower_bound("parallelism", parallelism, strict=True)
     to_neutral = unparsable_policy == "map-to-neutral"
 
     def run_one(dialog: Dialog) -> GenerationRecord:

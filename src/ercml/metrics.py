@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import EmptySequence, LengthMismatch, NoNeutralInSpace, UnknownLabel
+from .errors import ConfigError, EmptySequence, LengthMismatch, NoNeutralInSpace, UnknownLabel
 
 NEUTRAL = "neutral"
 # The policies under which F1* is comparable to the community convention,
@@ -124,13 +124,14 @@ def f1_excluding_neutral(
 
     Raises:
         NoNeutralInSpace: the matrix has no neutral label.
+        ConfigError: an unknown `mode` or `neutral_policy`.
     """
     if NEUTRAL not in m.label_space:
         raise NoNeutralInSpace(f"label space {m.label_space} lacks {NEUTRAL!r}")
     if mode not in ("macro", "micro"):
-        raise ValueError(f"mode must be 'macro' or 'micro', got {mode!r}")
+        raise ConfigError(f"mode must be 'macro' or 'micro', got {mode!r}")
     if neutral_policy not in F1_POLICIES:
-        raise ValueError(f"neutral_policy must be one of {F1_POLICIES}, got {neutral_policy!r}")
+        raise ConfigError(f"neutral_policy must be one of {F1_POLICIES}, got {neutral_policy!r}")
     macro, micro = _macro_micro(_tally(m, neutral_policy)[1])
     return macro if mode == "macro" else micro
 
@@ -244,9 +245,10 @@ def report_from_confusion(
 
     Raises:
         NoNeutralInSpace: `include` on a space without neutral.
+        ConfigError: an unknown `neutral_policy`.
     """
     if neutral_policy not in NEUTRAL_POLICIES:
-        raise ValueError(f"neutral_policy must be one of {NEUTRAL_POLICIES}, got {neutral_policy!r}")
+        raise ConfigError(f"neutral_policy must be one of {NEUTRAL_POLICIES}, got {neutral_policy!r}")
     report_extras = dict(extras or {})
     if NEUTRAL not in m.label_space:
         if neutral_policy == "include":

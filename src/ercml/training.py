@@ -418,6 +418,14 @@ def _train_cycle(
     lacked the label diversity for a triplet step."""
     summed = config.loss_mode == "summed"
     encoding = encode_dialog(dialogs, store, encoder)
+
+    def step_encoder():
+        # the forward and d_ctx are spent once the backward returns: Adam steps without them
+        nonlocal encoding, d_ctx
+        grads = encode_dialog_backward(d_ctx, encoding, encoder)
+        encoding = d_ctx = None
+        enc_opt.step(grads)
+
     ce_out = ce_pass(dialogs, encoding.contextual, classifier, config.weighted_ce)
     ce_loss, d_ctx = 0.0, None  # d_ctx: the encoder update still to make
     if ce_out is not None:
@@ -425,8 +433,7 @@ def _train_cycle(
         clf_opt.step(clf_grads)
         del ce_out, clf_grads  # spent: the encoder's backward and step run without the head's gradients
         if not summed:
-            enc_opt.step(encode_dialog_backward(d_ctx, encoding, encoder))
-            d_ctx = None
+            step_encoder()
     tri_loss, active, skipped = 0.0, 0, False
     if config.triplet_enabled:
         if not summed:  # alternating: a fresh forward after the CE update
@@ -439,7 +446,7 @@ def _train_cycle(
                 d_tri = config.summed_lambda * d_tri
             d_ctx = d_tri if d_ctx is None else d_ctx + d_tri
     if d_ctx is not None:
-        enc_opt.step(encode_dialog_backward(d_ctx, encoding, encoder))
+        step_encoder()
     return {"ce": ce_loss, "triplet": tri_loss, "active": active, "triplet_skipped": skipped}
 
 

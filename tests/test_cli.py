@@ -652,7 +652,9 @@ class TestLlmEval:
 class TestImport:
     def test_cli_import_loads_no_scipy_and_builds_nothing(self):
         # scipy.special costs a process tens of MB; only the compiler-less
-        # fallback of GELU's gate imports it, and no import builds the kernels
+        # fallback of GELU's gate imports it, and no import builds the kernels.
+        # The HTTP stack and the thread pool's module (a few MB) are loaded
+        # only by the LLM harness's calls that use them.
         probe = (
             "import json, subprocess, sys\n"
             "started = []\n"
@@ -662,13 +664,16 @@ class TestImport:
             "    popen(self, args, *rest, **kw)\n"
             "subprocess.Popen.__init__ = record\n"
             "import ercml.cli\n"
-            "print(json.dumps({'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+            "def loaded(*names):\n"
+            "    return sorted(m for m in sys.modules if any(m == n or m.startswith(n + '.') for n in names))\n"
+            "print(json.dumps({'scipy': loaded('scipy'),\n"
+            "                  'http_stack': loaded('ssl', 'http', 'email', 'socket', 'urllib.request', 'concurrent'),\n"
             "                  'started': started}))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"scipy": [], "started": []}
+        assert json.loads(proc.stdout) == {"scipy": [], "http_stack": [], "started": []}
 
 
 class TestConfigFile:

@@ -265,8 +265,10 @@ class TestEncoderGradients:
             single = singleton_layer(params)
             _, c = singleton_forward(x, single)
             _, grads = singleton_backward(d_out, c, single)
-        np.testing.assert_array_equal(c.act, reference_gelu(c.pre))
+        # the cache keeps GELU's gate, not its output: pre * cdf is the output
+        np.testing.assert_array_equal(c.pre * c.cdf, reference_gelu(c.pre))
         dr2, _, _ = _layer_norm_backward(d_out, c.xhat2, c.inv2, params.ln2_gain)
+        np.testing.assert_array_equal(grads["w_ff2"], reference_gelu(c.pre).T @ dr2)
         dpre = (dr2 @ params.w_ff2.T) * reference_gelu_grad(c.pre)
         np.testing.assert_array_equal(grads["w_ff1"], c.n1.T @ dpre)
         np.testing.assert_array_equal(grads["b_ff1"], dpre.sum(axis=0))

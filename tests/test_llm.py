@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from ercml import llm
 from ercml.cli import main
 from ercml.corpus import Corpus, Dialog, LABEL_NAMES, Utterance, load_split
 from ercml.embeddings import load_sentence_embeddings
-from ercml.errors import BadTemplate, EmptyDialog, EndpointFailure, MalformedRecord
+from ercml.errors import BadTemplate, ConfigError, EmptyDialog, EndpointFailure, MalformedRecord
 from ercml.llm import (
     BUILTIN_TEMPLATES,
     UNPARSABLE,
@@ -43,6 +44,17 @@ def dialog_of(texts_labels, dialog_id="d0"):
 
 def corpus_of(dialogs):
     return Corpus(split="test", dialogs=tuple(dialogs))
+
+
+@dataclass
+class RecordingClient(ReplayClient):
+    """A replay client that records the key of every request."""
+
+    keys: list = field(default_factory=list)
+
+    def generate(self, prompt, key=None):
+        self.keys.append(key)
+        return super().generate(prompt, key)
 
 
 class TestPromptTemplate:
@@ -160,15 +172,9 @@ class TestEvaluateLlm:
 
     def test_one_request_per_dialog(self):
         corpus = six_emotion_corpus()
-        keys = []
-
-        class Recording(ReplayClient):
-            def generate(self, prompt, key=None):
-                keys.append(key)
-                return super().generate(prompt, key)
-
-        evaluate_llm(Recording(responses={}, default="anger"), corpus, FIXTURE_TEMPLATE, parallelism=1)
-        assert keys == [d.id for d in corpus.dialogs]
+        client = RecordingClient(responses={}, default="anger")
+        evaluate_llm(client, corpus, FIXTURE_TEMPLATE, parallelism=1)
+        assert client.keys == [d.id for d in corpus.dialogs]
 
     def test_constant_output_triggers_collapse_flag(self):
         corpus = six_emotion_corpus()
@@ -221,6 +227,16 @@ class TestEvaluateLlm:
         r2 = evaluate_llm(client, corpus, FIXTURE_TEMPLATE, parallelism=1)
         assert [x.key for x in r1.records] == [x.key for x in r2.records]
         assert r1.report.macro_f1_star == r2.report.macro_f1_star
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"parallelism": 0}, "parallelism must be > 0, got 0"),
+        ({"unparsable_policy": "guess"}, "unknown unparsable policy 'guess'"),
+    ], ids=["parallelism", "policy"])
+    def test_bad_setting_is_refused_before_any_request(self, setting, message):
+        client = RecordingClient(responses={}, default="anger")
+        with pytest.raises(ConfigError, match=message):
+            evaluate_llm(client, six_emotion_corpus(), FIXTURE_TEMPLATE, **setting)
+        assert client.keys == []
 
 
 class TestGenerationLog:
@@ -320,6 +336,14 @@ def http_server(monkeypatch):
 
 
 class TestHttpClient:
+    @pytest.mark.parametrize("setting, message", [
+        ({"max_retries": -1}, "max_retries must be >= 0, got -1"),
+        ({"max_new_tokens": 0}, "max_new_tokens must be > 0, got 0"),
+    ], ids=["max_retries", "max_new_tokens"])
+    def test_out_of_bounds_count_is_refused(self, setting, message):
+        with pytest.raises(ConfigError, match=message):
+            HttpGenerationClient(url="http://127.0.0.1:9/generate", **setting)
+
     def test_round_trip(self, http_server):
         client = HttpGenerationClient(url=http_server, max_new_tokens=8)
         out = client.generate("what is the emotion?")

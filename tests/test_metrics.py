@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ercml.errors import EmptySequence, LengthMismatch, NoNeutralInSpace, UnknownLabel
+from ercml.errors import ConfigError, EmptySequence, LengthMismatch, NoNeutralInSpace, UnknownLabel
 from ercml.metrics import (
     BinaryCounts,
     ConfusionMatrix,
@@ -339,9 +339,13 @@ class TestNeutralPolicy:
 
     @pytest.mark.parametrize("space", [SEVEN, SEVEN[1:]])
     def test_unknown_policy_raises(self, space):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"neutral_policy must be one of .*, got 'keep'"):
             report_from_confusion(self.matrix(space), "keep")
 
     def test_f1_excluding_neutral_refuses_include(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"neutral_policy must be one of \('attribute', 'drop'\), got 'include'"):
             f1_excluding_neutral(self.matrix(SEVEN), "macro", "include")
+
+    def test_f1_excluding_neutral_refuses_an_unknown_mode(self):
+        with pytest.raises(ConfigError, match="mode must be 'macro' or 'micro', got 'weighted'"):
+            f1_excluding_neutral(self.matrix(SEVEN), "weighted")

@@ -282,6 +282,32 @@ class TestContextualTraining:
         assert len(dead_at_backward) == (3 if loss_mode == "summed" else 6)
         assert all(dead and all(dead) for dead in dead_at_backward)
 
+    @pytest.mark.parametrize("loss_mode", ["alternating", "summed"])
+    def test_spent_forward_is_freed_before_the_encoder_steps(
+        self, train_corpus, store16, monkeypatch, loss_mode
+    ):
+        # Once the encoder's backward has returned, nothing holds the
+        # forward it read: the encoder's Adam step, and in alternating mode
+        # the triplet half's fresh forward, run without it.
+        encodings, dead_at_step = [], []
+        real_step, real_encode = Adam.step, training.encode_dialog
+
+        def encode(*args):
+            encoding = real_encode(*args)
+            encodings.append(weakref.ref(encoding))
+            return encoding
+
+        def step(self, grads):
+            if "head.w" not in grads:
+                dead_at_step.append([ref() is None for ref in encodings])
+            return real_step(self, grads)
+
+        monkeypatch.setattr(Adam, "step", step)
+        monkeypatch.setattr(training, "encode_dialog", encode)
+        train_contextual(train_corpus, store16, self.small_cfg(max_steps=3, loss_mode=loss_mode))
+        assert len(dead_at_step) == (3 if loss_mode == "summed" else 6)
+        assert all(dead and all(dead) for dead in dead_at_step)
+
     def test_two_layer_stack_trains_and_round_trips(self, train_corpus, store16, tmp_path):
         cfg = self.small_cfg(max_steps=2, encoder_layers=2)
         model = train_contextual(train_corpus, store16, cfg)
