@@ -17,6 +17,13 @@ wins, losses and ties (direction from BENCHMARK.json). A metric's
 `gain_shown` is true when the change wins at least nine tenths of the
 pairs and the medians differ, in its favour, by more than the parent's
 interquartile range.
+
+Each run also records the user and system CPU seconds and minor page
+faults of its process and of the children it waited for (the kernel
+build), summarized the same way under `counters` for information
+only: they have no bound and no `gain_shown`. A run that
+outlives its timeout is killed and recorded as not correct, with
+`returncode` null, and the series goes on.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import resource
 import shutil
 import statistics
 import subprocess
@@ -34,6 +42,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+NO_RESULT = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}  # a run that printed no result line
+# Each run's counters, summarized like the end-to-end metrics but with no
+# bound: they explain a change in wall time and judge nothing.
+COUNTERS = [{"name": name, "unit": unit, "better": "lower", "bound": None}
+            for name, unit in (("user_s", "s"), ("sys_s", "s"), ("minor_faults", "faults"))]
 
 
 def git(*args: str) -> str:
@@ -63,27 +76,49 @@ def parse_seeds(items: list[str]) -> list[int]:
     return seeds
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `--trace 0` run; its run record and its final JSON line."""
+def child_counters() -> dict:
+    """CPU seconds and minor faults of every reaped child of this process."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return {"user_s": usage.ru_utime, "sys_s": usage.ru_stime, "minor_faults": usage.ru_minflt}
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, timeout: float | None = None) -> dict:
+    """One `--trace 0` run; its run record, its final JSON line and the
+    child's counters. A run still going after `timeout` seconds (default
+    `10 * seconds + 600`) is killed and recorded as not correct, with
+    `returncode` None."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=10 * seconds + 600)
-    lines = proc.stdout.strip().splitlines()
+    before = child_counters()
+    try:
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                              timeout=10 * seconds + 600 if timeout is None else timeout)
+        returncode, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+    except subprocess.TimeoutExpired as exc:  # run() has killed and reaped the child
+        returncode, stdout = None, _text(exc.stdout)
+        stderr = _text(exc.stderr) + f"\nkilled after {exc.timeout:g} s\n"
+    after = child_counters()
+    lines = stdout.strip().splitlines()
     record = next((json.loads(line.split(" ", 1)[1]) for line in lines if line.startswith("run_record ")), None)
     try:
-        result = json.loads(lines[-1])
+        result = json.loads(lines[-1]) if returncode is not None else NO_RESULT
     except (IndexError, json.JSONDecodeError):
-        result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
+        result = NO_RESULT
+    if returncode != 0:
+        sys.stderr.write(stdout[-2000:] + stderr[-2000:])
     return {
         "run_record": record,
-        "returncode": proc.returncode,
+        "returncode": returncode,
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "counters": {name: after[name] - before[name] for name in after},
     }
+
+
+def _text(out: bytes | str | None) -> str:
+    return out.decode(errors="replace") if isinstance(out, bytes) else out or ""
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -93,9 +128,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[dict], metric: dict) -> dict:
+def summarize(pairs: list[dict], metric: dict, key: str = "metrics") -> dict:
+    """The per-pair values of `metric`, read from each run's `key`, with
+    medians, quartiles and the change's tally; and, for a metric with a
+    bound, whether the change shows a gain."""
     name, higher = metric["name"], metric["better"] == "higher"
-    both = [(p["parent"]["metrics"].get(name), p["change"]["metrics"].get(name)) for p in pairs]
+    both = [(p["parent"][key].get(name), p["change"][key].get(name)) for p in pairs]
     both = [(a, b) for a, b in both if a is not None and b is not None]
     out = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
            "parent": [a for a, _ in both], "change": [b for _, b in both]}
@@ -111,8 +149,9 @@ def summarize(pairs: list[dict], metric: dict) -> dict:
         "change_median": cmed, "change_q1": cq1, "change_q3": cq3,
         "change_vs_parent": cmed / pmed - 1.0 if pmed else None,
         "wins": wins, "losses": len(both) - wins - ties, "ties": ties,
-        "gain_shown": wins >= 0.9 * len(both) and gain > pq3 - pq1,
     })
+    if metric["bound"] is not None:
+        out["gain_shown"] = wins >= 0.9 * len(both) and gain > pq3 - pq1
     return out
 
 
@@ -149,21 +188,24 @@ def main(argv: list[str] | None = None) -> int:
                 for side in sides:
                     pair[side] = run_once(trees[side], workload, seed, seconds)
                     doc[side]["run_record"] = doc[side]["run_record"] or pair[side]["run_record"]
+                    values = {**pair[side]["metrics"], **pair[side]["counters"]}
                     print(f"{workload} seed {seed} {side}: correct={pair[side]['correct']} "
-                          + " ".join(f"{k}={v:.4g}" for k, v in pair[side]["metrics"].items()), flush=True)
+                          + " ".join(f"{k}={v:.4g}" for k, v in values.items()), flush=True)
                 pairs.append(pair)
                 doc["workloads"][workload] = {
                     "pairs": pairs,
                     "metrics": {m["name"]: summarize(pairs, m) for m in bench["end_to_end"]},
+                    "counters": {c["name"]: summarize(pairs, c, "counters") for c in COUNTERS},
                 }
                 out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for workload, w in doc["workloads"].items():
-        for name, s in w["metrics"].items():
+        for name, s in [*w["metrics"].items(), *w["counters"].items()]:
             if "parent_median" in s:
                 share = "n/a" if s["parent_iqr_share"] is None else f"{s['parent_iqr_share']:.1%}"
+                shown = f" gain_shown={s['gain_shown']}" if "gain_shown" in s else ""
                 print(f"{workload} {name}: parent {s['parent_median']:.4g} [{s['parent_q1']:.4g}, {s['parent_q3']:.4g}]"
                       f" (IQR {share} of median) change {s['change_median']:.4g} [{s['change_q1']:.4g}, {s['change_q3']:.4g}]"
-                      f" wins {s['wins']}/{len(s['parent'])} gain_shown={s['gain_shown']}")
+                      f" wins {s['wins']}/{len(s['parent'])}{shown}")
     print(f"wrote {out_path}")
     return 0
 

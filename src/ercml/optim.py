@@ -1,5 +1,6 @@
 """First-order adaptive-moment gradient descent with global-norm clipping,
-and the loader of the package's C kernels.
+the loader of the package's C kernels, and the malloc thresholds a
+training process runs under.
 
 `_kernels.c` holds the package's two C loops, the Adam update and GELU's
 gate (see encoder.py); the first `Adam(...)` or the first encoder forward
@@ -33,6 +34,11 @@ CFLAGS = ["-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared"]
 SOURCE = Path(__file__).with_name("_kernels.c")
 KERNELS = "the C kernels (the Adam update and GELU's gate)"  # what one build of SOURCE makes
 
+# The mallopt(3) calls training makes, in order: M_TRIM_THRESHOLD (-1) at
+# 1 GB, so freed memory stays in the heap, then M_MMAP_THRESHOLD (-3) at
+# 64 MB, so only blocks that large get a mapping of their own.
+MALLOPTS = ((-1, 1 << 30), (-3, 64 << 20))
+_malloc_kept = False  # whether keep_freed_memory has run in this process
 _kernel = None  # the loaded `_kernels.c` library, built once per process
 _build_error = None  # the CompileError of a failed build, which is not retried
 
@@ -55,6 +61,20 @@ def load_kernels():
             _build_error = exc
             raise
     return _kernel
+
+
+def keep_freed_memory() -> None:
+    """Make the MALLOPTS calls once per process, so the memory a step frees
+    is reused by the next instead of going back to the kernel and being
+    faulted in again. Both are made, since either alone turns off glibc's
+    adaptive thresholds; a C library without `mallopt` is left as it is."""
+    global _malloc_kept
+    if not _malloc_kept:
+        _malloc_kept = True
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            for param, value in MALLOPTS:
+                mallopt(param, value)
 
 
 def _build():

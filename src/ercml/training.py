@@ -41,7 +41,7 @@ from .encoder import (
 )
 from .errors import CheckpointError, ConfigError, DimMismatch, InsufficientDiversity
 from .metrics import MetricsReport, report_from_predictions
-from .optim import Adam
+from .optim import Adam, keep_freed_memory
 from .triplets import (
     DISTANCES,
     TripletLossConfig,
@@ -366,7 +366,8 @@ def train_contextual(
     training. The classifier is pretrained standalone unless one is
     passed in, and stays unfrozen throughout. `log_hook`, if given, gets
     one record per step: `step` (from 1), `epoch`, `ce`, `triplet`,
-    `active` and `triplet_skipped`.
+    `active` and `triplet_skipped`. Once its inputs pass their checks, it
+    sets the process's malloc thresholds (:func:`optim.keep_freed_memory`).
 
     Raises:
         MissingEmbedding: the store lacks a vector for some utterance of
@@ -377,6 +378,7 @@ def train_contextual(
 
     store.check_covers(corpus)
     check_train_inputs(store, config, classifier)
+    keep_freed_memory()
     if classifier is None:
         classifier = pretrain_from_config(corpus, store, config)
 

@@ -2,20 +2,25 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ercml.corpus import Corpus, Dialog, EMOTION_IDS, Utterance
-from ercml import checkpoint, training
+from ercml import checkpoint, optim, training
 from ercml.checkpoint import load_checkpoint, save_checkpoint
 from ercml.cli import main
 from ercml.classifier import classify_batch, init_classifier
 from ercml.embeddings import SentenceEmbeddingStore, hash_store_for_corpus
 from ercml.encoder import AttentionLayerParams, EncoderLayerParams, encode_dialog
-from ercml.errors import CheckpointError, ConfigError, DimMismatch, MissingEmbedding, NonFinite
+from ercml.errors import BadHeadCount, CheckpointError, ConfigError, DimMismatch, MissingEmbedding, NonFinite
 from ercml.optim import Adam
 from ercml.training import (
     ContextualModel,
@@ -340,6 +345,82 @@ class TestContextualTraining:
             cfg = self.small_cfg(max_steps=2, sampling_strategy=strategy)
             model = train_contextual(train_corpus, store16, cfg)
             assert model.encoder[0].dim == 16
+
+
+class TestMallocThresholds:
+    """`train_contextual` sets glibc's trim and mmap thresholds once per
+    process, so a step reuses the memory the previous step freed."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's malloc and getrusage's fault count")
+    def test_warm_steps_take_almost_no_page_faults(self, mini_dir):
+        # In a fresh process, at 384 dimensions and 6 heads. Under glibc's
+        # default thresholds a step of the mini corpus takes about 9,500
+        # minor faults: the gradients and forward caches the previous step
+        # freed went back to the kernel and are faulted in again.
+        probe = (
+            "import json, resource, sys\n"
+            "from ercml.corpus import load_split\n"
+            "from ercml.embeddings import hash_store_for_corpus\n"
+            "from ercml.training import TrainConfig, train_contextual\n"
+            "corpus = load_split(sys.argv[1], 'train')\n"
+            "store = hash_store_for_corpus(corpus, dim=384, seed=0)\n"
+            "faults = []\n"
+            "hook = lambda record: faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)\n"
+            "config = TrainConfig(heads=6, epochs=100, max_steps=12, pretrain_steps=2, seed=0)\n"
+            "train_contextual(corpus, store, config, log_hook=hook)\n"
+            "print(json.dumps([b - a for a, b in zip(faults, faults[1:])]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-c", probe, str(mini_dir)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        per_step = json.loads(proc.stdout)
+        assert len(per_step) == 11
+        warm = per_step[3:]
+        assert max(warm) < 1000, per_step
+
+    @staticmethod
+    def c_library(monkeypatch, libc) -> list:
+        """Makes `ctypes.CDLL(None)` return `libc` and the thresholds unset;
+        returns the list each lookup of the C library is appended to."""
+        lookups, real = [], optim.ctypes.CDLL
+
+        def cdll(name, *args, **kwargs):
+            if name is not None:
+                return real(name, *args, **kwargs)
+            lookups.append(name)
+            return libc
+
+        monkeypatch.setattr(optim.ctypes, "CDLL", cdll)
+        monkeypatch.setattr(optim, "_malloc_kept", False)
+        return lookups
+
+    def test_both_thresholds_are_set_once_per_process(self, train_corpus, store16, monkeypatch):
+        calls = []
+        libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+        lookups = self.c_library(monkeypatch, libc)
+        config = TrainConfig(epochs=1, max_steps=1, pretrain_steps=1, seed=0)
+        first = train_contextual(train_corpus, store16, config)
+        assert calls == [(-1, 1 << 30), (-3, 64 << 20)]  # M_TRIM_THRESHOLD 1 GB, then M_MMAP_THRESHOLD 64 MB
+        second = train_contextual(train_corpus, store16, config)
+        assert calls == [(-1, 1 << 30), (-3, 64 << 20)]
+        assert lookups == [None]
+        assert params_equal(first.encoder, second.encoder)
+
+    def test_a_c_library_without_mallopt_is_left_alone(self, train_corpus, store16, monkeypatch):
+        lookups = self.c_library(monkeypatch, SimpleNamespace())
+        config = TrainConfig(epochs=1, max_steps=1, pretrain_steps=1, seed=0)
+        train_contextual(train_corpus, store16, config)
+        train_contextual(train_corpus, store16, config)
+        assert lookups == [None]
+        assert optim._malloc_kept is True
+
+    def test_inputs_that_fail_their_checks_set_nothing(self, train_corpus, store16, monkeypatch):
+        calls = []
+        self.c_library(monkeypatch, SimpleNamespace(mallopt=lambda *args: calls.append(args)))
+        with pytest.raises(BadHeadCount):
+            train_contextual(train_corpus, store16, TrainConfig(heads=5, seed=0))
+        assert calls == [] and optim._malloc_kept is False
 
 
 class TestPredict:
